@@ -1,45 +1,23 @@
-"""Hot counting kernels with a numba backend and a pure-numpy fallback.
+"""Vectorized numpy counting kernels for box unions and strict dominance.
 
-The backend is chosen once at import time: numba when it is importable and
-the environment variable ``PARETO_JUDGE_NO_NUMBA`` is unset or empty,
-otherwise vectorized numpy. Every kernel returns exact integer counts (or a
-boolean mask), so both backends produce bit-identical results and nothing
-downstream depends on which one is active.
+Every kernel returns exact integer counts (or a boolean mask), so results do
+not depend on how the work is chunked. Inputs are processed in chunks of
+``_CHUNK`` rows to bound the size of the broadcast comparison arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _CHUNK = 1 << 16
 
 
-def _count_in_box_union_py(samples: np.ndarray, points: np.ndarray) -> int:
+def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
     """Count samples covered by at least one point's box.
 
     A sample ``s`` is covered when some row ``p`` of ``points`` satisfies
-    ``s <= p`` in every coordinate; both arrays are (n, M) and (k, M).
+    ``s <= p`` in every coordinate; the arrays are (n, M) and (k, M).
     """
-    n = samples.shape[0]
-    k = points.shape[0]
-    m = samples.shape[1]
-    total = 0
-    for i in range(n):
-        for j in range(k):
-            inside = True
-            for d in range(m):
-                if samples[i, d] > points[j, d]:
-                    inside = False
-                    break
-            if inside:
-                total += 1
-                break
-    return total
-
-
-def _count_in_box_union_np(samples: np.ndarray, points: np.ndarray) -> int:
     if points.shape[0] == 0:
         return 0
     total = 0
@@ -50,27 +28,8 @@ def _count_in_box_union_np(samples: np.ndarray, points: np.ndarray) -> int:
     return total
 
 
-def _nondominated_mask_py(points: np.ndarray) -> np.ndarray:
+def nondominated_mask(points: np.ndarray) -> np.ndarray:
     """Mask of points not strictly dominated by any other point (all coords greater)."""
-    n = points.shape[0]
-    m = points.shape[1]
-    keep = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            dominates = True
-            for d in range(m):
-                if points[j, d] <= points[i, d]:
-                    dominates = False
-                    break
-            if dominates:
-                keep[i] = False
-                break
-    return keep
-
-
-def _nondominated_mask_np(points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     keep = np.ones(n, dtype=np.bool_)
     for start in range(0, n, _CHUNK):
@@ -80,69 +39,8 @@ def _nondominated_mask_np(points: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _dominance_counts_py(points: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
+def dominance_counts(points: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
     """Return (points strictly dominating ref, points strictly dominated by ref)."""
-    n = points.shape[0]
-    m = points.shape[1]
-    dominating = 0
-    dominated = 0
-    for i in range(n):
-        above = True
-        below = True
-        for d in range(m):
-            if points[i, d] <= ref[d]:
-                above = False
-            if points[i, d] >= ref[d]:
-                below = False
-        if above:
-            dominating += 1
-        if below:
-            dominated += 1
-    return dominating, dominated
-
-
-def _dominance_counts_np(points: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
     dominating = int((points > ref).all(axis=1).sum())
     dominated = int((points < ref).all(axis=1).sum())
     return dominating, dominated
-
-
-def _want_numba() -> bool:
-    return not os.environ.get("PARETO_JUDGE_NO_NUMBA", "")
-
-
-_IMPLS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "count_in_box_union": _count_in_box_union_np,
-        "nondominated_mask": _nondominated_mask_np,
-        "dominance_counts": _dominance_counts_np,
-    }
-}
-
-if _want_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _IMPLS["numba"] = {
-            "count_in_box_union": njit(cache=True, nogil=True)(_count_in_box_union_py),
-            "nondominated_mask": njit(cache=True, nogil=True)(_nondominated_mask_py),
-            "dominance_counts": njit(cache=True, nogil=True)(_dominance_counts_py),
-        }
-
-_BACKEND = "numba" if "numba" in _IMPLS else "numpy"
-
-count_in_box_union = _IMPLS[_BACKEND]["count_in_box_union"]
-nondominated_mask = _IMPLS[_BACKEND]["nondominated_mask"]
-dominance_counts = _IMPLS[_BACKEND]["dominance_counts"]
-
-
-def active_backend() -> str:
-    """Name of the backend selected at import time ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-def backend_impls() -> dict[str, dict[str, object]]:
-    """All available backend implementations, keyed by backend name."""
-    return {name: dict(impls) for name, impls in _IMPLS.items()}

@@ -137,7 +137,7 @@ def hypervolume_mc(
     effective = points[(points > ref_arr).all(axis=1)]
     rng = np.random.default_rng(seed)
     draws = ref_arr + rng.random((samples, ref.dim)) * extent
-    covered = _kernels.count_in_box_union(draws, np.ascontiguousarray(effective))
+    covered = _kernels.count_in_box_union(draws, effective)
     box_volume = float(np.prod(extent))
     return box_volume * covered / samples
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's computation paths: dominance is an
-explicit all-pairs check and hypervolume is a grid rasterization of the box
-union, so agreement with the package is meaningful evidence.
+explicit all-pairs check, box-union membership is a per-sample loop over the
+boxes, and hypervolume is a grid rasterization of the box union, so agreement
+with the package is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -54,3 +55,10 @@ def grid_hypervolume(coords, ref, resolution: int = 2000) -> float:
         covered[:nx, :ny] = True
     cell_area = (extent[0] / resolution) * (extent[1] / resolution)
     return float(covered.sum()) * cell_area
+
+
+def brute_force_box_union_count(samples, points) -> int:
+    """Count samples s for which some point p has s <= p in every coordinate."""
+    return sum(
+        any(all(si <= pi for si, pi in zip(s, p)) for p in points) for s in samples
+    )

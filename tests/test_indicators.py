@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_hypervolume
 from pareto_judge.indicators import (
@@ -16,7 +18,11 @@ from pareto_judge.indicators import (
     ndr,
     sdr,
 )
-from pareto_judge.objective_space import ObjectivePoint, SolutionSet
+from pareto_judge.objective_space import ObjectivePoint, SolutionSet, pareto_front
+
+
+# Grid values produce duplicate and tied coordinates; free floats the general case.
+_coord = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), st.floats(0.0, 1.0))
 
 
 def _front(*coords):
@@ -122,6 +128,16 @@ class TestHypervolumeExact:
             before = hypervolume(SolutionSet.from_coords("f", coords), ref)
             after = hypervolume(SolutionSet.from_coords("f", coords + [extra]), ref)
             assert after >= before - 1e-12
+
+    @settings(deadline=None)
+    @given(
+        coords=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30),
+        ref=st.tuples(_coord, _coord),
+    )
+    def test_dominated_points_add_nothing(self, coords, ref):
+        front = SolutionSet.from_coords("f", coords)
+        ref = ObjectivePoint(ref)
+        assert hypervolume(front, ref) == hypervolume(pareto_front(front), ref)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(67)

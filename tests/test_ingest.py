@@ -12,6 +12,7 @@ from pareto_judge.ingest_report import (
     imbalance_ratio,
     parse_datasets,
     parse_records,
+    read_report_csv,
     render_dataset_table,
 )
 from pareto_judge.objective_space import ObjectivePoint
@@ -152,6 +153,69 @@ class TestParseRecords:
         )
         with pytest.raises(ValueError, match="objectives"):
             parse_records(path, "counts", negate=("tp",))
+
+
+# One valid header and data row per schema, with the reader that parses it.
+SCHEMAS = {
+    "counts": (
+        lambda path: parse_records(path, "counts"),
+        "dataset,method,fold,solution_id,tp,fn,fp,tn",
+        "ds1,base,0,0,1,2,3,4",
+    ),
+    "objectives": (
+        lambda path: parse_records(path, "objectives"),
+        "dataset,method,fold,solution_id,obj_1,obj_2",
+        "ds1,base,0,0,0.5,0.25",
+    ),
+    "datasets": (parse_datasets, "name,n_features,n_samples,n_minority", "ds1,8,768,268"),
+    "report": (
+        read_report_csv,
+        "indicator,reference_method,dataset,mean,std,fold_count",
+        "HV,base,ds1,0.5,0.1,10",
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+class TestDocumentedFormat:
+    def _error(self, tmp_path, schema: str, data: bytes) -> tuple[int, str]:
+        """(line, message after the file:line prefix) of the ParseError raised."""
+        reader, _, _ = SCHEMAS[schema]
+        path = str(tmp_path / f"{schema}.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        prefix = f"{path}:{err.value.line}: "
+        assert err.value.path == path and str(err.value).startswith(prefix)
+        return err.value.line, str(err.value)[len(prefix) :]
+
+    def test_valid_file_parses(self, tmp_path, schema):
+        reader, header, row = SCHEMAS[schema]
+        reader(_write(tmp_path / f"{schema}.csv", f"{header}\n{row}\n"))
+
+    def test_quoted_field_names_file_and_line(self, tmp_path, schema):
+        _, header, row = SCHEMAS[schema]
+        quoted = row.replace("ds1", '"ds1"')
+        line, message = self._error(tmp_path, schema, f"{header}\n{row}\n{quoted}\n".encode())
+        assert line == 3 and "quote" in message
+
+    def test_crlf_line_ending_names_file_and_line(self, tmp_path, schema):
+        _, header, row = SCHEMAS[schema]
+        line, message = self._error(tmp_path, schema, f"{header}\n{row}\r\n".encode())
+        assert line == 2 and "carriage return" in message
+
+    def test_crlf_header_is_rejected(self, tmp_path, schema):
+        _, header, row = SCHEMAS[schema]
+        line, message = self._error(tmp_path, schema, f"{header}\r\n{row}\r\n".encode())
+        assert line == 1 and "carriage return" in message
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, schema):
+        _, header, row = SCHEMAS[schema]
+        bad_row = row.encode().replace(b"ds1", b"ds\xff")
+        data = f"{header}\n{row}\n".encode() + bad_row + b"\n"
+        line, message = self._error(tmp_path, schema, data)
+        assert line == 3 and "UTF-8" in message and "0xff" in message
 
 
 class TestRoundTrip:
