@@ -2,10 +2,7 @@
 
 Exit codes: 0 on success, 1 on input or validation errors, 2 on usage
 errors. Outputs are written atomically and only on success; identical
-arguments, input files, and seed always produce byte-identical outputs.
-The environment variable ``PARETO_JUDGE_THREADS`` (a positive integer) caps
-how many comparison cells are evaluated concurrently; it never changes the
-outputs.
+arguments and input files always produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from .fbeta_analysis import (
     render_isocurves,
     render_region_plot,
 )
+from .indicators import INDICATOR_NAMES
 from .ingest_report import (
     REPORT_FORMATS,
     ExperimentRecord,
@@ -39,27 +37,12 @@ from .ingest_report import (
 )
 from .objective_space import SolutionSet, pareto_front
 
-THREADS_ENV = "PARETO_JUDGE_THREADS"
-
 METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _require_file(path: str, role: str) -> None:
@@ -71,6 +54,9 @@ def _parse_indicator_list(raw: str) -> list[str]:
     names = [item.strip() for item in raw.split(",") if item.strip()]
     if not names:
         raise ValueError(f"no indicators given in {raw!r}")
+    unknown = sorted({name.upper() for name in names} - set(INDICATOR_NAMES))
+    if unknown:
+        raise ValueError(f"--indicators: unknown {unknown}; expected from {INDICATOR_NAMES}")
     return names
 
 
@@ -143,16 +129,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     negate = _parse_negate(args.negate)
+    indicators = _parse_indicator_list(args.indicators)
     front = _load_records(args.front, args.payload, "front", args.fold, negate)
     refs = _load_records(args.refs, args.payload, "reference", args.fold, negate)
-    report = aggregate(
-        front,
-        refs,
-        _parse_indicator_list(args.indicators),
-        seed=args.seed,
-        filter_front=args.filter_front,
-        threads=_thread_cap(),
-    )
+    try:
+        report = aggregate(front, refs, indicators, filter_front=args.filter_front)
+    except ValueError as exc:
+        # aggregate checks the two files' records against each other
+        raise ValueError(f"{args.front} with {args.refs}: {exc}") from None
     render_report(report, args.format, args.out)
     return 0
 
@@ -288,7 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_fold(p, required=False)
     p.add_argument("--filter-front", action="store_true", help="drop dominated front points first")
-    p.add_argument("--seed", type=int, default=0, help="seed for the Monte Carlo estimator")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="accepted so existing command lines keep working; affects no output, "
+        "since every indicator is computed exactly",
+    )
     p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.add_argument("--out", required=True, help="output report path")
     p.set_defaults(handler=_cmd_compare)

@@ -17,7 +17,6 @@ from .objective_space import ObjectivePoint, SolutionSet
 
 __all__ = [
     "INDICATOR_NAMES",
-    "DEFAULT_MC_SAMPLES",
     "IndicatorResult",
     "generational_distance",
     "euclidean_distance",
@@ -29,8 +28,6 @@ __all__ = [
 ]
 
 INDICATOR_NAMES = ("ED", "GD", "HV", "SDR", "NDR")
-
-DEFAULT_MC_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,28 +90,38 @@ def _exact_hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
     return area
 
 
-def hypervolume(
-    front: SolutionSet,
-    ref: ObjectivePoint,
-    *,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> float:
+def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
+    # Slice by the last objective (the z-sweep of Beume et al. 2009, recursive
+    # in M as HSO, While et al. 2006): each slab between consecutive last
+    # coordinates adds its depth times the (M-1)-D measure of the points at or
+    # above it. Zero-depth slabs, where tied coordinates would see a partial
+    # set, are skipped. Dropping dominated points first makes the value
+    # exactly independent of them, not just up to rounding.
+    if points.shape[1] == 1:
+        return _exact_hv_1d(points, ref)
+    if points.shape[1] == 2:
+        return _exact_hv_2d(points, ref)
+    eff = points[(points > ref).all(axis=1)]
+    eff = eff[_kernels.nondominated_mask(eff)]
+    eff = eff[np.argsort(-eff[:, -1], kind="stable")]
+    floors = np.append(eff[1:, -1], ref[-1])
+    volume = 0.0
+    for i in range(eff.shape[0]):
+        depth = float(eff[i, -1]) - float(floors[i])
+        if depth > 0.0:
+            volume += depth * _exact_hv(eff[: i + 1, :-1], ref[:-1])
+    return volume
+
+
+def hypervolume(front: SolutionSet, ref: ObjectivePoint) -> float:
     """Measure of the region between the front and a reference point.
 
     Each front point p contributes the axis-aligned box spanning [ref, p];
     coordinates where p does not exceed ref clip the box to zero volume. The
-    value is the measure of the box union: exact for one or two objectives,
-    estimated by ``hypervolume_mc`` (with the given samples and seed) above.
+    value is the exact measure of the box union in every dimension.
     """
     _check_dims(front, ref.dim)
-    points = front.as_array()
-    ref_arr = ref.as_array()
-    if front.dim == 1:
-        return _exact_hv_1d(points, ref_arr)
-    if front.dim == 2:
-        return _exact_hv_2d(points, ref_arr)
-    return hypervolume_mc(front, ref, samples=mc_samples, seed=seed)
+    return _exact_hv(front.as_array(), ref.as_array())
 
 
 def hypervolume_mc(
@@ -161,14 +168,7 @@ def ndr(front: SolutionSet, ref: ObjectivePoint) -> float:
     return (len(front) - dominated) / len(front)
 
 
-def evaluate_indicator(
-    name: str,
-    front: SolutionSet,
-    refs: SolutionSet,
-    *,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-) -> IndicatorResult:
+def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> IndicatorResult:
     """Compute one named indicator between a front and reference solutions.
 
     ED, HV, SDR, and NDR require a single-point reference set; GD accepts
@@ -186,7 +186,7 @@ def evaluate_indicator(
         if key == "ED":
             value = euclidean_distance(front, point)
         elif key == "HV":
-            value = hypervolume(front, point, mc_samples=mc_samples, seed=seed)
+            value = hypervolume(front, point)
         elif key == "SDR":
             value = sdr(front, point)
         else:

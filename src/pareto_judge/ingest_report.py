@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._io import atomic_write_text
 from .confusion_metrics import ConfusionMatrix, objective_point_of
-from .indicators import (
-    DEFAULT_MC_SAMPLES,
-    INDICATOR_NAMES,
-    evaluate_indicator,
-)
+from .indicators import INDICATOR_NAMES, evaluate_indicator
 from .objective_space import ObjectivePoint, SolutionSet, pareto_front
 
 __all__ = [
@@ -404,10 +399,7 @@ def aggregate(
     reference_records: Sequence[ExperimentRecord],
     indicators: Iterable[str] = DEFAULT_INDICATORS,
     *,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
     filter_front: bool = False,
-    threads: int | None = None,
 ) -> ComparisonReport:
     """Cross-fold comparison of a solution front against reference methods.
 
@@ -468,63 +460,39 @@ def aggregate(
         dataset: sorted({fold for d, fold in front_pairs if d == dataset}) for dataset in datasets
     }
 
-    tasks: list[tuple[tuple[str, str, str], Callable[[], ReportCell]]] = []
+    cells: dict[tuple[str, str, str], ReportCell] = {}
     point_indicators = [name for name in ordered if name != "GD"]
     for dataset in datasets:
         folds = folds_by_dataset[dataset]
         for method in methods:
-            if all((dataset, method, fold) not in ref_points for fold in folds):
+            method_folds = [fold for fold in folds if (dataset, method, fold) in ref_points]
+            if not method_folds:
                 continue
             for name in point_indicators:
-
-                def cell(dataset=dataset, method=method, name=name, folds=folds) -> ReportCell:
-                    values = [
-                        evaluate_indicator(
-                            name,
-                            fronts[(dataset, fold)],
-                            SolutionSet(method, (ref_points[(dataset, method, fold)],)),
-                            mc_samples=mc_samples,
-                            seed=seed,
-                        ).value
-                        for fold in folds
-                        if (dataset, method, fold) in ref_points
-                    ]
-                    return _cell_stats(values, len(values))
-
-                tasks.append(((name, method, dataset), cell))
+                values = [
+                    evaluate_indicator(
+                        name,
+                        fronts[(dataset, fold)],
+                        SolutionSet(method, (ref_points[(dataset, method, fold)],)),
+                    ).value
+                    for fold in method_folds
+                ]
+                cells[(name, method, dataset)] = _cell_stats(values, len(values))
         if "GD" in ordered:
+            values = []
+            for fold in folds:
+                pooled = SolutionSet(
+                    POOLED_REFERENCE_LABEL,
+                    tuple(
+                        ref_points[(dataset, method, fold)]
+                        for method in methods
+                        if (dataset, method, fold) in ref_points
+                    ),
+                )
+                values.append(evaluate_indicator("GD", fronts[(dataset, fold)], pooled).value)
+            cells[("GD", POOLED_REFERENCE_LABEL, dataset)] = _cell_stats(values, len(values))
 
-            def pooled_cell(dataset=dataset, folds=folds) -> ReportCell:
-                values = []
-                for fold in folds:
-                    pooled = SolutionSet(
-                        POOLED_REFERENCE_LABEL,
-                        tuple(
-                            ref_points[(dataset, method, fold)]
-                            for method in methods
-                            if (dataset, method, fold) in ref_points
-                        ),
-                    )
-                    values.append(
-                        evaluate_indicator(
-                            "GD",
-                            fronts[(dataset, fold)],
-                            pooled,
-                            mc_samples=mc_samples,
-                            seed=seed,
-                        ).value
-                    )
-                return _cell_stats(values, len(values))
-
-            tasks.append((("GD", POOLED_REFERENCE_LABEL, dataset), pooled_cell))
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = list(pool.map(lambda task: (task[0], task[1]()), tasks))
-    else:
-        computed = [(key, fn()) for key, fn in tasks]
-
-    return ComparisonReport(moo_method=moo_method, cells=dict(computed))
+    return ComparisonReport(moo_method=moo_method, cells=cells)
 
 
 def _markdown_blocks(report: ComparisonReport) -> str:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_judge.cli import run
 
@@ -65,6 +70,13 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_two(self, workdir, capsys):
         assert run(_compare_args(workdir, extra=["--bogus"])) == 2
+
+    def test_unknown_indicator_exits_one_and_names_the_flag(self, workdir, capsys):
+        args = _compare_args(workdir)
+        args[args.index("--indicators") + 1] = "ed,igd"
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "--indicators" in err and "IGD" in err
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -159,17 +171,46 @@ class TestCompare:
         assert line.startswith("SDR,base,ds1,1.0,")
 
 
-class TestThreadsEnv:
-    def test_invalid_value_exits_one(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("PARETO_JUDGE_THREADS", "zero")
-        assert run(_compare_args(workdir)) == 1
-        assert "PARETO_JUDGE_THREADS" in capsys.readouterr().err
+OBJ_REFS_CSV = """dataset,method,fold,solution_id,obj_1,obj_2
+ds1,base,0,0,0.6,0.6
+ds1,base,1,0,0.6,0.6
+"""
 
-    def test_thread_cap_does_not_change_output(self, workdir, monkeypatch):
-        assert run(_compare_args(workdir, out="serial.csv")) == 0
-        monkeypatch.setenv("PARETO_JUDGE_THREADS", "4")
-        assert run(_compare_args(workdir, out="capped.csv")) == 0
-        assert (workdir / "serial.csv").read_bytes() == (workdir / "capped.csv").read_bytes()
+# Fields that reach past the parser: identifiers and counts the fixture uses,
+# and values each check must reject.
+_FIELDS = ("ds1", "ds2", "moo", "alt", "0", "1", "2", "7", "0.5", "", "-1", "nan", "1e999", "x y")
+_csv_lines = st.lists(
+    st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=9).map(",".join), max_size=6
+).map(lambda lines: "".join(line + "\n" for line in lines).encode("utf-8"))
+
+_FUZZ_SCHEMAS = {
+    "counts": ("dataset,method,fold,solution_id,tp,fn,fp,tn", REFS_CSV),
+    "objectives": ("dataset,method,fold,solution_id,obj_1,obj_2", OBJ_REFS_CSV),
+}
+
+
+class TestFuzzedFrontFile:
+    @pytest.mark.parametrize("payload", ("counts", "objectives"))
+    @settings(deadline=None)
+    @given(body=st.one_of(st.binary(max_size=200), _csv_lines))
+    def test_exits_zero_or_one_and_names_the_file(self, payload, body):
+        header, refs = _FUZZ_SCHEMAS[payload]
+        with tempfile.TemporaryDirectory() as tmp:
+            front = os.path.join(tmp, "front.csv")
+            with open(front, "wb") as handle:
+                handle.write(header.encode("utf-8") + b"\n" + body)
+            with open(os.path.join(tmp, "refs.csv"), "w", encoding="utf-8") as handle:
+                handle.write(refs)
+            argv = [
+                "compare", "--front", front, "--refs", os.path.join(tmp, "refs.csv"),
+                "--payload", payload, "--out", os.path.join(tmp, "report.csv"),
+            ]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = run(argv)
+        assert status in (0, 1)
+        if status == 1:
+            assert front in err.getvalue()
 
 
 class TestReportSubcommand:

@@ -150,6 +150,98 @@ class TestHypervolumeExact:
             assert exact == pytest.approx(grid_hypervolume(coords, ref), abs=2e-3)
 
 
+def _fronts(dim, coord=_coord, max_size=12):
+    """A front of 1..max_size points and a reference point, both in dim objectives."""
+    point = st.tuples(*[coord] * dim)
+    return st.tuples(st.lists(point, min_size=1, max_size=max_size), point)
+
+
+# Quarter steps: every box edge of a lattice input falls on a cell boundary
+# of a grid whose resolution is a multiple of 12, since the bounding box of
+# the grid oracle then spans 1 to 4 quarter steps per axis.
+_lattice = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+_GRID_RESOLUTION = {3: 48, 4: 24}
+
+
+class TestHypervolumeExactHigherDims:
+    def test_three_objectives_are_exact(self):
+        # [0, (1, .5, .5)] and [0, (.5, 1, 1)] overlap in [0, (.5, .5, .5)]
+        front = _front((1.0, 0.5, 0.5), (0.5, 1.0, 1.0))
+        assert hypervolume(front, _point(0, 0, 0)) == 0.25 + 0.5 - 0.125
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_grid_oracle_on_lattice(self, dim, data):
+        coords, ref = data.draw(_fronts(dim, _lattice))
+        exact = hypervolume(SolutionSet.from_coords("f", coords), ObjectivePoint(ref))
+        grid = grid_hypervolume(coords, ref, resolution=_GRID_RESOLUTION[dim])
+        assert exact == pytest.approx(grid, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_grid_oracle(self, dim, data):
+        coords, ref = data.draw(_fronts(dim))
+        exact = hypervolume(SolutionSet.from_coords("f", coords), ObjectivePoint(ref))
+        resolution = _GRID_RESOLUTION[dim]
+        pts = np.asarray(coords)
+        eff = pts[(pts > np.asarray(ref)).all(axis=1)]
+        box = float(np.prod(eff.max(axis=0) - ref)) if eff.size else 0.0
+        bound = (1.0 - (1.0 - 1.0 / resolution) ** dim) * box
+        assert abs(exact - grid_hypervolume(coords, ref, resolution)) <= bound + 1e-12
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_permutation_invariance_is_exact(self, dim, data):
+        coords, ref = data.draw(_fronts(dim))
+        shuffled = data.draw(st.permutations(coords))
+        ref = ObjectivePoint(ref)
+        assert hypervolume(SolutionSet.from_coords("f", shuffled), ref) == hypervolume(
+            SolutionSet.from_coords("f", coords), ref
+        )
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_dominated_points_add_nothing(self, dim, data):
+        coords, ref = data.draw(_fronts(dim, max_size=30))
+        front = SolutionSet.from_coords("f", coords)
+        ref = ObjectivePoint(ref)
+        assert hypervolume(front, ref) == hypervolume(pareto_front(front), ref)
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_monotone_under_added_points(self, dim, data):
+        coords, ref = data.draw(_fronts(dim))
+        extra = data.draw(st.tuples(*[_coord] * dim))
+        ref = ObjectivePoint(ref)
+        before = hypervolume(SolutionSet.from_coords("f", coords), ref)
+        after = hypervolume(SolutionSet.from_coords("f", coords + [extra]), ref)
+        assert after >= before - 1e-12
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_monte_carlo(self, dim, data):
+        coords, ref = data.draw(_fronts(dim))
+        front = SolutionSet.from_coords("f", coords)
+        ref = ObjectivePoint(ref)
+        exact = hypervolume(front, ref)
+        n = 20_000
+        estimate = hypervolume_mc(front, ref, samples=n, seed=0)
+        box = float(np.prod(np.maximum(np.asarray(coords).max(axis=0) - ref.as_array(), 0.0)))
+        if box == 0.0:
+            assert estimate == 0.0 == exact
+            return
+        # six standard errors of the exact fraction, plus a few samples of
+        # slack for fractions so close to 0 or 1 that the error is discrete
+        p = min(exact / box, 1.0)
+        assert abs(estimate - exact) <= box * (6.0 * math.sqrt(p * (1.0 - p) / n) + 10.0 / n)
+
+
 class TestHypervolumeMonteCarlo:
     def test_full_bounding_box(self):
         value = hypervolume_mc(_front((1, 1)), _point(0, 0), samples=100_000, seed=0)
@@ -187,13 +279,6 @@ class TestHypervolumeMonteCarlo:
         with pytest.raises(ValueError, match="samples"):
             hypervolume_mc(_front((1, 1)), _point(0, 0), samples=0, seed=0)
 
-    def test_three_objectives_route_to_estimator(self):
-        front = _front((1, 1, 1))
-        ref = _point(0, 0, 0)
-        routed = hypervolume(front, ref, mc_samples=10_000, seed=5)
-        assert routed == hypervolume_mc(front, ref, samples=10_000, seed=5)
-        assert routed == pytest.approx(1.0, abs=1e-9)
-
 
 class TestDominanceRatios:
     def test_all_points_dominate(self):
@@ -228,6 +313,15 @@ class TestDominanceRatios:
             assert 0.0 <= s <= 1.0 and 0.0 <= d <= 1.0
             assert s <= d
             assert s + (1.0 - d) <= 1.0
+
+
+    @settings(deadline=None)
+    @given(dim=st.integers(2, 4), data=st.data())
+    def test_sdr_never_exceeds_ndr(self, dim, data):
+        coords, ref = data.draw(_fronts(dim, max_size=30))
+        front = SolutionSet.from_coords("f", coords)
+        ref = ObjectivePoint(ref)
+        assert sdr(front, ref) <= ndr(front, ref)
 
 
 class TestPermutationInvariance:

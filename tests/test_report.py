@@ -93,17 +93,21 @@ class TestAggregate:
             again = aggregate(front_shuffled, refs_shuffled, ("ED", "HV", "SDR", "NDR"))
             assert again.cells == base.cells
 
-    def test_threads_do_not_change_results(self):
-        front, refs = _fixture_records()
-        serial = aggregate(front, refs, ("ED", "HV", "SDR", "NDR", "GD"))
-        threaded = aggregate(front, refs, ("ED", "HV", "SDR", "NDR", "GD"), threads=4)
-        assert serial.cells == threaded.cells
-
     def test_seed_only_affects_monte_carlo(self):
-        front, refs = _fixture_records()
-        a = aggregate(front, refs, ("ED", "HV", "SDR", "NDR"), seed=0)
-        b = aggregate(front, refs, ("ED", "HV", "SDR", "NDR"), seed=99)
-        assert a.cells == b.cells  # two objectives: the exact sweep ignores the seed
+        # three objectives are exact too, so no cell depends on a seed:
+        # fold 0 unites two overlapping boxes (0.25 + 0.5 - 0.125), fold 1
+        # holds one box of side 0.5
+        front = [
+            _obj_record("ds", "moo", 0, 0, (1.0, 0.5, 0.5)),
+            _obj_record("ds", "moo", 0, 1, (0.5, 1.0, 1.0)),
+            _obj_record("ds", "moo", 1, 0, (1.0, 1.0, 1.0)),
+        ]
+        refs = [
+            _obj_record("ds", "ref", 0, 0, (0.0, 0.0, 0.0)),
+            _obj_record("ds", "ref", 1, 0, (0.5, 0.5, 0.5)),
+        ]
+        cell = aggregate(front, refs, ("HV",)).cells[("HV", "ref", "ds")]
+        assert cell == ReportCell(mean=0.375, std=0.25, fold_count=2)
 
     def test_coverage_mismatch_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
