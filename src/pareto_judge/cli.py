@@ -26,8 +26,8 @@ from .fbeta_analysis import (
 from .indicators import INDICATOR_NAMES
 from .ingest_report import (
     REPORT_FORMATS,
-    ExperimentRecord,
     ParseError,
+    RecordTable,
     aggregate,
     parse_datasets,
     parse_records,
@@ -35,7 +35,7 @@ from .ingest_report import (
     render_dataset_table,
     render_report,
 )
-from .objective_space import SolutionSet, pareto_front
+from .objective_space import ObjectivePoint, SolutionSet, pareto_front
 
 METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
 
@@ -70,20 +70,15 @@ def _parse_level_list(raw: str) -> list[float]:
     return levels
 
 
-def _filter_fold(
-    records: list[ExperimentRecord], fold: int | None, role: str
-) -> list[ExperimentRecord]:
+def _load_records(path: str, payload_kind: str, role: str, fold: int | None, negate=()):
+    _require_file(path, role)
+    table = parse_records(path, payload_kind, negate)
     if fold is None:
-        return records
-    subset = [rec for rec in records if rec.fold == fold]
+        return table
+    subset = table.take(table.fold == fold)
     if not subset:
         raise ValueError(f"no {role} records for fold {fold}")
     return subset
-
-
-def _load_records(path: str, payload_kind: str, role: str, fold: int | None, negate=()):
-    _require_file(path, role)
-    return _filter_fold(parse_records(path, payload_kind, negate), fold, role)
 
 
 def _parse_negate(raw: str | None) -> tuple[str, ...]:
@@ -92,15 +87,13 @@ def _parse_negate(raw: str | None) -> tuple[str, ...]:
     return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-def _group_counts_by_dataset(
-    records: list[ExperimentRecord],
-) -> dict[str, dict[str, list[ExperimentRecord]]]:
-    grouped: dict[str, dict[str, list[ExperimentRecord]]] = {}
-    for rec in records:
-        grouped.setdefault(rec.dataset, {}).setdefault(rec.method, []).append(rec)
-    for methods in grouped.values():
-        for group in methods.values():
-            group.sort(key=lambda rec: rec.solution_id)
+def _rows_by_dataset(table: RecordTable) -> dict[str, dict[str, list[int]]]:
+    """Row indices per dataset and method, each ordered by solution_id."""
+    grouped: dict[str, dict[str, list[int]]] = {}
+    for rows in table.groups("dataset", "method"):
+        dataset = table.dataset_names[table.dataset[rows[0]]]
+        method = table.method_names[table.method[rows[0]]]
+        grouped.setdefault(dataset, {})[method] = rows.tolist()
     return grouped
 
 
@@ -148,15 +141,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
-    front = _group_counts_by_dataset(_load_records(args.front, "counts", "front", args.fold))
-    refs = _group_counts_by_dataset(_load_records(args.refs, "counts", "reference", args.fold))
+    front_table = _load_records(args.front, "counts", "front", args.fold)
+    front = _rows_by_dataset(front_table)
+    refs_table = _load_records(args.refs, "counts", "reference", args.fold)
+    refs = _rows_by_dataset(refs_table)
     grid = BetaGrid.log_spaced(args.beta_min, args.beta_max, args.beta_count)
     plots = []
     for dataset in _matching_datasets(front, refs):
         front_methods = sorted(front[dataset])
         if len(front_methods) != 1:
             raise ValueError(f"front file must hold one method, got {front_methods}")
-        members = [rec.payload for rec in front[dataset][front_methods[0]]]
+        members = front_table.values[front[dataset][front_methods[0]]]
         curves = []
         for method in sorted(refs[dataset]):
             group = refs[dataset][method]
@@ -165,7 +160,7 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
                     f"reference method {method!r} has {len(group)} solutions for "
                     f"dataset {dataset!r} fold {args.fold}"
                 )
-            curves.append(fbeta_curve(group[0].payload, grid, label=method))
+            curves.append(fbeta_curve(refs_table[group[0]].payload, grid, label=method))
         curves.append(fbeta_envelope(members, grid, label=f"{front_methods[0]} envelope"))
         plots.append((os.path.join(args.out, f"{dataset}_fbeta.svg"), curves))
     os.makedirs(args.out, exist_ok=True)
@@ -176,12 +171,11 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
 
 def _cmd_region_plot(args: argparse.Namespace) -> int:
     negate = _parse_negate(args.negate)
-    front = _group_counts_by_dataset(
-        _load_records(args.front, args.payload, "front", args.fold, negate)
-    )
-    refs = _group_counts_by_dataset(
-        _load_records(args.refs, args.payload, "reference", args.fold, negate)
-    )
+    front_table = _load_records(args.front, args.payload, "front", args.fold, negate)
+    front = _rows_by_dataset(front_table)
+    refs_table = _load_records(args.refs, args.payload, "reference", args.fold, negate)
+    refs = _rows_by_dataset(refs_table)
+    front_points, ref_points = front_table.points(), refs_table.points()
     plots = []
     for dataset in _matching_datasets(front, refs):
         front_methods = sorted(front[dataset])
@@ -207,12 +201,12 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
                 f"reference method {method!r} has {len(group)} solutions for "
                 f"dataset {dataset!r} fold {args.fold}"
             )
-        points = tuple(rec.point() for rec in front[dataset][front_methods[0]])
-        solution_front = SolutionSet(front_methods[0], points)
+        rows = front[dataset][front_methods[0]]
+        solution_front = SolutionSet.from_coords(front_methods[0], front_points[rows].tolist())
         if args.filter_front:
             solution_front = pareto_front(solution_front)
         path = os.path.join(args.out, f"{dataset}_region-{args.mode}.svg")
-        plots.append((path, solution_front, group[0].point()))
+        plots.append((path, solution_front, ObjectivePoint(tuple(ref_points[group[0]].tolist()))))
     os.makedirs(args.out, exist_ok=True)
     for path, solution_front, ref_point in plots:
         render_region_plot(solution_front, ref_point, args.mode, path)

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .objective_space import ObjectivePoint
 
@@ -25,7 +28,16 @@ __all__ = [
     "gmean",
     "fbeta",
     "objective_point_of",
+    "COUNTS_LIMIT",
+    "counts_array",
+    "ratio_array",
+    "rates_array",
 ]
+
+# Largest total of one matrix's counts. Up to 2**53 every count and every sum
+# of counts is an exact float64, so array division matches the scalar metrics
+# bit for bit.
+COUNTS_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -122,3 +134,27 @@ def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
 def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     """The (sensitivity, specificity) pair as a 2-D maximization point."""
     return ObjectivePoint((tpr(m).value, tnr(m).value))
+
+
+def counts_array(matrices: Sequence[ConfusionMatrix]) -> np.ndarray:
+    """The matrices stacked into an (n, 4) int64 array of (tp, fn, fp, tn) rows."""
+    rows = [(m.tp, m.fn, m.fp, m.tn) for m in matrices]
+    for row in rows:
+        if sum(row) > COUNTS_LIMIT:
+            raise ValueError(f"confusion counts sum to {sum(row)}, above the limit 2**53")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+def ratio_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise num / den as float64, 0 where den is 0, as the scalar metrics divide."""
+    out = np.zeros(np.broadcast(num, den).shape, dtype=np.float64)
+    return np.divide(num, den, out=out, where=den != 0)
+
+
+def rates_array(counts: np.ndarray) -> np.ndarray:
+    """(sensitivity, specificity) of each (tp, fn, fp, tn) row, as (n, 2) points.
+
+    Equal bit for bit to ``objective_point_of`` on each row's matrix.
+    """
+    tp, fn, fp, tn = counts.T
+    return np.stack([ratio_array(tp, tp + fn), ratio_array(tn, tn + fp)], axis=1)

@@ -9,13 +9,14 @@ deterministic SVG 1.1 documents.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, fbeta
+from .confusion_metrics import ConfusionMatrix, counts_array, ratio_array
 from .indicators import hypervolume, sdr, ndr
 from .objective_space import ObjectivePoint, SolutionSet, strictly_dominates
 
@@ -111,38 +112,60 @@ class FbetaCurve:
         return tuple(zip(self.betas, self.values))
 
 
+def _fbeta_sweep(counts: np.ndarray, betas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """F-beta of each (tp, fn, fp, tn) row at each beta: (members, betas) values and flags.
+
+    Follows ``confusion_metrics.fbeta`` operation for operation, so every
+    value is bit-identical to the scalar metric: precision and recall are 0
+    where their denominator is, and a zero ``b2 * p + t`` gives 0, undefined.
+    """
+    tp, fn, fp = (counts[:, i, None] for i in range(3))
+    p = ratio_array(tp, tp + fp)
+    t = ratio_array(tp, tp + fn)
+    beta = np.asarray(betas, dtype=np.float64)
+    b2 = beta * beta
+    den = b2 * p + t
+    defined = den != 0.0
+    values = np.divide((b2 + 1.0) * p * t, den, out=np.zeros(den.shape), where=defined)
+    # guard against rounding overshoot of the [0, 1] bound
+    return np.minimum(values, 1.0, out=values), defined
+
+
 def fbeta_curve(m: ConfusionMatrix, grid: BetaGrid, label: str = "") -> FbetaCurve:
     """Pointwise F-beta of one confusion matrix along the grid."""
-    metrics = [fbeta(m, b) for b in grid.betas]
+    values, defined = _fbeta_sweep(counts_array([m]), grid.betas)
     return FbetaCurve(
         method_label=label,
         betas=grid.betas,
-        values=tuple(mv.value for mv in metrics),
-        defined=tuple(mv.defined for mv in metrics),
+        values=tuple(values[0].tolist()),
+        defined=tuple(defined[0].tolist()),
     )
 
 
 def fbeta_envelope(
-    front_matrices: list[ConfusionMatrix] | tuple[ConfusionMatrix, ...],
+    front_matrices: Sequence[ConfusionMatrix] | np.ndarray,
     grid: BetaGrid,
     label: str = "front envelope",
 ) -> FbetaCurve:
-    """Upper envelope of the member curves, with the per-beta winning member."""
-    if not front_matrices:
+    """Upper envelope of the member curves, with the per-beta winning member.
+
+    Members are confusion matrices, or an (n, 4) integer array of
+    (tp, fn, fp, tn) rows.
+    """
+    if not len(front_matrices):
         raise ValueError("envelope needs at least one member matrix")
-    members = [fbeta_curve(m, grid) for m in front_matrices]
-    stacked = np.asarray([c.values for c in members])
-    winners = np.argmax(stacked, axis=0)  # first occurrence wins ties
+    if not isinstance(front_matrices, np.ndarray):
+        front_matrices = counts_array(front_matrices)
+    values, defined = _fbeta_sweep(front_matrices, grid.betas)
+    winners = np.argmax(values, axis=0)  # first occurrence wins ties
     columns = np.arange(len(grid))
-    values = stacked[winners, columns]
-    defined = np.asarray([c.defined for c in members])[winners, columns]
     return FbetaCurve(
         method_label=label,
         betas=grid.betas,
-        values=tuple(float(v) for v in values),
-        defined=tuple(bool(d) for d in defined),
+        values=tuple(values[winners, columns].tolist()),
+        defined=tuple(defined[winners, columns].tolist()),
         is_envelope=True,
-        argmax=tuple(int(w) for w in winners),
+        argmax=tuple(winners.tolist()),
     )
 
 

@@ -7,25 +7,41 @@ identifiers restricted to ``[A-Za-z0-9_-]``):
 - objectives: ``dataset,method,fold,solution_id,obj_1,...,obj_M``
 - datasets:   ``name,n_features,n_samples,n_minority``
 - report:     ``indicator,reference_method,dataset,mean,std,fold_count``
+
+Integer fields are ASCII digits ``[0-9]+`` with a value below 2**63, and the
+four counts of a row sum to at most 2**53; number fields match
+``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?`` and must be finite.
+
+Counts and objectives files are checked whole against their grammar and read
+straight into numpy columns (a ``RecordTable``); only a file that fails a
+check is scanned again line by line, to name the first bad ``file:line``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, objective_point_of
-from .indicators import INDICATOR_NAMES, evaluate_indicator
-from .objective_space import ObjectivePoint, SolutionSet, pareto_front
+from .confusion_metrics import (
+    COUNTS_LIMIT,
+    ConfusionMatrix,
+    counts_array,
+    objective_point_of,
+    rates_array,
+)
+from .indicators import INDICATOR_NAMES, _exact_hv
+from .objective_space import ObjectivePoint, front_rows
 
 __all__ = [
     "ParseError",
     "ExperimentRecord",
+    "RecordTable",
     "DatasetInfo",
     "ReportCell",
     "ComparisonReport",
@@ -51,7 +67,17 @@ POOLED_REFERENCE_LABEL = "pooled"
 
 REPORT_FORMATS = ("csv", "markdown")
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_IDENT = r"[A-Za-z0-9_-]+"
+_UINT = r"[0-9]+"
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_UINT_RE = re.compile(_UINT + r"\Z")
+_NUMBER_RE = re.compile(_NUMBER + r"\Z")
+# rejected forms that still get a specific message
+_NEGATIVE_RE = re.compile(r"-[0-9]+\Z")
+_NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
+
+INT_LIMIT = 2**63  # integer fields must stay below it, so they fit int64
 
 
 class ParseError(ValueError):
@@ -81,6 +107,155 @@ class ExperimentRecord:
         if isinstance(self.payload, ConfusionMatrix):
             return objective_point_of(self.payload)
         return self.payload
+
+
+def _factorize(names: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct names, and each name's index into them."""
+    ordered = sorted(set(names))
+    index = {name: i for i, name in enumerate(ordered)}
+    codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+    # names cut from a file body are ASCII bytes, which sort as their text does
+    return tuple(n.decode("ascii") if isinstance(n, bytes) else n for n in ordered), codes
+
+
+def _compact(names: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    used, codes = np.unique(codes, return_inverse=True)
+    return tuple(names[i] for i in used.tolist()), codes
+
+
+def _run_starts(sorted_keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Positions where a run of equal rows starts in lexicographically sorted keys."""
+    new = np.zeros(len(sorted_keys[0]), dtype=np.bool_)
+    new[:1] = True
+    for key in sorted_keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable(Sequence):
+    """The records of one file as columns, in file order.
+
+    ``dataset`` and ``method`` hold indices into ``dataset_names`` and
+    ``method_names``, the sorted names present. ``values`` holds int64
+    (tp, fn, fp, tn) rows for the counts payload and float64 objective rows,
+    already negated, for the objectives payload. Indexing and iteration build
+    ExperimentRecord values, so the table serves wherever a sequence of
+    records is expected; batch code reads the columns.
+    """
+
+    dataset_names: tuple[str, ...]
+    method_names: tuple[str, ...]
+    dataset: np.ndarray
+    method: np.ndarray
+    fold: np.ndarray
+    solution_id: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Sequence[ExperimentRecord]) -> RecordTable:
+        """The records as a table; a table is returned as it is."""
+        if isinstance(records, RecordTable):
+            return records
+        if all(isinstance(rec.payload, ConfusionMatrix) for rec in records):
+            values = counts_array([rec.payload for rec in records])
+        else:
+            coords = [rec.point().coords for rec in records]
+            dims = sorted({len(c) for c in coords})
+            if len(dims) > 1:
+                raise ValueError(f"records mix dimensionalities: {dims}")
+            values = np.array(coords, dtype=np.float64)
+        return _table(
+            [rec.dataset for rec in records],
+            [rec.method for rec in records],
+            [rec.fold for rec in records],
+            [rec.solution_id for rec in records],
+            values,
+        )
+
+    @property
+    def is_counts(self) -> bool:
+        return self.values.dtype.kind == "i"
+
+    @property
+    def dim(self) -> int:
+        """Dimensionality of the objective points."""
+        return 2 if self.is_counts else self.values.shape[1]
+
+    def points(self) -> np.ndarray:
+        """(n, dim) objective points: (TPR, TNR) for counts, the objectives otherwise."""
+        return rates_array(self.values) if self.is_counts else self.values
+
+    def take(self, rows: np.ndarray) -> RecordTable:
+        """The rows selected by a boolean mask or an index array, in that order."""
+        dataset_names, dataset = _compact(self.dataset_names, self.dataset[rows])
+        method_names, method = _compact(self.method_names, self.method[rows])
+        return RecordTable(
+            dataset_names,
+            method_names,
+            dataset,
+            method,
+            self.fold[rows],
+            self.solution_id[rows],
+            self.values[rows],
+        )
+
+    def groups(self, *columns: str) -> list[np.ndarray]:
+        """Row indices of each distinct value of the named columns, in key order.
+
+        Within a group rows are ordered by solution_id, ties in file order.
+        """
+        if not len(self):
+            return []
+        keys = [getattr(self, name) for name in columns]
+        order = np.lexsort([self.solution_id, *keys[::-1]])
+        return np.split(order, _run_starts([key[order] for key in keys])[1:])
+
+    def _has_duplicate_keys(self) -> bool:
+        keys = [self.dataset, self.method, self.fold, self.solution_id]
+        order = np.lexsort(keys[::-1])
+        return len(self) > 0 and len(_run_starts([key[order] for key in keys])) < len(self)
+
+    def __len__(self) -> int:
+        return len(self.fold)
+
+    def __iter__(self):
+        if self.is_counts:
+            payloads = (ConfusionMatrix(*row) for row in self.values.tolist())
+        else:
+            payloads = (ObjectivePoint(tuple(row)) for row in self.values.tolist())
+        columns = (self.dataset.tolist(), self.method.tolist(), self.fold.tolist())
+        for d, m, fold, solution_id, payload in zip(
+            *columns, self.solution_id.tolist(), payloads
+        ):
+            yield ExperimentRecord(
+                self.dataset_names[d], self.method_names[m], fold, solution_id, payload
+            )
+
+    def __getitem__(self, index):
+        rows = np.arange(len(self))[index]
+        if isinstance(index, slice):
+            return self.take(rows)
+        return next(iter(self.take(rows[None])))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _table(datasets, methods, folds, solution_ids, values: np.ndarray) -> RecordTable:
+    dataset_names, dataset = _factorize(datasets)
+    method_names, method = _factorize(methods)
+    return RecordTable(
+        dataset_names,
+        method_names,
+        dataset,
+        method,
+        np.asarray(folds, dtype=np.int64),
+        np.asarray(solution_ids, dtype=np.int64),
+        values,
+    )
 
 
 @dataclass(frozen=True)
@@ -118,23 +293,26 @@ def _check_ident(value: str, path: str, line: int, column: str) -> str:
 
 
 def _check_int(value: str, path: str, line: int, column: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
+    if not _UINT_RE.match(value):
+        if _NEGATIVE_RE.match(value) and int(value) < 0:
+            raise ParseError(
+                path, line, f"column {column}: must be non-negative, got {int(value)}"
+            )
         raise ParseError(path, line, f"column {column}: expected an integer, got {value!r}")
-    if parsed < 0:
-        raise ParseError(path, line, f"column {column}: must be non-negative, got {parsed}")
+    parsed = int(value)
+    if parsed >= INT_LIMIT:
+        raise ParseError(path, line, f"column {column}: must be below 2**63, got {parsed}")
     return parsed
 
 
 def _check_float(value: str, path: str, line: int, column: str) -> float:
-    try:
+    if _NUMBER_RE.match(value):
         parsed = float(value)
-    except ValueError:
+        if math.isfinite(parsed):
+            return parsed
+    elif not _NON_FINITE_RE.match(value):
         raise ParseError(path, line, f"column {column}: expected a number, got {value!r}")
-    if not math.isfinite(parsed):
-        raise ParseError(path, line, f"column {column}: must be finite, got {value!r}")
-    return parsed
+    raise ParseError(path, line, f"column {column}: must be finite, got {value!r}")
 
 
 def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
@@ -156,7 +334,14 @@ def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
-def _read_rows(path: str, expected_header: Sequence[str] | None = None):
+def _check_header(header: tuple[str, ...], expected: tuple[str, ...], path: str) -> None:
+    if header != expected:
+        raise ParseError(
+            path, 1, f"expected header {','.join(expected)}, got {','.join(header)}"
+        )
+
+
+def _read_rows(path: str, expected_header: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     """Return (line_number, row) for every data row after validating the header."""
     with open(path, "rb") as handle:
         lines = enumerate(handle, start=1)
@@ -164,15 +349,8 @@ def _read_rows(path: str, expected_header: Sequence[str] | None = None):
             _, raw = next(lines)
         except StopIteration:
             raise ParseError(path, 1, "missing header row")
-        header = _split_line(raw, path, 1)
-        if expected_header is not None and tuple(header) != tuple(expected_header):
-            raise ParseError(
-                path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}"
-            )
-        rows = [(line, _split_line(raw, path, line)) for line, raw in lines]
-    if expected_header is None:
-        return header, rows
-    return rows
+        _check_header(_split_line(raw, path, 1), expected_header, path)
+        return [(line, _split_line(raw, path, line)) for line, raw in lines]
 
 
 def _objectives_header(header: Sequence[str], path: str) -> int:
@@ -189,39 +367,69 @@ def _objectives_header(header: Sequence[str], path: str) -> int:
     return len(objectives)
 
 
-def parse_records(
-    path: str, payload_kind: str, negate: Sequence[str] = ()
-) -> list[ExperimentRecord]:
-    """Parse an experiment results file into validated records.
+def _body_pattern(dim: int, number: str) -> bytes:
+    """Every data line of a schema, as one pattern over the whole body: the last
+    line may lack its LF, and no line may be empty."""
+    row = ",".join([_IDENT, _IDENT, _UINT, _UINT] + [number] * dim)
+    return f"(?:{row}\n)*(?:{row})?".encode()
 
-    payload_kind selects the schema: 'counts' rows carry confusion-matrix
-    counts, 'objectives' rows carry raw criterion values. Duplicate
-    (dataset, method, fold, solution_id) keys are rejected. Objective
-    columns named in negate are sign-flipped on load, turning minimization
-    criteria into the maximization orientation used everywhere else.
+
+def _loadtxt(body: bytes, columns: range, dtype: type) -> np.ndarray:
+    return np.loadtxt(
+        io.BytesIO(body), dtype=dtype, delimiter=",", usecols=columns, ndmin=2, comments=None
+    )
+
+
+def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> RecordTable | None:
+    """The whole body checked at once and read into columns.
+
+    Returns None when any check fails; the line-by-line parse then names the
+    first bad line. Accepts exactly what ``_parse_lines`` accepts.
     """
-    if payload_kind not in ("counts", "objectives"):
-        raise ValueError(f"payload_kind must be 'counts' or 'objectives', got {payload_kind!r}")
-    if negate and payload_kind != "objectives":
-        raise ValueError("negate applies only to the objectives payload")
-    if payload_kind == "counts":
-        rows = _read_rows(path, COUNTS_HEADER)
-        n_fields = len(COUNTS_HEADER)
-        dim = 4
-        flip = ()
+    counts = payload_kind == "counts"
+    if not re.fullmatch(_body_pattern(dim, _UINT if counts else _NUMBER), body):
+        return None
+    n_fields = 4 + dim
+    fields = body.replace(b"\n", b",").split(b",")
+    n = len(fields) // n_fields  # a final LF leaves one empty field over
+    if n == 0:
+        return _table((), (), (), (), np.zeros((0, dim), np.int64 if counts else np.float64))
+    try:
+        ints = _loadtxt(body, range(2, n_fields if counts else 4), np.int64)
+    except ValueError:  # an integer beyond int64
+        return None
+    if counts:
+        values = ints[:, 2:]
+        totals = values.sum(axis=1)
+        if (values > COUNTS_LIMIT).any() or (totals > COUNTS_LIMIT).any() or not totals.all():
+            return None
     else:
-        header, rows = _read_rows(path)
-        dim = _objectives_header(header, path)
-        n_fields = 4 + dim
-        known = {f"obj_{i}" for i in range(1, dim + 1)}
-        unknown = set(negate) - known
-        if unknown:
-            raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
-        flip = tuple(f"obj_{i}" in set(negate) for i in range(1, dim + 1))
+        values = _loadtxt(body, range(4, n_fields), np.float64)
+        if not np.isfinite(values).all():
+            return None
+        values[:, flip] = -values[:, flip]
+    table = _table(
+        fields[0:n * n_fields:n_fields],
+        fields[1:n * n_fields:n_fields],
+        ints[:, 0],
+        ints[:, 1],
+        values,
+    )
+    return None if table._has_duplicate_keys() else table
 
-    records: list[ExperimentRecord] = []
+
+def _parse_lines(
+    body: bytes, path: str, payload_kind: str, dim: int, flip: np.ndarray
+) -> RecordTable:
+    """The body parsed one line at a time; raises ParseError at the first bad line."""
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    n_fields = 4 + dim
+    columns: tuple[list, ...] = ([], [], [], [], [])
     seen: set[tuple[str, str, int, int]] = set()
-    for line, row in rows:
+    for line, raw in enumerate(lines, start=2):
+        row = _split_line(raw, path, line)
         if len(row) != n_fields:
             raise ParseError(path, line, f"expected {n_fields} fields, got {len(row)}")
         dataset = _check_ident(row[0], path, line, "dataset")
@@ -233,24 +441,60 @@ def parse_records(
             raise ParseError(path, line, f"duplicate record key {key!r}")
         seen.add(key)
         if payload_kind == "counts":
-            counts = [
+            values = [
                 _check_int(row[4 + i], path, line, name)
-                for i, name in enumerate(("tp", "fn", "fp", "tn"))
+                for i, name in enumerate(COUNTS_HEADER[4:])
             ]
-            try:
-                payload: ConfusionMatrix | ObjectivePoint = ConfusionMatrix(*counts)
-            except ValueError as exc:
-                raise ParseError(path, line, str(exc))
+            total = sum(values)
+            if total == 0:
+                raise ParseError(path, line, "confusion matrix must contain at least one outcome")
+            if total > COUNTS_LIMIT:
+                raise ParseError(path, line, f"counts sum to {total}, above the limit 2**53")
         else:
-            coords = tuple(
+            values = [
                 -value if flip[i] else value
                 for i, value in enumerate(
                     _check_float(row[4 + i], path, line, f"obj_{i + 1}") for i in range(dim)
                 )
-            )
-            payload = ObjectivePoint(coords)
-        records.append(ExperimentRecord(dataset, method, fold, solution_id, payload))
-    return records
+            ]
+        for column, value in zip(columns, (*key, values)):
+            column.append(value)
+    dtype = np.int64 if payload_kind == "counts" else np.float64
+    *keys, values = columns
+    return _table(*keys, np.array(values, dtype=dtype).reshape(len(values), dim))
+
+
+def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> RecordTable:
+    """Parse an experiment results file into a table of validated records.
+
+    payload_kind selects the schema: 'counts' rows carry confusion-matrix
+    counts, 'objectives' rows carry raw criterion values. Duplicate
+    (dataset, method, fold, solution_id) keys are rejected. Objective
+    columns named in negate are sign-flipped on load, turning minimization
+    criteria into the maximization orientation used everywhere else. The
+    table is a sequence of ExperimentRecord values in file order.
+    """
+    if payload_kind not in ("counts", "objectives"):
+        raise ValueError(f"payload_kind must be 'counts' or 'objectives', got {payload_kind!r}")
+    if negate and payload_kind != "objectives":
+        raise ValueError("negate applies only to the objectives payload")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data:
+        raise ParseError(path, 1, "missing header row")
+    first, _, body = data.partition(b"\n")
+    header = _split_line(first, path, 1)
+    if payload_kind == "counts":
+        _check_header(header, COUNTS_HEADER, path)
+        dim = 4
+    else:
+        dim = _objectives_header(header, path)
+        unknown = set(negate) - {f"obj_{i}" for i in range(1, dim + 1)}
+        if unknown:
+            raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
+    flip = np.array([f"obj_{i}" in set(negate) for i in range(1, dim + 1)])
+    table = _scan_body(body, payload_kind, dim, flip)
+    return _parse_lines(body, path, payload_kind, dim, flip) if table is None else table
 
 
 def emit_records(
@@ -394,6 +638,38 @@ def _cell_stats(values: list[float], fold_count: int) -> ReportCell:
     return ReportCell(mean=float(arr.mean()), std=float(arr.std()), fold_count=fold_count)
 
 
+def _block_indicators(
+    front: np.ndarray, refs: np.ndarray, names: list[str]
+) -> dict[str, list[float]]:
+    """The named indicators of one front block against each of its r reference points.
+
+    GD gets one value, against the r points pooled. Every value equals
+    ``evaluate_indicator`` on the same points bit for bit: the distances come
+    from one (n, r) matrix with the same elementwise arithmetic, and each
+    reference's distances are sorted as a C-contiguous row, so the mean sums
+    them in the same pairwise order as on a single array.
+    """
+    n = len(front)
+    values: dict[str, list[float]] = {}
+    if "ED" in names or "GD" in names:
+        diffs = front[:, None, :] - refs[None, :, :]
+        distances = np.sqrt((diffs * diffs).sum(axis=2))
+        if "ED" in names:
+            values["ED"] = np.sort(np.ascontiguousarray(distances.T), axis=1).mean(axis=1).tolist()
+        if "GD" in names:
+            values["GD"] = [float(np.sort(distances.min(axis=1)).mean())]
+    if "HV" in names:
+        values["HV"] = [_exact_hv(front, ref) for ref in refs]
+    if "SDR" in names:
+        dominating = (front[:, None, :] > refs[None, :, :]).all(axis=2).sum(axis=0)
+        values["SDR"] = [count / n for count in dominating.tolist()]
+    if "NDR" in names:
+        dominated = (front[:, None, :] < refs[None, :, :]).all(axis=2).sum(axis=0)
+        # (n - dominated) / n, so exact count ratios stay exact floats
+        values["NDR"] = [(n - count) / n for count in dominated.tolist()]
+    return values
+
+
 def aggregate(
     front_records: Sequence[ExperimentRecord],
     reference_records: Sequence[ExperimentRecord],
@@ -410,88 +686,64 @@ def aggregate(
     reference points of the fold and reported under the synthetic reference
     label 'pooled'. filter_front drops dominated front points first, which
     changes the denominators of SDR and NDR; fronts are otherwise used
-    exactly as given.
+    exactly as given. Records may be RecordTable values or any sequence of
+    ExperimentRecord; either way each (dataset, fold) block is evaluated as
+    arrays.
     """
     if not front_records:
         raise ValueError("no front records to aggregate")
     if not reference_records:
         raise ValueError("no reference records to aggregate")
     ordered = _normalize_indicators(indicators)
+    front = RecordTable.from_records(front_records)
+    refs = RecordTable.from_records(reference_records)
 
-    moo_methods = sorted({rec.method for rec in front_records})
-    if len(moo_methods) != 1:
-        raise ValueError(f"front records must come from one method, got {moo_methods}")
-    moo_method = moo_methods[0]
+    if len(front.method_names) != 1:
+        methods = list(front.method_names)
+        raise ValueError(f"front records must come from one method, got {methods}")
+    moo_method = front.method_names[0]
 
-    dims = {rec.point().dim for rec in front_records} | {
-        rec.point().dim for rec in reference_records
-    }
+    dims = {front.dim, refs.dim}
     if len(dims) != 1:
         raise ValueError(f"front and reference records mix dimensionalities: {sorted(dims)}")
 
-    fronts: dict[tuple[str, int], SolutionSet] = {}
-    grouped: dict[tuple[str, int], list[ExperimentRecord]] = {}
-    for rec in front_records:
-        grouped.setdefault((rec.dataset, rec.fold), []).append(rec)
-    for key, group in grouped.items():
-        group.sort(key=lambda rec: rec.solution_id)
-        front = SolutionSet(moo_method, tuple(rec.point() for rec in group))
-        fronts[key] = pareto_front(front) if filter_front else front
+    points = front.points()
+    fronts: dict[tuple[str, int], np.ndarray] = {}
+    for rows in front.groups("dataset", "fold"):
+        block = points[rows]
+        key = (front.dataset_names[front.dataset[rows[0]]], int(front.fold[rows[0]]))
+        fronts[key] = front_rows(block) if filter_front else block
 
-    ref_points: dict[tuple[str, str, int], ObjectivePoint] = {}
-    for rec in reference_records:
-        key = (rec.dataset, rec.method, rec.fold)
-        if key in ref_points:
+    ref_points = refs.points()
+    ref_rows: dict[tuple[str, str, int], int] = {}
+    for row, (d, m, fold) in enumerate(
+        zip(refs.dataset.tolist(), refs.method.tolist(), refs.fold.tolist())
+    ):
+        dataset, method = refs.dataset_names[d], refs.method_names[m]
+        if (dataset, method, fold) in ref_rows:
             raise ValueError(
-                f"reference method {rec.method!r} has multiple solutions for "
-                f"dataset {rec.dataset!r} fold {rec.fold}"
+                f"reference method {method!r} has multiple solutions for "
+                f"dataset {dataset!r} fold {fold}"
             )
-        ref_points[key] = rec.point()
+        ref_rows[(dataset, method, fold)] = row
 
     front_pairs = set(fronts)
-    ref_pairs = {(dataset, fold) for dataset, _, fold in ref_points}
+    ref_pairs = {(dataset, fold) for dataset, _, fold in ref_rows}
     if front_pairs != ref_pairs:
         missing = sorted(front_pairs ^ ref_pairs)
         raise ValueError(f"front and reference files cover different (dataset, fold) pairs: {missing}")
 
-    datasets = sorted({dataset for dataset, _ in front_pairs})
-    methods = sorted({method for _, method, _ in ref_points})
-    folds_by_dataset = {
-        dataset: sorted({fold for d, fold in front_pairs if d == dataset}) for dataset in datasets
-    }
-
-    cells: dict[tuple[str, str, str], ReportCell] = {}
-    point_indicators = [name for name in ordered if name != "GD"]
-    for dataset in datasets:
-        folds = folds_by_dataset[dataset]
-        for method in methods:
-            method_folds = [fold for fold in folds if (dataset, method, fold) in ref_points]
-            if not method_folds:
-                continue
-            for name in point_indicators:
-                values = [
-                    evaluate_indicator(
-                        name,
-                        fronts[(dataset, fold)],
-                        SolutionSet(method, (ref_points[(dataset, method, fold)],)),
-                    ).value
-                    for fold in method_folds
-                ]
-                cells[(name, method, dataset)] = _cell_stats(values, len(values))
-        if "GD" in ordered:
-            values = []
-            for fold in folds:
-                pooled = SolutionSet(
-                    POOLED_REFERENCE_LABEL,
-                    tuple(
-                        ref_points[(dataset, method, fold)]
-                        for method in methods
-                        if (dataset, method, fold) in ref_points
-                    ),
-                )
-                values.append(evaluate_indicator("GD", fronts[(dataset, fold)], pooled).value)
-            cells[("GD", POOLED_REFERENCE_LABEL, dataset)] = _cell_stats(values, len(values))
-
+    # values per (indicator, reference label, dataset), appended in fold order
+    series: dict[tuple[str, str, str], list[float]] = {}
+    for dataset, fold in sorted(fronts):
+        present = [m for m in refs.method_names if (dataset, m, fold) in ref_rows]
+        block_refs = ref_points[[ref_rows[(dataset, m, fold)] for m in present]]
+        block = _block_indicators(fronts[(dataset, fold)], block_refs, ordered)
+        for name, block_values in block.items():
+            labels = [POOLED_REFERENCE_LABEL] if name == "GD" else present
+            for label, value in zip(labels, block_values):
+                series.setdefault((name, label, dataset), []).append(value)
+    cells = {key: _cell_stats(values, len(values)) for key, values in series.items()}
     return ComparisonReport(moo_method=moo_method, cells=cells)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 
-__all__ = ["ObjectivePoint", "SolutionSet", "strictly_dominates", "pareto_front"]
+__all__ = ["ObjectivePoint", "SolutionSet", "strictly_dominates", "front_rows", "pareto_front"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,19 @@ def strictly_dominates(p: ObjectivePoint, r: ObjectivePoint) -> bool:
     return all(a > b for a, b in zip(p.coords, r.coords))
 
 
+def front_rows(points: np.ndarray) -> np.ndarray:
+    """Rows of an (n, M) array not strictly dominated by any other row.
+
+    Equal rows collapse to the first of them, and the result is sorted
+    lexicographically, so it does not depend on the input order.
+    """
+    ordered = points[np.lexsort(points.T[::-1])]
+    distinct = np.ones(len(ordered), dtype=np.bool_)
+    distinct[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    unique = ordered[distinct]
+    return unique[_kernels.nondominated_mask(unique)]
+
+
 def pareto_front(s: SolutionSet) -> SolutionSet:
     """Points of s not strictly dominated by any other point of s.
 
@@ -95,8 +108,4 @@ def pareto_front(s: SolutionSet) -> SolutionSet:
     the output is ordered lexicographically by coordinates, so the result is
     deterministic regardless of input order.
     """
-    unique = sorted({p.coords for p in s.points})
-    arr = np.asarray(unique, dtype=np.float64)
-    keep = _kernels.nondominated_mask(arr)
-    survivors = tuple(ObjectivePoint(c) for c, k in zip(unique, keep) if k)
-    return SolutionSet(s.label, survivors)
+    return SolutionSet.from_coords(s.label, front_rows(s.as_array()).tolist())

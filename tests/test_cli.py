@@ -242,6 +242,17 @@ class TestMetricsSubcommand:
         assert run(["metrics", "--in", str(workdir / "degenerate.csv"), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[1].endswith(",1")
 
+    def test_numbers_outside_the_format_exit_one(self, workdir, capsys):
+        # int() would read 10, 3, 2 and 5 here
+        (workdir / "loose.csv").write_text(
+            "dataset,method,fold,solution_id,tp,fn,fp,tn\nds1,moo,0,0,1_0,٣,+2, 5\n",
+            encoding="utf-8",
+        )
+        out = workdir / "metrics.csv"
+        assert run(["metrics", "--in", str(workdir / "loose.csv"), "--out", str(out)]) == 1
+        assert "loose.csv:2: column tp: expected an integer, got '1_0'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDatasetsSubcommand:
     def test_stdout_table(self, workdir, capsys):

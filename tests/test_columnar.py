@@ -1,0 +1,302 @@
+"""The columnar batch path against the per-record library API it replaces.
+
+The CLI reads counts and objectives files with one whole-body check
+(``_scan_body``) and evaluates indicators and F-beta sweeps on arrays. These
+properties require it to accept exactly what the line-by-line parse
+(``_parse_lines``) accepts, to fail at the same line with the same message,
+and to give values equal bit for bit to ``evaluate_indicator`` and the scalar
+``fbeta``.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pareto_judge.confusion_metrics import ConfusionMatrix, fbeta
+from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
+from pareto_judge.indicators import evaluate_indicator
+from pareto_judge.ingest_report import (
+    COUNTS_HEADER,
+    ExperimentRecord,
+    ParseError,
+    RecordTable,
+    _parse_lines,
+    _scan_body,
+    aggregate,
+    parse_records,
+)
+from pareto_judge.objective_space import ObjectivePoint, SolutionSet, pareto_front
+
+_ident = st.text(alphabet="aZ09_-", min_size=1, max_size=3)
+# leading zeros and the largest id the format allows are valid integer text
+_id_text = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(0, 9).map(lambda v: f"00{v}"),
+    st.just(str(2**63 - 1)),
+)
+_count_text = st.one_of(st.integers(0, 60).map(str), st.integers(0, 9).map(lambda v: f"0{v}"))
+_number_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(("0", "-0", "007", "1E5", "3.0e0", "-2.5E-3", "1e-400")),
+)
+
+
+@st.composite
+def _valid_body(draw, payload_kind: str, dim: int) -> bytes:
+    """Lines of the schema with distinct keys; the final LF is optional."""
+    keys = draw(
+        st.lists(
+            st.tuples(_ident, _ident, _id_text, _id_text),
+            max_size=12,
+            unique_by=lambda key: (key[0], key[1], int(key[2]), int(key[3])),
+        )
+    )
+    lines = []
+    for key in keys:
+        if payload_kind == "counts":
+            values = draw(st.lists(_count_text, min_size=4, max_size=4))
+            assume(any(int(v) for v in values))
+        else:
+            values = draw(st.lists(_number_text, min_size=dim, max_size=dim))
+        lines.append(",".join((*key, *values)))
+    ending = "\n" if lines and draw(st.booleans()) else ""
+    return ("\n".join(lines) + ending).encode()
+
+
+def _schema(payload_kind: str, dim: int, negate: tuple[str, ...] = ()):
+    """(dim, flip) arguments of the body readers for a schema."""
+    if payload_kind == "counts":
+        return 4, np.zeros(4, dtype=bool)
+    return dim, np.array([f"obj_{i}" in negate for i in range(1, dim + 1)])
+
+
+def _assert_same_table(a: RecordTable, b: RecordTable) -> None:
+    assert a.dataset_names == b.dataset_names and a.method_names == b.method_names
+    for column in ("dataset", "method", "fold", "solution_id", "values"):
+        x, y = getattr(a, column), getattr(b, column)
+        # bytes, so -0.0 and 0.0 differ
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), column
+
+
+def _header(payload_kind: str, dim: int) -> bytes:
+    if payload_kind == "counts":
+        return ",".join(COUNTS_HEADER).encode()
+    objectives = ",".join(f"obj_{i}" for i in range(1, dim + 1))
+    return f"dataset,method,fold,solution_id,{objectives}".encode()
+
+
+def _line_error(body: bytes, path: str, payload_kind: str, dim: int, flip) -> ParseError:
+    with pytest.raises(ParseError) as err:
+        _parse_lines(body, path, payload_kind, dim, flip)
+    return err.value
+
+
+_SCHEMAS = [("counts", 4, ()), ("objectives", 1, ()), ("objectives", 3, ("obj_2",))]
+
+
+@pytest.mark.parametrize("payload_kind,dim,negate", _SCHEMAS)
+class TestFastAndLocatingParse:
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_valid_body_gives_the_same_table(self, payload_kind, dim, negate, data):
+        dim, flip = _schema(payload_kind, dim, negate)
+        body = data.draw(_valid_body(payload_kind, dim))
+        fast = _scan_body(body, payload_kind, dim, flip)
+        assert fast is not None
+        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim, flip))
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_one_corrupted_line_fails_there(self, payload_kind, dim, negate, data):
+        dim, flip = _schema(payload_kind, dim, negate)
+        lines = data.draw(_valid_body(payload_kind, dim)).rstrip(b"\n").split(b"\n")
+        assume(lines != [b""])
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(b",")
+        numeric = data.draw(st.integers(2, len(fields) - 1))
+        bad_number = (
+            [b"1_0", "٣".encode(), b"+2", b" 5", b"-1", b"1.5", b"0x1", b"", b"1e2"]
+            if numeric < 4 or payload_kind == "counts"
+            else [b"1_0", "٣".encode(), b"+2", b" 5", b".5", b"5.", b"inf", b"nan", b"1e999", b""]
+        )
+        corruptions = {
+            "byte": lambda: [fields[0] + b"\xff", *fields[1:]],
+            "cr": lambda: [*fields[:-1], fields[-1] + b"\r"],
+            "quote": lambda: [b'"' + fields[0] + b'"', *fields[1:]],
+            "ident": lambda: [b"a b", *fields[1:]],
+            "number": lambda: [
+                *fields[:numeric], data.draw(st.sampled_from(bad_number)), *fields[numeric + 1 :]
+            ],
+            "id-range": lambda: [*fields[:2], str(2**63).encode(), *fields[3:]],
+            "too-few": lambda: fields[:-1],
+            "too-many": lambda: [*fields, fields[-1]],
+            "empty": lambda: [],
+        }
+        if payload_kind == "counts":
+            corruptions["zero"] = lambda: [*fields[:4], b"0", b"0", b"0", b"000"]
+            half = str(2**52).encode()
+            corruptions["sum"] = lambda: [*fields[:4], half, half, b"1", b"0"]
+        if k > 0:
+            corruptions["duplicate"] = lambda: [*lines[0].split(b",")[:4], *fields[4:]]
+        kind = data.draw(st.sampled_from(sorted(corruptions)))
+        lines[k] = b",".join(corruptions[kind]())
+        body = b"\n".join(lines) + b"\n"
+
+        assert _scan_body(body, payload_kind, dim, flip) is None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            with open(path, "wb") as handle:
+                handle.write(_header(payload_kind, dim) + b"\n" + body)
+            with pytest.raises(ParseError) as err:
+                parse_records(path, payload_kind, negate)
+            expected = _line_error(body, path, payload_kind, dim, flip)
+        assert err.value.line == expected.line == k + 2  # the header is line 1
+        assert str(err.value) == str(expected)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_both_readers_accept_the_same_language(self, payload_kind, dim, negate, data):
+        dim, flip = _schema(payload_kind, dim, negate)
+        token = st.sampled_from(
+            ["ds1", "m", "0", "1", "7", "-1", "0.5", "1e3", "", "+1", "1_0", "inf", "a b", "x\r"]
+        )
+        line = st.lists(token, min_size=dim + 3, max_size=dim + 5).map(",".join)
+        body = "\n".join(data.draw(st.lists(line, max_size=4))).encode()
+        try:
+            slow = _parse_lines(body, "f.csv", payload_kind, dim, flip)
+        except ParseError:
+            slow = None
+        fast = _scan_body(body, payload_kind, dim, flip)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            _assert_same_table(fast, slow)
+
+
+def _reference_cells(front_records, reference_records, names, filter_front):
+    """aggregate as a loop over (dataset, reference, fold) cells of evaluate_indicator."""
+    fronts = {}
+    for rec in sorted(front_records, key=lambda r: r.solution_id):
+        fronts.setdefault((rec.dataset, rec.fold), []).append(rec.point())
+    fronts = {key: SolutionSet("front", tuple(points)) for key, points in fronts.items()}
+    if filter_front:
+        fronts = {key: pareto_front(front) for key, front in fronts.items()}
+    refs = {(r.dataset, r.method, r.fold): r.point() for r in reference_records}
+    cells = {}
+    for dataset, method in sorted({(d, m) for d, m, _ in refs}):
+        folds = sorted(f for d, m, f in refs if (d, m) == (dataset, method))
+        for name in names:
+            if name != "GD":
+                values = [
+                    evaluate_indicator(
+                        name, fronts[(dataset, f)], SolutionSet(method, (refs[dataset, method, f],))
+                    ).value
+                    for f in folds
+                ]
+                cells[(name, method, dataset)] = values
+    if "GD" in names:
+        for dataset, fold in sorted(fronts):
+            points = [p for (d, _, f), p in sorted(refs.items()) if (d, f) == (dataset, fold)]
+            pooled = SolutionSet("pooled", tuple(points))
+            value = evaluate_indicator("GD", fronts[(dataset, fold)], pooled).value
+            cells.setdefault(("GD", "pooled", dataset), []).append(value)
+    return {
+        key: (float(np.mean(values)), float(np.std(values)), len(values))
+        for key, values in cells.items()
+    }
+
+
+_lattice = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+
+
+@st.composite
+def _comparison(draw, payload_kind: str):
+    """Front and reference records over ragged folds, with duplicate front points."""
+    datasets = draw(st.sampled_from((("d1",), ("d1", "d2"))))
+    methods = draw(st.sampled_from((("r1",), ("r1", "r2", "r3"))))
+    if payload_kind == "counts":
+        small = st.integers(0, 6)
+        payload = st.tuples(small, small, small, small).filter(any).map(
+            lambda c: ConfusionMatrix(*c)
+        )
+    else:
+        payload = st.tuples(*[st.one_of(_lattice, st.floats(0, 1))] * 3).map(ObjectivePoint)
+    front, refs = [], []
+    for dataset in datasets:
+        for fold in range(draw(st.integers(1, 3))):
+            points = draw(st.lists(payload, min_size=1, max_size=9))
+            points += draw(st.lists(st.sampled_from(points), max_size=2))  # duplicates
+            order = draw(st.permutations(range(len(points))))
+            front += [ExperimentRecord(dataset, "moo", fold, sid, points[sid]) for sid in order]
+            present = draw(st.lists(st.sampled_from(methods), min_size=1, unique=True))
+            refs += [ExperimentRecord(dataset, m, fold, 0, draw(payload)) for m in present]
+    return draw(st.permutations(front)), draw(st.permutations(refs))
+
+
+class TestAggregateMatchesReference:
+    @pytest.mark.parametrize("payload_kind", ["counts", "objectives"])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_cells_equal_per_cell_evaluation(self, payload_kind, data):
+        front, refs = data.draw(_comparison(payload_kind))
+        filter_front = data.draw(st.booleans())
+        names = ("ED", "GD", "HV", "SDR", "NDR")
+        report = aggregate(front, refs, names, filter_front=filter_front)
+        cells = {
+            key: (cell.mean, cell.std, cell.fold_count) for key, cell in report.cells.items()
+        }
+        assert cells == _reference_cells(front, refs, names, filter_front)
+
+    def test_records_and_their_table_give_the_same_report(self):
+        rng = np.random.default_rng(5)
+        front = [
+            ExperimentRecord("d", "moo", f, sid, ConfusionMatrix(*rng.integers(1, 9, 4).tolist()))
+            for f in range(3)
+            for sid in range(20)
+        ]
+        refs = [ExperimentRecord("d", "r", f, 0, ConfusionMatrix(3, 3, 3, 3)) for f in range(3)]
+        table = RecordTable.from_records(front)
+        assert list(table) == front
+        assert aggregate(table, refs).cells == aggregate(front, refs).cells
+
+
+_matrix = st.tuples(*[st.integers(0, 30)] * 4).filter(any).map(lambda c: ConfusionMatrix(*c))
+# degenerate matrices: no positives, no negatives, no predicted positives
+_degenerate = st.sampled_from(
+    [ConfusionMatrix(0, 0, 3, 4), ConfusionMatrix(2, 5, 0, 0), ConfusionMatrix(0, 4, 0, 6)]
+)
+_betas = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12, unique=True).map(
+    lambda betas: BetaGrid(tuple(sorted(betas)))
+)
+
+
+class TestFbetaSweep:
+    @settings(deadline=None, max_examples=40)
+    @given(members=st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=8), grid=_betas)
+    def test_envelope_equals_scalar_fbeta(self, members, grid):
+        # scaled copies tie exactly, so the lowest index must win
+        scaled = [ConfusionMatrix(2 * m.tp, 2 * m.fn, 2 * m.fp, 2 * m.tn) for m in members]
+        members = members + scaled
+        envelope = fbeta_envelope(members, grid)
+        for j, beta in enumerate(grid.betas):
+            scalar = [fbeta(m, beta) for m in members]
+            best = max(mv.value for mv in scalar)
+            winner = next(i for i, mv in enumerate(scalar) if mv.value == best)
+            assert envelope.argmax[j] == winner < len(members) // 2
+            assert envelope.values[j] == best
+            assert envelope.defined[j] == scalar[winner].defined
+        counts = np.array([(m.tp, m.fn, m.fp, m.tn) for m in members])
+        assert fbeta_envelope(counts, grid) == envelope
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=st.one_of(_matrix, _degenerate), grid=_betas)
+    def test_curve_equals_scalar_fbeta(self, m, grid):
+        curve = fbeta_curve(m, grid)
+        scalar = [fbeta(m, beta) for beta in grid.betas]
+        assert curve.values == tuple(mv.value for mv in scalar)
+        assert curve.defined == tuple(mv.defined for mv in scalar)

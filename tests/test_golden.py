@@ -1,0 +1,143 @@
+"""Golden digests: command outputs must stay byte-identical across refactors.
+
+The inputs are drawn from ``default_rng`` here, so the files cover ragged
+folds (a reference method missing a fold), duplicate front points and
+degenerate confusion matrices without being committed. Each digest is the
+SHA-256 of one output file, or of every file in an output directory with its
+name; they were computed before the columnar ingest and aggregation replaced
+the per-record path, and any change to them is an output change that needs a
+reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from pareto_judge.cli import run
+
+DATASETS = ("dsA", "dsB", "dsC")
+FOLDS = 3
+METHODS = ("ref0", "ref1", "ref2")
+
+
+def _counts_files(directory) -> tuple[str, str]:
+    rng = np.random.default_rng(20251018)
+    front = ["dataset,method,fold,solution_id,tp,fn,fp,tn"]
+    refs = ["dataset,method,fold,solution_id,tp,fn,fp,tn"]
+    for dataset in DATASETS:
+        for fold in range(FOLDS):
+            rows = [list(rng.integers(0, 12, 4)) for _ in range(14)]
+            rows[3] = list(rows[1])  # a duplicate point
+            rows[5][:2] = [0, 0]  # no positives: TPR undefined
+            rows[6][2:] = [0, 0]  # no negatives: TNR undefined
+            for row in rows:
+                if sum(row) == 0:
+                    row[3] = 1
+            for sid in rng.permutation(len(rows)):
+                front.append(f"{dataset},moo,{fold},{sid}," + ",".join(map(str, rows[sid])))
+            for method in METHODS:
+                if (dataset, method, fold) == ("dsB", "ref2", 1):
+                    continue  # ragged: one reference lacks a fold
+                counts = rng.integers(1, 12, 4)
+                refs.append(f"{dataset},{method},{fold},0," + ",".join(map(str, counts)))
+    paths = (os.path.join(directory, "front.csv"), os.path.join(directory, "refs.csv"))
+    for path, lines in zip(paths, (front, refs)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return paths
+
+
+def _objectives_files(directory) -> tuple[str, str]:
+    rng = np.random.default_rng(7)
+    header = "dataset,method,fold,solution_id,obj_1,obj_2,obj_3"
+    front, refs = [header], [header]
+    for dataset in DATASETS[:2]:
+        for fold in range(2):
+            points = rng.random((10, 3))
+            points[4] = points[2]
+            for sid, point in enumerate(points.tolist()):
+                front.append(f"{dataset},moo,{fold},{sid}," + ",".join(map(repr, point)))
+            for method in METHODS[:2]:
+                point = rng.uniform(0.2, 0.6, 3).tolist()
+                refs.append(f"{dataset},{method},{fold},0," + ",".join(map(repr, point)))
+    paths = (os.path.join(directory, "front3d.csv"), os.path.join(directory, "refs3d.csv"))
+    for path, lines in zip(paths, (front, refs)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return paths
+
+
+def _digest(path: str) -> str:
+    h = hashlib.sha256()
+    if os.path.isdir(path):
+        for name in sorted(os.listdir(path)):
+            h.update(name.encode() + b"\0")
+            with open(os.path.join(path, name), "rb") as handle:
+                h.update(handle.read())
+    else:
+        with open(path, "rb") as handle:
+            h.update(handle.read())
+    return h.hexdigest()
+
+
+ALL = ("--indicators", "ed,gd,hv,sdr,ndr")
+
+# name -> (inputs, arguments after the input files, expected digest)
+GOLDEN = {
+    "compare-csv": (
+        "counts",
+        ("compare", *ALL, "--format", "csv"),
+        "9780f478e54462640d2857b4d65ce3944baa078925f9dabed24a1ddd7b24b7b1",
+    ),
+    "compare-markdown": (
+        "counts",
+        ("compare", *ALL, "--format", "markdown"),
+        "21184471757d3c6fbc091061a1ce83bf7c9503b2cf70a2f0a18bfb9429828c85",
+    ),
+    "compare-filtered": (
+        "counts",
+        ("compare", *ALL, "--filter-front"),
+        "4825fc3d2422cb2a77cba76888a2c6da02811cb8a10066750c3766c393242db8",
+    ),
+    "compare-3d-csv": (
+        "objectives",
+        ("compare", *ALL, "--payload", "objectives", "--negate", "obj_3"),
+        "565d82165b3b72dc909b0460a6f90b073975c87def7e911775881abf8341b8fb",
+    ),
+    "compare-3d-markdown": (
+        "objectives",
+        ("compare", *ALL, "--payload", "objectives", "--negate", "obj_3", "--format", "markdown"),
+        "1bfd199154a3cf771892f3b5f763977dac14b0062402bb1fbd8499d5ac2975fd",
+    ),
+    "fbeta-plot": (
+        "counts",
+        ("fbeta-plot", "--fold", "0"),
+        "a482b83692d72438409376a9ca304228a9ce7c0e75f30f7fbd10c6dbfe0f90aa",
+    ),
+    "region-hypervolume": (
+        "counts",
+        ("region-plot", "--mode", "hypervolume", "--fold", "1", "--ref-method", "ref0"),
+        "221522244e7bc41e54a42dd34cb068533cf84119ff9a6dfe1ef6b3760801873e",
+    ),
+    "region-dominance": (
+        "counts",
+        ("region-plot", "--mode", "dominance", "--fold", "2", "--ref-method", "ref2",
+         "--filter-front"),
+        "28139501e1153371e020c24f50329c51030a725c30d23ef432e5ed7e9f70442f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(tmp_path, name):
+    inputs, args, expected = GOLDEN[name]
+    maker = _counts_files if inputs == "counts" else _objectives_files
+    front, refs = maker(str(tmp_path))
+    out = str(tmp_path / "out")
+    command, *rest = args
+    assert run([command, "--front", front, "--refs", refs, *rest, "--out", out]) == 0
+    assert _digest(out) == expected

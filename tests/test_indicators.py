@@ -350,6 +350,18 @@ class TestPermutationInvariance:
             )
             assert shuffled == baselines
 
+    @settings(deadline=None, max_examples=40)
+    @given(dim=st.integers(2, 4), data=st.data())
+    def test_gd_sdr_ndr_ignore_point_order(self, dim, data):
+        coords, ref = data.draw(_fronts(dim, max_size=20))
+        ref_coords = data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=5))
+        front, refs, ref = _front(*coords), _refs(*ref_coords), ObjectivePoint(ref)
+        shuffled = _front(*data.draw(st.permutations(coords)))
+        shuffled_refs = _refs(*data.draw(st.permutations(ref_coords)))
+        assert generational_distance(shuffled, shuffled_refs) == generational_distance(front, refs)
+        assert sdr(shuffled, ref) == sdr(front, ref)
+        assert ndr(shuffled, ref) == ndr(front, ref)
+
 
 class TestEvaluateIndicator:
     def test_dispatch_matches_direct_calls(self):

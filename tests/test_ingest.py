@@ -147,6 +147,24 @@ class TestParseRecords:
         with pytest.raises(ValueError, match="obj_9"):
             parse_records(path, "objectives", negate=("obj_9",))
 
+    def test_table_is_a_sequence_of_records(self, tmp_path):
+        path = _write(
+            tmp_path / "c.csv",
+            "dataset,method,fold,solution_id,tp,fn,fp,tn\n"
+            "zz,b,1,0,1,1,1,1\nds,a,0,3,2,1,1,1\nds,b,1,2,3,1,1,1\n",
+        )
+        table = parse_records(path, "counts")
+        records = list(table)
+        assert len(table) == 3 and table == records
+        assert table[-1] == records[2]
+        assert records[2] == ExperimentRecord("ds", "b", 1, 2, ConfusionMatrix(3, 1, 1, 1))
+        assert table[1:] == records[1:]
+        assert (table.dataset_names, table.method_names) == (("ds", "zz"), ("a", "b"))
+        fold_one = table.take(table.fold == 1)
+        assert fold_one == [records[0], records[2]]
+        assert (fold_one.dataset_names, fold_one.method_names) == (("ds", "zz"), ("b",))
+        assert [rows.tolist() for rows in table.groups("dataset", "method")] == [[1], [2], [0]]
+
     def test_negation_rejected_for_counts(self, tmp_path):
         path = _write(
             tmp_path / "c.csv", "dataset,method,fold,solution_id,tp,fn,fp,tn\nds,b,0,0,1,1,1,1\n"
@@ -176,20 +194,32 @@ SCHEMAS = {
 }
 
 
+# Per schema, a column holding an integer and one holding a number (if any).
+INT_COLUMN = {"counts": 2, "objectives": 3, "datasets": 1, "report": 5}
+NUMBER_COLUMN = {"objectives": 4, "report": 3}
+
+
+def _with_field(row: str, column: int, value: str) -> str:
+    fields = row.split(",")
+    fields[column] = value
+    return ",".join(fields)
+
+
+def _format_error(tmp_path, schema: str, data: bytes) -> tuple[int, str]:
+    """(line, message after the file:line prefix) of the ParseError raised."""
+    reader, _, _ = SCHEMAS[schema]
+    path = str(tmp_path / f"{schema}.csv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    prefix = f"{path}:{err.value.line}: "
+    assert err.value.path == path and str(err.value).startswith(prefix)
+    return err.value.line, str(err.value)[len(prefix) :]
+
+
 @pytest.mark.parametrize("schema", sorted(SCHEMAS))
 class TestDocumentedFormat:
-    def _error(self, tmp_path, schema: str, data: bytes) -> tuple[int, str]:
-        """(line, message after the file:line prefix) of the ParseError raised."""
-        reader, _, _ = SCHEMAS[schema]
-        path = str(tmp_path / f"{schema}.csv")
-        with open(path, "wb") as handle:
-            handle.write(data)
-        with pytest.raises(ParseError) as err:
-            reader(path)
-        prefix = f"{path}:{err.value.line}: "
-        assert err.value.path == path and str(err.value).startswith(prefix)
-        return err.value.line, str(err.value)[len(prefix) :]
-
     def test_valid_file_parses(self, tmp_path, schema):
         reader, header, row = SCHEMAS[schema]
         reader(_write(tmp_path / f"{schema}.csv", f"{header}\n{row}\n"))
@@ -197,25 +227,69 @@ class TestDocumentedFormat:
     def test_quoted_field_names_file_and_line(self, tmp_path, schema):
         _, header, row = SCHEMAS[schema]
         quoted = row.replace("ds1", '"ds1"')
-        line, message = self._error(tmp_path, schema, f"{header}\n{row}\n{quoted}\n".encode())
+        line, message = _format_error(tmp_path, schema, f"{header}\n{row}\n{quoted}\n".encode())
         assert line == 3 and "quote" in message
 
     def test_crlf_line_ending_names_file_and_line(self, tmp_path, schema):
         _, header, row = SCHEMAS[schema]
-        line, message = self._error(tmp_path, schema, f"{header}\n{row}\r\n".encode())
+        line, message = _format_error(tmp_path, schema, f"{header}\n{row}\r\n".encode())
         assert line == 2 and "carriage return" in message
 
     def test_crlf_header_is_rejected(self, tmp_path, schema):
         _, header, row = SCHEMAS[schema]
-        line, message = self._error(tmp_path, schema, f"{header}\r\n{row}\r\n".encode())
+        line, message = _format_error(tmp_path, schema, f"{header}\r\n{row}\r\n".encode())
         assert line == 1 and "carriage return" in message
 
     def test_non_utf8_byte_names_file_and_line(self, tmp_path, schema):
         _, header, row = SCHEMAS[schema]
         bad_row = row.encode().replace(b"ds1", b"ds\xff")
         data = f"{header}\n{row}\n".encode() + bad_row + b"\n"
-        line, message = self._error(tmp_path, schema, data)
+        line, message = _format_error(tmp_path, schema, data)
         assert line == 3 and "UTF-8" in message and "0xff" in message
+
+    @pytest.mark.parametrize("bad", ["1_0", "٣", "+2", " 5", "5 ", "0x1", "1.0", "1e2"])
+    def test_integer_outside_the_grammar_names_file_and_line(self, tmp_path, schema, bad):
+        _, header, row = SCHEMAS[schema]
+        bad_row = _with_field(row.replace("ds1", "ds2"), INT_COLUMN[schema], bad)
+        line, message = _format_error(tmp_path, schema, f"{header}\n{row}\n{bad_row}\n".encode())
+        assert line == 3 and message.endswith(f"expected an integer, got {bad!r}")
+
+    def test_integers_stay_below_two_to_the_63(self, tmp_path, schema):
+        reader, header, row = SCHEMAS[schema]
+        largest = _with_field(row, INT_COLUMN[schema], str(2**63 - 1))
+        reader(_write(tmp_path / "ok.csv", f"{header}\n{largest}\n"))
+        too_large = _with_field(row, INT_COLUMN[schema], "0" + str(2**63))
+        line, message = _format_error(tmp_path, schema, f"{header}\n{too_large}\n".encode())
+        assert line == 2 and message.endswith(f"must be below 2**63, got {2**63}")
+
+
+@pytest.mark.parametrize("schema", sorted(NUMBER_COLUMN))
+@pytest.mark.parametrize("bad", ["1_0", "٣", "+2", " 5", ".5", "5.", "0x1p3", "1e", "--1"])
+def test_number_outside_the_grammar_names_file_and_line(tmp_path, schema, bad):
+    _, header, row = SCHEMAS[schema]
+    bad_row = _with_field(row.replace("ds1", "ds2"), NUMBER_COLUMN[schema], bad)
+    line, message = _format_error(tmp_path, schema, f"{header}\n{row}\n{bad_row}\n".encode())
+    assert line == 3 and message.endswith(f"expected a number, got {bad!r}")
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("text", ["0", "-0", "007", "1e5", "1E+05", "-2.5e-3", "5e-324"])
+    def test_documented_number_forms_parse_like_python(self, tmp_path, text):
+        path = _write(
+            tmp_path / "obj.csv", f"dataset,method,fold,solution_id,obj_1\nds,b,0,0,{text}\n"
+        )
+        (rec,) = parse_records(path, "objectives")
+        assert rec.payload.coords == (float(text),)
+
+    def test_counts_may_sum_to_two_to_the_53(self, tmp_path):
+        header = "dataset,method,fold,solution_id,tp,fn,fp,tn"
+        half = 2**52
+        path = _write(tmp_path / "ok.csv", f"{header}\nds,b,0,0,{half},{half},0,0\n")
+        (rec,) = parse_records(path, "counts")
+        assert rec.payload == ConfusionMatrix(half, half, 0, 0)
+        path = _write(tmp_path / "big.csv", f"{header}\nds,b,0,0,1,2,{half},{half}\n")
+        with pytest.raises(ParseError, match=":2: counts sum to 9007199254740995, above"):
+            parse_records(path, "counts")
 
 
 class TestRoundTrip:
