@@ -2,7 +2,8 @@
 
 Every kernel returns exact integer counts (or a boolean mask), so results do
 not depend on how the work is chunked. Inputs are processed in chunks of
-``_CHUNK`` rows to bound the size of the broadcast comparison arrays.
+``_CHUNK`` rows to bound the size of the broadcast comparison arrays; 2-D box
+unions need no broadcast, as a sorted staircase answers each sample.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
     """
     if points.shape[0] == 0:
         return 0
+    if points.shape[1] == 2:
+        # staircase lookup: the first point with x >= s_x, and the best y
+        # from there on, decide whether some box reaches s
+        order = np.argsort(points[:, 0])
+        xs = points[order, 0]
+        reach = np.maximum.accumulate(points[order, 1][::-1])[::-1]
+        first = np.searchsorted(xs, samples[:, 0], side="left")
+        inside = first < xs.size
+        return int((samples[inside, 1] <= reach[first[inside]]).sum())
     total = 0
     for start in range(0, samples.shape[0], _CHUNK):
         chunk = samples[start : start + _CHUNK]

@@ -11,12 +11,15 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ._io import atomic_write_text
-from .confusion_metrics import bac, fbeta, gmean, ppv, tnr, tpr
+from .confusion_metrics import ratio_array
 from .fbeta_analysis import (
     BetaGrid,
     ISOCURVE_METRICS,
     REGION_MODES,
+    _fbeta_sweep,
     fbeta_curve,
     fbeta_envelope,
     render_fbeta_plot,
@@ -107,15 +110,21 @@ def _matching_datasets(front: dict, refs: dict) -> list[str]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    records = _load_records(args.input, "counts", "input", args.fold)
+    table = _load_records(args.input, "counts", "input", args.fold)
+    tp, fn, fp, tn = table.values.T
+    t, n, p = ratio_array(tp, tp + fn), ratio_array(tn, tn + fp), ratio_array(tp, tp + fp)
+    f1, _ = _fbeta_sweep(table.values, (1.0,))
+    # the same operations as tpr, tnr, ppv, bac, gmean and fbeta(m, 1.0)
+    values = np.stack([t, n, p, (t + n) / 2.0, np.sqrt(t * n), f1[:, 0]], axis=1)
+    degenerate = (tp + fn == 0) | (tn + fp == 0) | (tp + fp == 0)
     lines = [METRICS_HEADER]
-    for rec in records:
-        m = rec.payload
-        base = [tpr(m), tnr(m), ppv(m)]
-        values = base + [bac(m), gmean(m), fbeta(m, 1.0)]
-        degenerate = int(not all(v.defined for v in base))
-        cells = ",".join(repr(v.value) for v in values)
-        lines.append(f"{rec.dataset},{rec.method},{rec.fold},{rec.solution_id},{cells},{degenerate}")
+    columns = (table.dataset.tolist(), table.method.tolist(), table.fold.tolist())
+    for d, m, fold, solution_id, row, flag in zip(
+        *columns, table.solution_id.tolist(), values.tolist(), degenerate.tolist()
+    ):
+        cells = ",".join(map(repr, row))
+        dataset, method = table.dataset_names[d], table.method_names[m]
+        lines.append(f"{dataset},{method},{fold},{solution_id},{cells},{int(flag)}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -266,13 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_fold(p, required=False)
     p.add_argument("--filter-front", action="store_true", help="drop dominated front points first")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted so existing command lines keep working; affects no output, "
-        "since every indicator is computed exactly",
-    )
     p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.add_argument("--out", required=True, help="output report path")
     p.set_defaults(handler=_cmd_compare)

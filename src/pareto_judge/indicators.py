@@ -72,22 +72,39 @@ def _exact_hv_1d(points: np.ndarray, ref: np.ndarray) -> float:
     return max(0.0, best - float(ref[0]))
 
 
-def _exact_hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
-    # Sweep the boxes anchored at ref in decreasing x; each new best y adds a
-    # horizontal slab. Ordered by (-x, -y) so the result is independent of
-    # input permutation even with tied x coordinates.
-    eff = points[(points > ref).all(axis=1)]
-    if eff.shape[0] == 0:
-        return 0.0
-    order = np.lexsort((-eff[:, 1], -eff[:, 0]))
-    eff = eff[order]
-    area = 0.0
-    y_best = float(ref[1])
-    for x, y in eff:
-        if y > y_best:
-            area += (float(x) - float(ref[0])) * (float(y) - y_best)
-            y_best = float(y)
-    return area
+def _sweep_order(points: np.ndarray) -> np.ndarray:
+    """Indices ordering 2-D points by (-x, -y), so sweeps ignore input order."""
+    return np.lexsort((-points[:, 1], -points[:, 0]))
+
+
+def _strictly_above(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """(r, n) mask of points[j] > refs[k] in every coordinate."""
+    columns = [points[:, i] > refs[:, i, None] for i in range(points.shape[1])]
+    return np.logical_and.reduce(columns)
+
+
+def _staircase_areas(xy: np.ndarray, mask: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Area of the union of the boxes spanning refs[k] to the points xy[j] with
+    mask[k, j], for each row k of the (r, 2) refs.
+
+    ``xy`` is in sweep order and every masked point lies strictly above its
+    row's reference. Each point that raises the best y so far adds the slab
+    ``(x - rx) * (y - best)`` (Kung, Luccio and Preparata 1975); the slabs
+    are summed left to right by ``cumsum``, the order of a per-point loop.
+    """
+    if xy.shape[0] == 0:
+        return np.zeros(refs.shape[0])
+    floor = refs[:, 1, None]
+    ys = np.where(mask, xy[:, 1], floor)
+    best = np.maximum.accumulate(np.concatenate([floor, ys[:, :-1]], axis=1), axis=1)
+    slabs = np.where(ys > best, (xy[:, 0] - refs[:, 0, None]) * (ys - best), 0.0)
+    return np.cumsum(slabs, axis=1)[:, -1]
+
+
+def _exact_hv_2d(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Exact 2-D hypervolume of the points against each row of the (r, 2) refs."""
+    xy = points[_sweep_order(points)]
+    return _staircase_areas(xy, _strictly_above(xy, refs), refs)
 
 
 def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
@@ -100,7 +117,7 @@ def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     if points.shape[1] == 1:
         return _exact_hv_1d(points, ref)
     if points.shape[1] == 2:
-        return _exact_hv_2d(points, ref)
+        return float(_exact_hv_2d(points, ref[None, :])[0])
     eff = points[(points > ref).all(axis=1)]
     eff = eff[_kernels.nondominated_mask(eff)]
     eff = eff[np.argsort(-eff[:, -1], kind="stable")]

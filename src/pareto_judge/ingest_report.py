@@ -35,7 +35,13 @@ from .confusion_metrics import (
     objective_point_of,
     rates_array,
 )
-from .indicators import INDICATOR_NAMES, _exact_hv
+from .indicators import (
+    INDICATOR_NAMES,
+    _exact_hv,
+    _staircase_areas,
+    _strictly_above,
+    _sweep_order,
+)
 from .objective_space import ObjectivePoint, front_rows
 
 __all__ = [
@@ -633,9 +639,24 @@ def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
     return [name for name in INDICATOR_NAMES if name in requested]
 
 
-def _cell_stats(values: list[float], fold_count: int) -> ReportCell:
-    arr = np.asarray(values, dtype=np.float64)
-    return ReportCell(mean=float(arr.mean()), std=float(arr.std()), fold_count=fold_count)
+def _fold_stats(
+    series: dict[tuple[str, str, str], list[float]],
+) -> dict[tuple[str, str, str], ReportCell]:
+    """Mean and population std of each key's fold values, in the order of series.
+
+    Keys with the same fold count are stacked into one C-contiguous array, so
+    each row is reduced by numpy's pairwise sum exactly as a 1-D array is.
+    """
+    by_count: dict[int, list[tuple[str, str, str]]] = {}
+    for key, values in series.items():
+        by_count.setdefault(len(values), []).append(key)
+    cells: dict[tuple[str, str, str], ReportCell] = {}
+    for count, keys in by_count.items():
+        table = np.array([series[key] for key in keys], dtype=np.float64)
+        stats = zip(keys, table.mean(axis=1).tolist(), table.std(axis=1).tolist())
+        for key, mean, std in stats:
+            cells[key] = ReportCell(mean=mean, std=std, fold_count=count)
+    return {key: cells[key] for key in series}
 
 
 def _block_indicators(
@@ -658,13 +679,21 @@ def _block_indicators(
             values["ED"] = np.sort(np.ascontiguousarray(distances.T), axis=1).mean(axis=1).tolist()
         if "GD" in names:
             values["GD"] = [float(np.sort(distances.min(axis=1)).mean())]
-    if "HV" in names:
-        values["HV"] = [_exact_hv(front, ref) for ref in refs]
-    if "SDR" in names:
-        dominating = (front[:, None, :] > refs[None, :, :]).all(axis=2).sum(axis=0)
-        values["SDR"] = [count / n for count in dominating.tolist()]
+    if "HV" in names or "SDR" in names:
+        # one strict-dominance mask serves the 2-D staircase and SDR
+        if front.shape[1] == 2:
+            front = front[_sweep_order(front)]
+        above = _strictly_above(front, refs)
+        if "HV" in names:
+            if front.shape[1] == 2:
+                values["HV"] = _staircase_areas(front, above, refs).tolist()
+            else:
+                values["HV"] = [_exact_hv(front, ref) for ref in refs]
+        if "SDR" in names:
+            values["SDR"] = [count / n for count in above.sum(axis=1).tolist()]
     if "NDR" in names:
-        dominated = (front[:, None, :] < refs[None, :, :]).all(axis=2).sum(axis=0)
+        # (n, r) mask of each reference strictly above each front point
+        dominated = _strictly_above(refs, front).sum(axis=0)
         # (n - dominated) / n, so exact count ratios stay exact floats
         values["NDR"] = [(n - count) / n for count in dominated.tolist()]
     return values
@@ -743,8 +772,7 @@ def aggregate(
             labels = [POOLED_REFERENCE_LABEL] if name == "GD" else present
             for label, value in zip(labels, block_values):
                 series.setdefault((name, label, dataset), []).append(value)
-    cells = {key: _cell_stats(values, len(values)) for key, values in series.items()}
-    return ComparisonReport(moo_method=moo_method, cells=cells)
+    return ComparisonReport(moo_method=moo_method, cells=_fold_stats(series))
 
 
 def _markdown_blocks(report: ComparisonReport) -> str:

@@ -63,3 +63,32 @@ def brute_force_box_union_count(samples, points) -> int:
     return sum(
         any(all(si <= pi for si, pi in zip(s, p)) for p in points) for s in samples
     )
+
+
+def loop_hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
+    """The exact hypervolume as a per-point loop, in the package's float order.
+
+    Not independent of the package: this is the sweep it ran before the
+    staircase became array arithmetic, kept so that the array version can be
+    checked against it with ``==``. 2-D sweeps the boxes in (-x, -y) order and
+    adds a slab at each new best y; M >= 3 drops points not strictly above
+    ref and strictly dominated points, then slices by the last objective.
+    """
+    eff = points[(points > ref).all(axis=1)]
+    if points.shape[1] == 2:
+        area, y_best = 0.0, float(ref[1])
+        for x, y in eff[np.lexsort((-eff[:, 1], -eff[:, 0]))].tolist():
+            if y > y_best:
+                area += (x - float(ref[0])) * (y - y_best)
+                y_best = y
+        return area
+    keep = [not any((q > p).all() for q in eff) for p in eff]
+    eff = eff[np.asarray(keep, dtype=bool)]
+    eff = eff[np.argsort(-eff[:, -1], kind="stable")]
+    floors = np.append(eff[1:, -1], ref[-1])
+    volume = 0.0
+    for i in range(eff.shape[0]):
+        depth = float(eff[i, -1]) - float(floors[i])
+        if depth > 0.0:
+            volume += depth * loop_hypervolume(eff[: i + 1, :-1], ref[:-1])
+    return volume

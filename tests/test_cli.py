@@ -130,10 +130,10 @@ class TestCompare:
         text = (workdir / "report.md").read_text(encoding="utf-8")
         assert "## SDR" in text and "| base |" in text
 
-    def test_seed_flag_does_not_change_2d_results(self, workdir):
-        assert run(_compare_args(workdir, out="a.csv", extra=["--seed", "1"])) == 0
-        assert run(_compare_args(workdir, out="b.csv", extra=["--seed", "2"])) == 0
-        assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+    def test_seed_flag_is_a_usage_error(self, workdir):
+        # every indicator is exact, so compare has no seed to take
+        assert run(_compare_args(workdir, extra=["--seed", "1"])) == 2
+        assert not (workdir / "report.csv").exists()
 
     def test_byte_identical_reruns(self, workdir):
         assert run(_compare_args(workdir, out="a.csv")) == 0

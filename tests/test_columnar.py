@@ -4,8 +4,8 @@ The CLI reads counts and objectives files with one whole-body check
 (``_scan_body``) and evaluates indicators and F-beta sweeps on arrays. These
 properties require it to accept exactly what the line-by-line parse
 (``_parse_lines``) accepts, to fail at the same line with the same message,
-and to give values equal bit for bit to ``evaluate_indicator`` and the scalar
-``fbeta``.
+and to give values equal bit for bit to ``evaluate_indicator``, the scalar
+``fbeta``, per-point hypervolume sweeps and per-cell fold statistics.
 """
 
 from __future__ import annotations
@@ -18,14 +18,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pareto_judge.confusion_metrics import ConfusionMatrix, fbeta
+from oracles import loop_hypervolume
+from pareto_judge.cli import run
+from pareto_judge.confusion_metrics import ConfusionMatrix, bac, fbeta, gmean, ppv, tnr, tpr
 from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
-from pareto_judge.indicators import evaluate_indicator
+from pareto_judge.indicators import _exact_hv_2d, evaluate_indicator, hypervolume
 from pareto_judge.ingest_report import (
     COUNTS_HEADER,
     ExperimentRecord,
     ParseError,
     RecordTable,
+    _block_indicators,
+    _fold_stats,
     _parse_lines,
     _scan_body,
     aggregate,
@@ -265,6 +269,116 @@ class TestAggregateMatchesReference:
         assert aggregate(table, refs).cells == aggregate(front, refs).cells
 
 
+@st.composite
+def _front_and_refs(draw):
+    """A 2-D front with ties and duplicates, often a staircase, and 1..6 references.
+
+    References are free points, front points themselves, points sharing one
+    coordinate with a front point, and the coordinatewise maximum of the
+    front, which no point lies strictly above.
+    """
+    coord = st.one_of(_lattice, st.floats(0, 1))
+    point = st.tuples(coord, coord)
+    if draw(st.booleans()):
+        # a staircase, where every point adds a slab of its own; past 8 slabs
+        # a pairwise sum would add them in another order than the loop did
+        steps = draw(st.lists(point, min_size=9, max_size=30))
+        front = list(zip(sorted(p[0] for p in steps), sorted((p[1] for p in steps), reverse=True)))
+    else:
+        front = draw(st.lists(point, min_size=1, max_size=12))
+    front += draw(st.lists(st.sampled_from(front), max_size=3))
+    xs, ys = [p[0] for p in front], [p[1] for p in front]
+    ref = st.one_of(
+        point,
+        st.sampled_from(front),
+        st.tuples(st.sampled_from(xs), coord),
+        st.tuples(coord, st.sampled_from(ys)),
+        st.just((max(xs), max(ys))),
+    )
+    refs = draw(st.lists(ref, min_size=1, max_size=6))
+    return np.asarray(front, dtype=np.float64), np.asarray(refs, dtype=np.float64)
+
+
+class TestBlockStaircase:
+    @settings(deadline=None)
+    @given(_front_and_refs())
+    def test_block_hv_equals_hypervolume_per_reference(self, drawn):
+        front, refs = drawn
+        solutions = SolutionSet.from_coords("front", front.tolist())
+        expected = [hypervolume(solutions, ObjectivePoint(tuple(r))) for r in refs.tolist()]
+        assert expected == [loop_hypervolume(front, ref) for ref in refs]
+        assert _exact_hv_2d(front, refs).tolist() == expected
+        assert _block_indicators(front, refs, ["HV"])["HV"] == expected
+
+    @settings(deadline=None)
+    @given(_front_and_refs())
+    def test_sdr_from_the_shared_mask(self, drawn):
+        front, refs = drawn
+        solutions = SolutionSet.from_coords("front", front.tolist())
+        values = _block_indicators(front, refs, ["HV", "SDR"])
+        for name in ("HV", "SDR"):
+            assert values[name] == [
+                evaluate_indicator(name, solutions, SolutionSet("r", (ObjectivePoint(r),))).value
+                for r in map(tuple, refs.tolist())
+            ]
+
+
+_fold_value = st.one_of(
+    _lattice, st.floats(0, 1), st.floats(-1e9, 1e9, allow_subnormal=False), st.floats(0, 1e-9)
+)
+
+
+def _per_cell_stats(series):
+    return {
+        key: (float(np.mean(values)), float(np.std(values)), len(values))
+        for key, values in series.items()
+    }
+
+
+class TestFoldStats:
+    """Fold statistics stacked by fold count against per-cell np.mean/np.std."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(_fold_value, min_size=1, max_size=17), min_size=1, max_size=12))
+    def test_batched_equal_per_cell(self, columns):
+        series = {("HV", f"r{i}", "d"): values for i, values in enumerate(columns)}
+        cells = _fold_stats(series)
+        assert list(cells) == list(series)
+        stats = {key: (c.mean, c.std, c.fold_count) for key, c in cells.items()}
+        assert stats == _per_cell_stats(series)
+
+    def test_every_fold_count_to_17_in_one_report(self):
+        # values of mixed magnitude make the summation order visible in the
+        # last bits; counts past 8 cross numpy's unrolled pairwise sum
+        rng = np.random.default_rng(17)
+        series = {}
+        for i in rng.permutation(3 * 17).tolist():
+            count = i % 17 + 1
+            scale = 10.0 ** rng.integers(-8, 9, count)
+            series[("ED", f"r{i}", f"d{count}")] = (rng.random(count) * scale).tolist()
+        stats = {key: (c.mean, c.std, c.fold_count) for key, c in _fold_stats(series).items()}
+        assert stats == _per_cell_stats(series)
+
+    def test_aggregate_with_up_to_17_ragged_folds(self):
+        rng = np.random.default_rng(23)
+        front, refs = [], []
+        for dataset, folds in (("d1", 17), ("d2", 9), ("d3", 1)):
+            for fold in range(folds):
+                for sid in range(5):
+                    m = ConfusionMatrix(*rng.integers(0, 40, 4).tolist())
+                    front.append(ExperimentRecord(dataset, "moo", fold, sid, m))
+                for method in ("r1", "r2"):
+                    if method == "r2" and fold % 4 == 3:
+                        continue  # ragged: r2 lacks some folds
+                    m = ConfusionMatrix(*rng.integers(1, 40, 4).tolist())
+                    refs.append(ExperimentRecord(dataset, method, fold, 0, m))
+        names = ("ED", "GD", "HV", "SDR", "NDR")
+        report = aggregate(front, refs, names)
+        cells = {key: (c.mean, c.std, c.fold_count) for key, c in report.cells.items()}
+        assert cells == _reference_cells(front, refs, names, False)
+        assert {c.fold_count for c in report.cells.values()} == {17, 13, 9, 7, 1}
+
+
 _matrix = st.tuples(*[st.integers(0, 30)] * 4).filter(any).map(lambda c: ConfusionMatrix(*c))
 # degenerate matrices: no positives, no negatives, no predicted positives
 _degenerate = st.sampled_from(
@@ -300,3 +414,31 @@ class TestFbetaSweep:
         scalar = [fbeta(m, beta) for beta in grid.betas]
         assert curve.values == tuple(mv.value for mv in scalar)
         assert curve.defined == tuple(mv.defined for mv in scalar)
+
+
+def _scalar_metrics_line(dataset: str, fold: int, solution_id: int, m: ConfusionMatrix) -> str:
+    """One ``metrics`` output line built from the scalar metric functions."""
+    base = [tpr(m), tnr(m), ppv(m)]
+    values = base + [bac(m), gmean(m), fbeta(m, 1.0)]
+    degenerate = int(not all(v.defined for v in base))
+    cells = ",".join(repr(v.value) for v in values)
+    return f"{dataset},moo,{fold},{solution_id},{cells},{degenerate}"
+
+
+class TestMetricsRows:
+    @settings(deadline=None, max_examples=40)
+    @given(rows=st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=30))
+    def test_rows_equal_scalar_metrics(self, rows):
+        # small counts make every kind of zero denominator, alone or together
+        rows = [(f"d{i % 3}", i % 2, i, m) for i, m in enumerate(rows)]
+        body = "".join(
+            f"{d},moo,{fold},{sid},{m.tp},{m.fn},{m.fp},{m.tn}\n" for d, fold, sid, m in rows
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path, out = os.path.join(directory, "in.csv"), os.path.join(directory, "out.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(",".join(COUNTS_HEADER) + "\n" + body)
+            assert run(["metrics", "--in", path, "--out", out]) == 0
+            with open(out, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()[1:]
+        assert lines == [_scalar_metrics_line(*row) for row in rows]

@@ -5,8 +5,9 @@ folds (a reference method missing a fold), duplicate front points and
 degenerate confusion matrices without being committed. Each digest is the
 SHA-256 of one output file, or of every file in an output directory with its
 name; they were computed before the columnar ingest and aggregation replaced
-the per-record path, and any change to them is an output change that needs a
-reason.
+the per-record path (the ``metrics`` digest before its per-row objects were
+replaced by array arithmetic), and any change to them is an output change
+that needs a reason.
 """
 
 from __future__ import annotations
@@ -129,6 +130,11 @@ GOLDEN = {
          "--filter-front"),
         "28139501e1153371e020c24f50329c51030a725c30d23ef432e5ed7e9f70442f",
     ),
+    "metrics": (
+        "counts",
+        ("metrics",),
+        "90ddd211c853e258dcbed0122a72f43531dd781660501eed9b6f7728ec91a310",
+    ),
 }
 
 
@@ -139,5 +145,6 @@ def test_output_digest(tmp_path, name):
     front, refs = maker(str(tmp_path))
     out = str(tmp_path / "out")
     command, *rest = args
-    assert run([command, "--front", front, "--refs", refs, *rest, "--out", out]) == 0
+    files = ["--in", front] if command == "metrics" else ["--front", front, "--refs", refs]
+    assert run([command, *files, *rest, "--out", out]) == 0
     assert _digest(out) == expected

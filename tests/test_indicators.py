@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_hypervolume
+from oracles import grid_hypervolume, loop_hypervolume
 from pareto_judge.indicators import (
     IndicatorResult,
+    _exact_hv,
     evaluate_indicator,
     euclidean_distance,
     generational_distance,
@@ -240,6 +241,20 @@ class TestHypervolumeExactHigherDims:
         # slack for fractions so close to 0 or 1 that the error is discrete
         p = min(exact / box, 1.0)
         assert abs(estimate - exact) <= box * (6.0 * math.sqrt(p * (1.0 - p) / n) + 10.0 / n)
+
+
+class TestSlabsMatchTheLoop:
+    """3-D and 4-D hypervolume, whose slabs end in the array staircase, against
+    the per-point loop."""
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @pytest.mark.parametrize("coord", (_lattice, _coord), ids=("lattice", "free"))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_loop(self, dim, coord, data):
+        coords, ref = data.draw(_fronts(dim, coord, max_size=20))
+        points, ref = np.asarray(coords, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+        assert _exact_hv(points, ref) == loop_hypervolume(points, ref)
 
 
 class TestHypervolumeMonteCarlo:

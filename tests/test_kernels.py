@@ -37,6 +37,32 @@ class TestOracleAgreement:
         )
 
     @settings(deadline=None)
+    @given(data=st.data())
+    def test_count_in_box_union_2d_on_point_coordinates(self, data):
+        # samples built from the points' own coordinates sit exactly on box
+        # edges and corners, and share x with several points at once
+        xs = data.draw(st.lists(_coord, min_size=1, max_size=4))
+        points = np.asarray(
+            data.draw(st.lists(st.tuples(st.sampled_from(xs), _coord), min_size=1, max_size=12)),
+            dtype=np.float64,
+        )
+        grid_x = sorted(set(points[:, 0].tolist()) | {0.0, 1.0})
+        grid_y = sorted(set(points[:, 1].tolist()) | {0.0, 1.0})
+        samples = np.asarray(
+            data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(grid_x), st.sampled_from(grid_y)),
+                    min_size=1,
+                    max_size=60,
+                )
+            ),
+            dtype=np.float64,
+        )
+        assert _kernels.count_in_box_union(samples, points) == brute_force_box_union_count(
+            samples.tolist(), points.tolist()
+        )
+
+    @settings(deadline=None)
     @given(_point_arrays(min_size=1))
     def test_nondominated_mask(self, drawn):
         points, _ = drawn
