@@ -20,7 +20,7 @@ from .fbeta_analysis import (
     ISOCURVE_METRICS,
     REGION_MODES,
     _fbeta_sweep,
-    fbeta_curve,
+    fbeta_curves,
     fbeta_envelope,
     render_fbeta_plot,
     render_isocurves,
@@ -161,15 +161,16 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
         if len(front_methods) != 1:
             raise ValueError(f"front file must hold one method, got {front_methods}")
         members = front_table.values[front[dataset][front_methods[0]]]
-        curves = []
-        for method in sorted(refs[dataset]):
+        methods = sorted(refs[dataset])
+        for method in methods:
             group = refs[dataset][method]
             if len(group) != 1:
                 raise ValueError(
                     f"reference method {method!r} has {len(group)} solutions for "
                     f"dataset {dataset!r} fold {args.fold}"
                 )
-            curves.append(fbeta_curve(refs_table[group[0]].payload, grid, label=method))
+        rows = [refs[dataset][method][0] for method in methods]
+        curves = fbeta_curves(refs_table.values[rows], grid, methods)
         curves.append(fbeta_envelope(members, grid, label=f"{front_methods[0]} envelope"))
         plots.append((os.path.join(args.out, f"{dataset}_fbeta.svg"), curves))
     os.makedirs(args.out, exist_ok=True)

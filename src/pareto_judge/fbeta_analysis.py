@@ -25,6 +25,7 @@ __all__ = [
     "FbetaCurve",
     "default_beta_grid",
     "fbeta_curve",
+    "fbeta_curves",
     "fbeta_envelope",
     "isocurve_y",
     "render_fbeta_plot",
@@ -131,15 +132,18 @@ def _fbeta_sweep(counts: np.ndarray, betas: tuple[float, ...]) -> tuple[np.ndarr
     return np.minimum(values, 1.0, out=values), defined
 
 
+def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> list[FbetaCurve]:
+    """Pointwise F-beta along the grid of each (tp, fn, fp, tn) row, from one sweep."""
+    values, defined = _fbeta_sweep(counts, grid.betas)
+    return [
+        FbetaCurve(method_label=label, betas=grid.betas, values=tuple(v), defined=tuple(d))
+        for label, v, d in zip(labels, values.tolist(), defined.tolist())
+    ]
+
+
 def fbeta_curve(m: ConfusionMatrix, grid: BetaGrid, label: str = "") -> FbetaCurve:
     """Pointwise F-beta of one confusion matrix along the grid."""
-    values, defined = _fbeta_sweep(counts_array([m]), grid.betas)
-    return FbetaCurve(
-        method_label=label,
-        betas=grid.betas,
-        values=tuple(values[0].tolist()),
-        defined=tuple(defined[0].tolist()),
-    )
+    return fbeta_curves(counts_array([m]), grid, [label])[0]
 
 
 def fbeta_envelope(

@@ -53,11 +53,24 @@ def _check_dims(front: SolutionSet, dim: int) -> None:
         raise ValueError(f"dimension mismatch: front has {front.dim}, reference has {dim}")
 
 
+def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(..., n, k) Euclidean distances from (..., n, M) points to (..., k, M) others.
+
+    The squared coordinate differences are added in coordinate order, one
+    (..., n, k) array at a time, so each set of a stack gets the distances it
+    gets alone, and swapping the two arguments transposes them exactly.
+    """
+    total = 0.0
+    for i in range(points.shape[-1]):
+        diff = points[..., :, None, i] - others[..., None, :, i]
+        total = total + diff * diff
+    return np.sqrt(total)
+
+
 def generational_distance(front: SolutionSet, refs: SolutionSet) -> float:
     """Mean distance from each front point to its nearest reference point."""
     _check_dims(front, refs.dim)
-    diffs = front.as_array()[:, None, :] - refs.as_array()[None, :, :]
-    nearest = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
+    nearest = _distances(refs.as_array(), front.as_array()).min(axis=0)
     # sorted before the mean so front point order cannot perturb the float sum
     return float(np.sort(nearest).mean())
 
@@ -73,13 +86,19 @@ def _exact_hv_1d(points: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _sweep_order(points: np.ndarray) -> np.ndarray:
-    """Indices ordering 2-D points by (-x, -y), so sweeps ignore input order."""
-    return np.lexsort((-points[:, 1], -points[:, 0]))
+    """Indices ordering 2-D points by (-x, -y), so sweeps ignore input order.
+
+    A stack of (..., n, 2) point sets is ordered set by set.
+    """
+    return np.lexsort((-points[..., 1], -points[..., 0]), axis=-1)
 
 
 def _strictly_above(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """(r, n) mask of points[j] > refs[k] in every coordinate."""
-    columns = [points[:, i] > refs[:, i, None] for i in range(points.shape[1])]
+    """(..., r, n) mask of points[..., j, :] > refs[..., k, :] in every coordinate.
+
+    points and refs are (n, M) and (r, M) arrays, or stacks of them.
+    """
+    columns = [points[..., None, :, i] > refs[..., :, None, i] for i in range(points.shape[-1])]
     return np.logical_and.reduce(columns)
 
 
@@ -91,14 +110,16 @@ def _staircase_areas(xy: np.ndarray, mask: np.ndarray, refs: np.ndarray) -> np.n
     row's reference. Each point that raises the best y so far adds the slab
     ``(x - rx) * (y - best)`` (Kung, Luccio and Preparata 1975); the slabs
     are summed left to right by ``cumsum``, the order of a per-point loop.
+    Stacks of (..., n, 2) points, (..., r, n) masks and (..., r, 2) refs
+    give (..., r) areas, each equal to that of its own set.
     """
-    if xy.shape[0] == 0:
-        return np.zeros(refs.shape[0])
-    floor = refs[:, 1, None]
-    ys = np.where(mask, xy[:, 1], floor)
-    best = np.maximum.accumulate(np.concatenate([floor, ys[:, :-1]], axis=1), axis=1)
-    slabs = np.where(ys > best, (xy[:, 0] - refs[:, 0, None]) * (ys - best), 0.0)
-    return np.cumsum(slabs, axis=1)[:, -1]
+    if xy.shape[-2] == 0:
+        return np.zeros(refs.shape[:-1])
+    floor = refs[..., :, 1, None]
+    ys = np.where(mask, xy[..., None, :, 1], floor)
+    best = np.maximum.accumulate(np.concatenate([floor, ys[..., :-1]], axis=-1), axis=-1)
+    slabs = np.where(ys > best, (xy[..., None, :, 0] - refs[..., :, 0, None]) * (ys - best), 0.0)
+    return np.cumsum(slabs, axis=-1)[..., -1]
 
 
 def _exact_hv_2d(points: np.ndarray, refs: np.ndarray) -> np.ndarray:

@@ -12,9 +12,15 @@ Integer fields are ASCII digits ``[0-9]+`` with a value below 2**63, and the
 four counts of a row sum to at most 2**53; number fields match
 ``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?`` and must be finite.
 
-Counts and objectives files are checked whole against their grammar and read
-straight into numpy columns (a ``RecordTable``); only a file that fails a
-check is scanned again line by line, to name the first bad ``file:line``.
+Counts and objectives files are checked whole and read straight into numpy
+columns (a ``RecordTable``). A counts body is read as one byte array: its
+comma and LF positions must give eight non-empty fields a line, and each
+column is checked against its byte class (identifier or digit) and converted
+from the bytes of its own fields. An objectives body is matched against its
+grammar by one regular expression first; its key columns are then read as
+for counts, and its numbers by ``loadtxt``. A body that fails any check is
+parsed again line by line (``_parse_lines``), which names the first bad
+``file:line``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .confusion_metrics import (
 )
 from .indicators import (
     INDICATOR_NAMES,
+    _distances,
     _exact_hv,
     _staircase_areas,
     _strictly_above,
@@ -115,13 +122,12 @@ class ExperimentRecord:
         return self.payload
 
 
-def _factorize(names: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
+def _factorize(names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted distinct names, and each name's index into them."""
     ordered = sorted(set(names))
     index = {name: i for i, name in enumerate(ordered)}
     codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-    # names cut from a file body are ASCII bytes, which sort as their text does
-    return tuple(n.decode("ascii") if isinstance(n, bytes) else n for n in ordered), codes
+    return tuple(ordered), codes
 
 
 def _compact(names: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -373,17 +379,106 @@ def _objectives_header(header: Sequence[str], path: str) -> int:
     return len(objectives)
 
 
-def _body_pattern(dim: int, number: str) -> bytes:
-    """Every data line of a schema, as one pattern over the whole body: the last
-    line may lack its LF, and no line may be empty."""
-    row = ",".join([_IDENT, _IDENT, _UINT, _UINT] + [number] * dim)
+def _objectives_pattern(dim: int) -> bytes:
+    """Every data line of the objectives schema, as one pattern over the whole
+    body: the last line may lack its LF, and no line may be empty."""
+    row = ",".join([_IDENT, _IDENT, _UINT, _UINT] + [_NUMBER] * dim)
     return f"(?:{row}\n)*(?:{row})?".encode()
 
 
-def _loadtxt(body: bytes, columns: range, dtype: type) -> np.ndarray:
-    return np.loadtxt(
-        io.BytesIO(body), dtype=dtype, delimiter=",", usecols=columns, ndmin=2, comments=None
+_COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
+# the bytes of [A-Za-z0-9_-], as a lookup table over byte values
+_IDENT_BYTES = np.zeros(256, dtype=np.bool_)
+_IDENT_BYTES[list(b"-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")] = True
+_UINT_DIGITS = 19  # the most decimal digits that always fit uint64
+
+
+def _ident_column(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Sorted distinct identifiers of the fields ``buf[starts:ends]`` and each
+    field's index into them, or None if a field is empty or holds a byte
+    outside ``[A-Za-z0-9_-]``.
+
+    The fields are copied left-aligned into a zero-padded (n, width) array
+    and factorized with ``np.unique`` on its rows as ``S`` strings, or as
+    big-endian integers when they fit 8 bytes, which sort the same and
+    faster. A column whose widest field would make that array larger than
+    the body goes to the line parser instead.
+    """
+    widths = ends - starts
+    longest = int(widths.max())
+    width = -(-longest // 8) * 8
+    if widths.min() < 1 or len(widths) * width > buf.size:
+        return None
+    window = np.zeros((len(widths), width), np.uint8)
+    for k in range(longest):
+        column = buf.take(starts + k, mode="clip")
+        column[widths <= k] = 0
+        window[:, k] = column
+    # the zero padding is no identifier byte, so every field byte is one
+    # exactly when the identifier bytes number the summed widths
+    if np.count_nonzero(_IDENT_BYTES.take(window)) != widths.sum():
+        return None
+    rows = window.view(f"S{width}").ravel()
+    _, first, codes = np.unique(
+        window.view(">u8").ravel() if width == 8 else rows, return_index=True, return_inverse=True
     )
+    return tuple(name.decode("ascii") for name in rows[first].tolist()), codes
+
+
+def _uint_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """int64 values of the digit fields ``buf[starts:ends]``, or None if a field
+    is empty, holds a byte other than ``0-9`` or is 2**63 or more.
+
+    Digits are accumulated from right-aligned windows, most significant
+    first; 19 digits always fit uint64, so the bound is checked after. A
+    field wider than 19 digits is valid only with zeros before its last 19,
+    which are checked field by field.
+    """
+    widths = ends - starts
+    if widths.min() < 1:
+        return None
+    for row in np.flatnonzero(widths > _UINT_DIGITS).tolist():
+        if (buf[starts[row] : ends[row] - _UINT_DIGITS] != _ZERO).any():
+            return None
+    widths = np.minimum(widths, _UINT_DIGITS)
+    value = np.zeros(len(ends), np.uint64)
+    for k in range(int(widths.max()), 0, -1):
+        digit = buf.take(ends - k, mode="clip") - np.uint8(_ZERO)
+        digit[widths < k] = 0
+        if digit.max() > 9:  # any other byte wraps around to above 9
+            return None
+        value = value * 10 + digit
+    return None if (value >= INT_LIMIT).any() else value.astype(np.int64)
+
+
+def _field_columns(body: bytes, n_fields: int, n_read: int, counts: bool) -> list | None:
+    """The first n_read columns of an LF-terminated body of n_fields-field lines.
+
+    Columns 0 and 1 come as ``_ident_column`` results and the others as
+    ``_uint_column`` results. Returns None if a line has another number of
+    fields or a field read fails its column's grammar.
+    """
+    buf = np.frombuffer(body, np.uint8)
+    # Of the bytes a counts body may hold, only "," and LF sort below "-"; any
+    # other byte there is taken for a separator and fails the grid check.
+    seps = np.flatnonzero(buf < ord("-") if counts else (buf == _COMMA) | (buf == _LF))
+    if len(seps) % n_fields:
+        return None
+    seps = seps.reshape(-1, n_fields)
+    if not (buf[seps] == [_COMMA] * (n_fields - 1) + [_LF]).all():
+        return None
+    line_starts = np.zeros(len(seps), np.int64)
+    line_starts[1:] = seps[:-1, -1] + 1
+    columns = []
+    for j in range(n_read):
+        read = _ident_column if j < 2 else _uint_column
+        column = read(buf, seps[:, j - 1] + 1 if j else line_starts, seps[:, j])
+        if column is None:
+            return None
+        columns.append(column)
+    return columns
 
 
 def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> RecordTable | None:
@@ -393,34 +488,30 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
     first bad line. Accepts exactly what ``_parse_lines`` accepts.
     """
     counts = payload_kind == "counts"
-    if not re.fullmatch(_body_pattern(dim, _UINT if counts else _NUMBER), body):
+    if not counts and not re.fullmatch(_objectives_pattern(dim), body):
         return None
-    n_fields = 4 + dim
-    fields = body.replace(b"\n", b",").split(b",")
-    n = len(fields) // n_fields  # a final LF leaves one empty field over
-    if n == 0:
+    if not body:
         return _table((), (), (), (), np.zeros((0, dim), np.int64 if counts else np.float64))
-    try:
-        ints = _loadtxt(body, range(2, n_fields if counts else 4), np.int64)
-    except ValueError:  # an integer beyond int64
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    n_fields = 4 + dim
+    columns = _field_columns(body, n_fields, n_fields if counts else 4, counts)
+    if columns is None:
         return None
+    (dataset_names, dataset), (method_names, method), fold, solution_id, *payload = columns
     if counts:
-        values = ints[:, 2:]
+        values = np.stack(payload, axis=1)
         totals = values.sum(axis=1)
         if (values > COUNTS_LIMIT).any() or (totals > COUNTS_LIMIT).any() or not totals.all():
             return None
     else:
-        values = _loadtxt(body, range(4, n_fields), np.float64)
+        values = np.loadtxt(
+            io.BytesIO(body), delimiter=",", usecols=range(4, n_fields), ndmin=2, comments=None
+        )
         if not np.isfinite(values).all():
             return None
         values[:, flip] = -values[:, flip]
-    table = _table(
-        fields[0:n * n_fields:n_fields],
-        fields[1:n * n_fields:n_fields],
-        ints[:, 0],
-        ints[:, 1],
-        values,
-    )
+    table = RecordTable(dataset_names, method_names, dataset, method, fold, solution_id, values)
     return None if table._has_duplicate_keys() else table
 
 
@@ -489,6 +580,7 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
     if not data:
         raise ParseError(path, 1, "missing header row")
     first, _, body = data.partition(b"\n")
+    del data  # the body is a copy; keep one
     header = _split_line(first, path, 1)
     if payload_kind == "counts":
         _check_header(header, COUNTS_HEADER, path)
@@ -659,43 +751,57 @@ def _fold_stats(
     return {key: cells[key] for key in series}
 
 
-def _block_indicators(
-    front: np.ndarray, refs: np.ndarray, names: list[str]
-) -> dict[str, list[float]]:
-    """The named indicators of one front block against each of its r reference points.
+# Largest stack of blocks evaluated at once, counted in front points times
+# references; it bounds the (B, n, r) intermediates of _block_indicators.
+_BATCH_ELEMENTS = 1 << 16
 
-    GD gets one value, against the r points pooled. Every value equals
-    ``evaluate_indicator`` on the same points bit for bit: the distances come
-    from one (n, r) matrix with the same elementwise arithmetic, and each
-    reference's distances are sorted as a C-contiguous row, so the mean sums
-    them in the same pairwise order as on a single array.
+
+def _block_indicators(
+    fronts: np.ndarray, refs: np.ndarray, names: list[str]
+) -> dict[str, np.ndarray]:
+    """The named indicators of B front blocks, each against its r reference points.
+
+    fronts is a (B, n, M) stack and refs a (B, r, M) stack; each value array
+    is (B, r), and (B, 1) for GD, which takes the r points pooled. Every value
+    equals ``evaluate_indicator`` on the same points bit for bit, and does not
+    depend on the other blocks of the stack: the distances come from
+    ``_distances``, as for ``generational_distance``, each reference's
+    distances are sorted as a C-contiguous row, so the mean sums them in the
+    same pairwise order as on a single array, and the 2-D staircase sweeps
+    each block in its own order.
     """
-    n = len(front)
-    values: dict[str, list[float]] = {}
+    n = fronts.shape[1]
+    values: dict[str, np.ndarray] = {}
     if "ED" in names or "GD" in names:
-        diffs = front[:, None, :] - refs[None, :, :]
-        distances = np.sqrt((diffs * diffs).sum(axis=2))
+        # (B, r, n): each reference's distances are one C-contiguous row
+        distances = _distances(refs, fronts)
+        nearest = distances.min(axis=1)
         if "ED" in names:
-            values["ED"] = np.sort(np.ascontiguousarray(distances.T), axis=1).mean(axis=1).tolist()
+            distances.sort(axis=2)
+            values["ED"] = distances.mean(axis=2)
         if "GD" in names:
-            values["GD"] = [float(np.sort(distances.min(axis=1)).mean())]
+            nearest.sort(axis=1)
+            values["GD"] = nearest.mean(axis=1, keepdims=True)
     if "HV" in names or "SDR" in names:
         # one strict-dominance mask serves the 2-D staircase and SDR
-        if front.shape[1] == 2:
-            front = front[_sweep_order(front)]
-        above = _strictly_above(front, refs)
+        planar = fronts.shape[2] == 2
+        if planar:
+            fronts = np.take_along_axis(fronts, _sweep_order(fronts)[..., None], axis=1)
+        above = _strictly_above(fronts, refs)
         if "HV" in names:
-            if front.shape[1] == 2:
-                values["HV"] = _staircase_areas(front, above, refs).tolist()
+            if planar:
+                values["HV"] = _staircase_areas(fronts, above, refs)
             else:
-                values["HV"] = [_exact_hv(front, ref) for ref in refs]
+                values["HV"] = np.array(
+                    [[_exact_hv(front, ref) for ref in block] for front, block in zip(fronts, refs)]
+                )
         if "SDR" in names:
-            values["SDR"] = [count / n for count in above.sum(axis=1).tolist()]
+            values["SDR"] = above.sum(axis=2) / n
     if "NDR" in names:
-        # (n, r) mask of each reference strictly above each front point
-        dominated = _strictly_above(refs, front).sum(axis=0)
+        # (B, n, r) mask of each reference strictly above each front point
+        dominated = _strictly_above(refs, fronts).sum(axis=1)
         # (n - dominated) / n, so exact count ratios stay exact floats
-        values["NDR"] = [(n - count) / n for count in dominated.tolist()]
+        values["NDR"] = (n - dominated) / n
     return values
 
 
@@ -762,14 +868,35 @@ def aggregate(
         missing = sorted(front_pairs ^ ref_pairs)
         raise ValueError(f"front and reference files cover different (dataset, fold) pairs: {missing}")
 
+    # blocks of equal (n, r) shape are stacked and evaluated together
+    keys = sorted(fronts)
+    present = [
+        [m for m in refs.method_names if (dataset, m, fold) in ref_rows] for dataset, fold in keys
+    ]
+    block_rows = [
+        [ref_rows[(dataset, m, fold)] for m in methods]
+        for (dataset, fold), methods in zip(keys, present)
+    ]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (key, methods) in enumerate(zip(keys, present)):
+        by_shape.setdefault((len(fronts[key]), len(methods)), []).append(i)
+    results: list[dict[str, list[float]]] = [{} for _ in keys]
+    for (n, r), members in by_shape.items():
+        step = max(1, _BATCH_ELEMENTS // (n * r))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            stack = np.stack([fronts[keys[i]] for i in chunk])
+            ref_stack = ref_points[[block_rows[i] for i in chunk]]
+            block = _block_indicators(stack, ref_stack, ordered)
+            for name, block_values in block.items():
+                for i, row in zip(chunk, block_values.tolist()):
+                    results[i][name] = row
+
     # values per (indicator, reference label, dataset), appended in fold order
     series: dict[tuple[str, str, str], list[float]] = {}
-    for dataset, fold in sorted(fronts):
-        present = [m for m in refs.method_names if (dataset, m, fold) in ref_rows]
-        block_refs = ref_points[[ref_rows[(dataset, m, fold)] for m in present]]
-        block = _block_indicators(fronts[(dataset, fold)], block_refs, ordered)
+    for (dataset, _), methods, block in zip(keys, present, results):
         for name, block_values in block.items():
-            labels = [POOLED_REFERENCE_LABEL] if name == "GD" else present
+            labels = [POOLED_REFERENCE_LABEL] if name == "GD" else methods
             for label, value in zip(labels, block_values):
                 series.setdefault((name, label, dataset), []).append(value)
     return ComparisonReport(moo_method=moo_method, cells=_fold_stats(series))

@@ -19,10 +19,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_hypervolume
+from pareto_judge import ingest_report
 from pareto_judge.cli import run
 from pareto_judge.confusion_metrics import ConfusionMatrix, bac, fbeta, gmean, ppv, tnr, tpr
 from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
-from pareto_judge.indicators import _exact_hv_2d, evaluate_indicator, hypervolume
+from pareto_judge.indicators import _distances, _exact_hv_2d, evaluate_indicator, hypervolume
 from pareto_judge.ingest_report import (
     COUNTS_HEADER,
     ExperimentRecord,
@@ -38,13 +39,21 @@ from pareto_judge.ingest_report import (
 from pareto_judge.objective_space import ObjectivePoint, SolutionSet, pareto_front
 
 _ident = st.text(alphabet="aZ09_-", min_size=1, max_size=3)
-# leading zeros and the largest id the format allows are valid integer text
+# leading zeros and the largest id the format allows are valid integer text,
+# also when zero padding makes a field wider than 19 digits
+_WIDE_ID = "0000" + str(2**63 - 1)
+_WIDE_COUNT = "0" * 24 + "1"
 _id_text = st.one_of(
     st.integers(0, 30).map(str),
     st.integers(0, 9).map(lambda v: f"00{v}"),
     st.just(str(2**63 - 1)),
+    st.just(_WIDE_ID),
 )
-_count_text = st.one_of(st.integers(0, 60).map(str), st.integers(0, 9).map(lambda v: f"0{v}"))
+_count_text = st.one_of(
+    st.integers(0, 60).map(str),
+    st.integers(0, 9).map(lambda v: f"0{v}"),
+    st.just(_WIDE_COUNT),
+)
 _number_text = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(("0", "-0", "007", "1E5", "3.0e0", "-2.5E-3", "1e-400")),
@@ -182,6 +191,56 @@ class TestFastAndLocatingParse:
             _assert_same_table(fast, slow)
 
 
+class TestCountsFieldEdges:
+    """Counts fields at the edges of the byte-array reader's checks."""
+
+    def _parse(self, tmp_path, body: str) -> RecordTable:
+        path = tmp_path / "counts.csv"
+        path.write_bytes(",".join(COUNTS_HEADER).encode() + b"\n" + body.encode())
+        return parse_records(str(path), "counts")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ",m,0,1,1,2,3,4",  # empty identifiers
+            "d,,0,1,1,2,3,4",
+            "d,m,,1,1,2,3,4",  # empty integers
+            "d,m,0,1,1,2,3,",
+            "d,m,0,1,1,2,3 4",  # a space taken for a separator
+            "d,m,0,1,1,2,3,4,5\n6,7,8,9,1,2,3",  # 9 then 7 fields, 16 in all
+            "d,m,0," + "1" + "0" * 18 + "7" + ",1,2,3,4",  # 20 digits, above 2**63
+        ],
+    )
+    def test_bad_line_rejected_by_both_readers(self, tmp_path, bad):
+        body = "d,m,0,0,1,2,3,4\n" + bad + "\n"
+        dim, flip = _schema("counts", 4)
+        assert _scan_body(body.encode(), "counts", dim, flip) is None
+        with pytest.raises(ParseError) as err:
+            self._parse(tmp_path, body)
+        expected = _line_error(body.encode(), err.value.path, "counts", dim, flip)
+        assert err.value.line == expected.line == 3
+        assert str(err.value) == str(expected)
+
+    def test_zero_padded_wide_integers_keep_their_values(self, tmp_path):
+        table = self._parse(tmp_path, f"d,m,{_WIDE_COUNT},{_WIDE_ID},{_WIDE_COUNT},0,0,0\n")
+        assert table.fold.tolist() == [1]
+        assert table.solution_id.tolist() == [2**63 - 1]
+        assert table.values.tolist() == [[1, 0, 0, 0]]
+
+    @pytest.mark.parametrize("wide", [f"0000{2**63}", "1" + "0" * 18 + "7"])
+    def test_wide_integer_of_two_to_the_63_or_more_fails_at_its_line(self, tmp_path, wide):
+        body = f"d,m,0,0,1,0,0,0\nd,m,0,{wide},1,0,0,0\n"
+        with pytest.raises(ParseError) as err:
+            self._parse(tmp_path, body)
+        assert err.value.line == 3
+        assert str(err.value).endswith(f"column solution_id: must be below 2**63, got {int(wide)}")
+
+    def test_body_without_final_lf(self, tmp_path):
+        body = "d,m,0,0,1,2,3,4\nd,m,0,1,5,6,7,8"
+        _assert_same_table(self._parse(tmp_path, body), self._parse(tmp_path, body + "\n"))
+        assert self._parse(tmp_path, body).values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+
+
 def _reference_cells(front_records, reference_records, names, filter_front):
     """aggregate as a loop over (dataset, reference, fold) cells of evaluate_indicator."""
     fronts = {}
@@ -308,19 +367,91 @@ class TestBlockStaircase:
         expected = [hypervolume(solutions, ObjectivePoint(tuple(r))) for r in refs.tolist()]
         assert expected == [loop_hypervolume(front, ref) for ref in refs]
         assert _exact_hv_2d(front, refs).tolist() == expected
-        assert _block_indicators(front, refs, ["HV"])["HV"] == expected
+        assert _block_indicators(front[None], refs[None], ["HV"])["HV"][0].tolist() == expected
 
     @settings(deadline=None)
     @given(_front_and_refs())
     def test_sdr_from_the_shared_mask(self, drawn):
         front, refs = drawn
         solutions = SolutionSet.from_coords("front", front.tolist())
-        values = _block_indicators(front, refs, ["HV", "SDR"])
+        values = _block_indicators(front[None], refs[None], ["HV", "SDR"])
         for name in ("HV", "SDR"):
-            assert values[name] == [
+            assert values[name][0].tolist() == [
                 evaluate_indicator(name, solutions, SolutionSet("r", (ObjectivePoint(r),))).value
                 for r in map(tuple, refs.tolist())
             ]
+
+
+_ALL_NAMES = ["ED", "GD", "HV", "SDR", "NDR"]
+
+
+class TestDistances:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_equal_to_the_numpy_sum_over_coordinates(self, data):
+        # up to 7 coordinates numpy sums in order; magnitudes spread over 18
+        # decades make any other order visible in the last bits
+        dim = data.draw(st.integers(1, 7))
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        coord = st.tuples(st.floats(-1e6, 1e6), st.integers(-12, 0)).map(
+            lambda c: c[0] * 10.0 ** c[1]
+        )
+        points = np.array(data.draw(st.lists(coord, min_size=n * dim, max_size=n * dim)))
+        others = np.array(data.draw(st.lists(coord, min_size=k * dim, max_size=k * dim)))
+        points, others = points.reshape(n, dim), others.reshape(k, dim)
+        diffs = points[:, None, :] - others[None, :, :]
+        expected = np.sqrt((diffs * diffs).sum(axis=2))
+        assert _distances(points, others).tobytes() == expected.tobytes()
+        assert _distances(others, points).tobytes() == expected.T.copy().tobytes()
+
+
+@st.composite
+def _block_stack(draw, dim: int):
+    """B blocks of n front points and r references each, on a lattice or free."""
+    b, n, r = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    coord = st.one_of(_lattice, st.floats(0, 1))
+    values = st.lists(coord, min_size=b * (n + r) * dim, max_size=b * (n + r) * dim)
+    points = np.array(draw(values), dtype=np.float64).reshape(b, n + r, dim)
+    return np.ascontiguousarray(points[:, :n]), np.ascontiguousarray(points[:, n:])
+
+
+class TestBatchedBlocks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_stack_equals_blocks_one_at_a_time(self, dim, data):
+        fronts, refs = data.draw(_block_stack(dim))
+        stacked = _block_indicators(fronts, refs, _ALL_NAMES)
+        assert list(stacked) == _ALL_NAMES
+        for b in range(len(fronts)):
+            alone = _block_indicators(fronts[b : b + 1], refs[b : b + 1], _ALL_NAMES)
+            for name in _ALL_NAMES:
+                # bytes, so -0.0 and 0.0 differ
+                assert stacked[name][b].tobytes() == alone[name][0].tobytes(), name
+
+    @pytest.mark.parametrize("payload_kind", ["counts", "objectives"])
+    def test_budget_crossed_mid_group_gives_the_same_report(self, payload_kind, monkeypatch):
+        # seven (dataset, fold) blocks of 5 points against 2 references, and
+        # one block of another shape
+        rng = np.random.default_rng(11)
+
+        def payload():
+            if payload_kind == "counts":
+                return ConfusionMatrix(*rng.integers(1, 9, 4).tolist())
+            return ObjectivePoint(tuple(rng.random(3).tolist()))
+
+        front, refs = [], []
+        for dataset, folds in (("d1", 4), ("d2", 3), ("d3", 1)):
+            for fold in range(folds):
+                size = 6 if dataset == "d3" else 5
+                front += [ExperimentRecord(dataset, "moo", fold, s, payload()) for s in range(size)]
+                refs += [ExperimentRecord(dataset, m, fold, 0, payload()) for m in ("r1", "r2")]
+        whole = aggregate(front, refs, _ALL_NAMES)
+        for budget in (1, 3 * 5 * 2):
+            monkeypatch.setattr(ingest_report, "_BATCH_ELEMENTS", budget)
+            assert list(aggregate(front, refs, _ALL_NAMES).cells.items()) == list(
+                whole.cells.items()
+            )
 
 
 _fold_value = st.one_of(
