@@ -56,10 +56,17 @@ def _check_dims(front: SolutionSet, dim: int) -> None:
 def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     """(..., n, k) Euclidean distances from (..., n, M) points to (..., k, M) others.
 
-    The squared coordinate differences are added in coordinate order, one
-    (..., n, k) array at a time, so each set of a stack gets the distances it
-    gets alone, and swapping the two arguments transposes them exactly.
+    Each distance has the bits of the sum along the last axis that
+    ``generational_distance`` takes, so each set of a stack gets the
+    distances it gets alone, and swapping the two arguments transposes them
+    exactly. numpy adds fewer than 8 terms in order, so below M = 8 the
+    squares are added one coordinate at a time over whole arrays, which
+    takes about a quarter of the time of one reduction call per distance.
+    From M = 8 numpy sums pairwise, and the reduction itself is used.
     """
+    if points.shape[-1] >= 8:
+        diffs = points[..., :, None, :] - others[..., None, :, :]
+        return np.sqrt((diffs * diffs).sum(axis=-1))
     total = 0.0
     for i in range(points.shape[-1]):
         diff = points[..., :, None, i] - others[..., None, :, i]
@@ -70,7 +77,8 @@ def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
 def generational_distance(front: SolutionSet, refs: SolutionSet) -> float:
     """Mean distance from each front point to its nearest reference point."""
     _check_dims(front, refs.dim)
-    nearest = _distances(refs.as_array(), front.as_array()).min(axis=0)
+    diffs = front.as_array()[:, None, :] - refs.as_array()[None, :, :]
+    nearest = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
     # sorted before the mean so front point order cannot perturb the float sum
     return float(np.sort(nearest).mean())
 

@@ -401,17 +401,15 @@ def _ident_column(
     outside ``[A-Za-z0-9_-]``.
 
     The fields are copied left-aligned into a zero-padded (n, width) array
-    and factorized with ``np.unique`` on its rows as ``S`` strings, or as
-    big-endian integers when they fit 8 bytes, which sort the same and
-    faster. A column whose widest field would make that array larger than
-    the body goes to the line parser instead.
+    and factorized with ``np.unique`` on its rows as ``S`` strings. A column
+    whose widest field would make that array larger than the body goes to
+    the line parser instead.
     """
     widths = ends - starts
     longest = int(widths.max())
-    width = -(-longest // 8) * 8
-    if widths.min() < 1 or len(widths) * width > buf.size:
+    if widths.min() < 1 or len(widths) * longest > buf.size:
         return None
-    window = np.zeros((len(widths), width), np.uint8)
+    window = np.zeros((len(widths), longest), np.uint8)
     for k in range(longest):
         column = buf.take(starts + k, mode="clip")
         column[widths <= k] = 0
@@ -420,11 +418,12 @@ def _ident_column(
     # exactly when the identifier bytes number the summed widths
     if np.count_nonzero(_IDENT_BYTES.take(window)) != widths.sum():
         return None
-    rows = window.view(f"S{width}").ravel()
-    _, first, codes = np.unique(
-        window.view(">u8").ravel() if width == 8 else rows, return_index=True, return_inverse=True
+    # return_index makes np.unique argsort with its stable sort, which runs two
+    # to three times faster than the default quicksort on a column of few names
+    names, _, codes = np.unique(
+        window.view(f"S{longest}").ravel(), return_index=True, return_inverse=True
     )
-    return tuple(name.decode("ascii") for name in rows[first].tolist()), codes
+    return tuple(name.decode("ascii") for name in names.tolist()), codes
 
 
 def _uint_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -453,7 +452,7 @@ def _uint_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     return None if (value >= INT_LIMIT).any() else value.astype(np.int64)
 
 
-def _field_columns(body: bytes, n_fields: int, n_read: int, counts: bool) -> list | None:
+def _field_columns(body: bytes, n_fields: int, n_read: int) -> list | None:
     """The first n_read columns of an LF-terminated body of n_fields-field lines.
 
     Columns 0 and 1 come as ``_ident_column`` results and the others as
@@ -461,9 +460,7 @@ def _field_columns(body: bytes, n_fields: int, n_read: int, counts: bool) -> lis
     fields or a field read fails its column's grammar.
     """
     buf = np.frombuffer(body, np.uint8)
-    # Of the bytes a counts body may hold, only "," and LF sort below "-"; any
-    # other byte there is taken for a separator and fails the grid check.
-    seps = np.flatnonzero(buf < ord("-") if counts else (buf == _COMMA) | (buf == _LF))
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
     if len(seps) % n_fields:
         return None
     seps = seps.reshape(-1, n_fields)
@@ -495,7 +492,7 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
     if not body.endswith(b"\n"):
         body += b"\n"
     n_fields = 4 + dim
-    columns = _field_columns(body, n_fields, n_fields if counts else 4, counts)
+    columns = _field_columns(body, n_fields, n_fields if counts else 4)
     if columns is None:
         return None
     (dataset_names, dataset), (method_names, method), fold, solution_id, *payload = columns
@@ -764,8 +761,8 @@ def _block_indicators(
     fronts is a (B, n, M) stack and refs a (B, r, M) stack; each value array
     is (B, r), and (B, 1) for GD, which takes the r points pooled. Every value
     equals ``evaluate_indicator`` on the same points bit for bit, and does not
-    depend on the other blocks of the stack: the distances come from
-    ``_distances``, as for ``generational_distance``, each reference's
+    depend on the other blocks of the stack: ``_distances`` uses the
+    arithmetic of ``generational_distance``, each reference's
     distances are sorted as a C-contiguous row, so the mean sums them in the
     same pairwise order as on a single array, and the 2-D staircase sweeps
     each block in its own order.

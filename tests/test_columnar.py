@@ -23,7 +23,14 @@ from pareto_judge import ingest_report
 from pareto_judge.cli import run
 from pareto_judge.confusion_metrics import ConfusionMatrix, bac, fbeta, gmean, ppv, tnr, tpr
 from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
-from pareto_judge.indicators import _distances, _exact_hv_2d, evaluate_indicator, hypervolume
+from pareto_judge.indicators import (
+    _distances,
+    _exact_hv_2d,
+    euclidean_distance,
+    evaluate_indicator,
+    generational_distance,
+    hypervolume,
+)
 from pareto_judge.ingest_report import (
     COUNTS_HEADER,
     ExperimentRecord,
@@ -385,24 +392,49 @@ class TestBlockStaircase:
 _ALL_NAMES = ["ED", "GD", "HV", "SDR", "NDR"]
 
 
+_spread_coord = st.tuples(st.floats(-1e6, 1e6), st.integers(-12, 0)).map(
+    lambda c: c[0] * 10.0 ** c[1]
+)
+
+
+def _spread_points(data, shape):
+    """Points whose magnitudes spread over 18 decades, so that any change in
+    the order of a coordinate sum shows in the last bits."""
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(_spread_coord, min_size=size, max_size=size))).reshape(
+        shape
+    )
+
+
 class TestDistances:
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
-    def test_equal_to_the_numpy_sum_over_coordinates(self, data):
-        # up to 7 coordinates numpy sums in order; magnitudes spread over 18
-        # decades make any other order visible in the last bits
-        dim = data.draw(st.integers(1, 7))
-        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-        coord = st.tuples(st.floats(-1e6, 1e6), st.integers(-12, 0)).map(
-            lambda c: c[0] * 10.0 ** c[1]
-        )
-        points = np.array(data.draw(st.lists(coord, min_size=n * dim, max_size=n * dim)))
-        others = np.array(data.draw(st.lists(coord, min_size=k * dim, max_size=k * dim)))
-        points, others = points.reshape(n, dim), others.reshape(k, dim)
-        diffs = points[:, None, :] - others[None, :, :]
-        expected = np.sqrt((diffs * diffs).sum(axis=2))
-        assert _distances(points, others).tobytes() == expected.tobytes()
-        assert _distances(others, points).tobytes() == expected.T.copy().tobytes()
+    def test_equal_to_the_broadcast_formula(self, data):
+        # up to 7 coordinates numpy sums in order, from 8 on pairwise
+        dim = data.draw(st.integers(1, 10))
+        b, n, k = (data.draw(st.integers(1, top)) for top in (3, 6, 4))
+        points, others = _spread_points(data, (b, n, dim)), _spread_points(data, (b, k, dim))
+        stacked = _distances(points, others)
+        for i in range(b):
+            diffs = points[i][:, None, :] - others[i][None, :, :]
+            expected = np.sqrt((diffs * diffs).sum(axis=2))
+            assert stacked[i].tobytes() == expected.tobytes()
+            assert _distances(others[i], points[i]).tobytes() == expected.T.copy().tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 9, 10])
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_block_ed_and_gd_equal_the_public_functions(self, dim, data):
+        b, n, r = (data.draw(st.integers(1, top)) for top in (3, 6, 4))
+        fronts, refs = _spread_points(data, (b, n, dim)), _spread_points(data, (b, r, dim))
+        values = _block_indicators(fronts, refs, ["ED", "GD"])
+        for i in range(b):
+            front = SolutionSet("f", tuple(ObjectivePoint(tuple(p)) for p in fronts[i].tolist()))
+            ref_points = [ObjectivePoint(tuple(p)) for p in refs[i].tolist()]
+            assert values["ED"][i].tolist() == [euclidean_distance(front, p) for p in ref_points]
+            assert values["GD"][i].tolist() == [
+                generational_distance(front, SolutionSet("r", tuple(ref_points)))
+            ]
 
 
 @st.composite
