@@ -2,8 +2,8 @@
 
 Every kernel returns exact integer counts (or a boolean mask), so results do
 not depend on how the work is chunked. Inputs are processed in chunks of
-``_CHUNK`` rows to bound the size of the broadcast comparison arrays; 2-D box
-unions need no broadcast, as a sorted staircase answers each sample.
+``_CHUNK`` rows to bound the size of the broadcast comparison arrays; 2-D
+inputs need no broadcast, as a sort and a running maximum answer them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,23 @@ def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
-    """Mask of points not strictly dominated by any other point (all coords greater)."""
+    """Mask of points not strictly dominated by any other point (all coords greater).
+
+    Two objectives take an O(n log n) sweep (Kung, Luccio and Preparata
+    1975): in (-x, -y) order, a point is dominated exactly when the best y
+    among points of strictly larger x exceeds its own. Other dimensions
+    compare every pair.
+    """
     n = points.shape[0]
+    if points.shape[1] == 2:
+        order = np.lexsort((-points[:, 1], -points[:, 0]))
+        xs, ys = points[order, 0], points[order, 1]
+        # each point's first index among the points of equal x
+        first = np.searchsorted(-xs, -xs, side="left")
+        best = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[first]
+        keep = np.empty(n, dtype=np.bool_)
+        keep[order] = ~(best > ys)
+        return keep
     keep = np.ones(n, dtype=np.bool_)
     for start in range(0, n, _CHUNK):
         block = points[start : start + _CHUNK]

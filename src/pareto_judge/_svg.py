@@ -7,8 +7,11 @@ yield byte-identical markup.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 600
@@ -97,22 +100,26 @@ class SvgDoc:
 
     def polyline(
         self,
-        points: Sequence[tuple[float, float]],
+        xy: np.ndarray,
         stroke: str,
         width: float = 2.0,
         dashed: bool = False,
     ) -> None:
-        coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
+        """One polyline through the rows of an (n, 2) float array."""
+        # one %-format call gives the bytes of fmt applied to each coordinate
+        coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         dash = ' stroke-dasharray="7 4"' if dashed else ""
         self._parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{fmt(width)}"'
             f'{dash} points="{coords}"/>'
         )
 
-    def circle(self, cx: float, cy: float, r: float, fill: str) -> None:
-        self._parts.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{fill}"/>'
-        )
+    def circles(self, xy: np.ndarray, r: float, fills: Sequence[str]) -> None:
+        """One circle of radius r at each row of an (n, 2) float array, with
+        the matching fill; formatted in one %-format call, like polyline."""
+        circle = f'<circle cx="%.2f" cy="%.2f" r="{fmt(r)}" fill="%s"/>'
+        values = [v for (x, y), fill in zip(xy.tolist(), fills) for v in (x, y, fill)]
+        self._parts.append("\n".join([circle] * len(xy)) % tuple(values))
 
     def text(
         self, x: float, y: float, content: str, anchor: str = "start", size: int = FONT_SIZE
@@ -143,11 +150,14 @@ class Plot:
         self.x_label = x_label
         self.y_label = y_label
 
-    def x_px(self, x: float) -> float:
+    # x_px and y_px take floats or float64 arrays; numpy applies the same IEEE
+    # operations in the same order, so both give the same pixels
+
+    def x_px(self, x: float | np.ndarray) -> float | np.ndarray:
         span = self.x_hi - self.x_lo
         return FRAME.left + (x - self.x_lo) / span * FRAME.width
 
-    def y_px(self, y: float) -> float:
+    def y_px(self, y: float | np.ndarray) -> float | np.ndarray:
         span = self.y_hi - self.y_lo
         return FRAME.bottom - (y - self.y_lo) / span * FRAME.height
 
@@ -156,19 +166,42 @@ class Plot:
         x_ticks: Sequence[tuple[float, str]],
         y_ticks: Sequence[tuple[float, str]],
     ) -> None:
-        doc = self.doc
-        doc.line(FRAME.left, FRAME.bottom, FRAME.right, FRAME.bottom, "#000000", 1.5)
-        doc.line(FRAME.left, FRAME.top, FRAME.left, FRAME.bottom, "#000000", 1.5)
-        for value, label in x_ticks:
-            x = self.x_px(value)
-            doc.line(x, FRAME.bottom, x, FRAME.bottom + 5, "#000000")
-            doc.text(x, FRAME.bottom + 20, label, anchor="middle")
-        for value, label in y_ticks:
-            y = self.y_px(value)
-            doc.line(FRAME.left - 5, y, FRAME.left, y, "#000000")
-            doc.text(FRAME.left - 9, y + 4, label, anchor="end")
-        doc.text(FRAME.left + FRAME.width / 2, FRAME.bottom + 42, self.x_label, anchor="middle")
-        doc.text(FRAME.left - 50, FRAME.top - 14, self.y_label, anchor="start")
+        """Axes, ticks and axis labels. Figures of one kind share their frame,
+        so its markup is built once per distinct frame and reused."""
+        self.doc._parts.append(
+            _frame_markup(
+                (self.x_lo, self.x_hi), (self.y_lo, self.y_hi), self.x_label, self.y_label,
+                tuple(x_ticks), tuple(y_ticks),
+            )
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_markup(
+    x_range: tuple[float, float],
+    y_range: tuple[float, float],
+    x_label: str,
+    y_label: str,
+    x_ticks: tuple[tuple[float, str], ...],
+    y_ticks: tuple[tuple[float, str], ...],
+) -> str:
+    """The frame's elements as one string, one element per line."""
+    doc = SvgDoc()
+    head = len(doc._parts)
+    plot = Plot(doc, x_range, y_range, x_label, y_label)
+    doc.line(FRAME.left, FRAME.bottom, FRAME.right, FRAME.bottom, "#000000", 1.5)
+    doc.line(FRAME.left, FRAME.top, FRAME.left, FRAME.bottom, "#000000", 1.5)
+    for value, label in x_ticks:
+        x = plot.x_px(value)
+        doc.line(x, FRAME.bottom, x, FRAME.bottom + 5, "#000000")
+        doc.text(x, FRAME.bottom + 20, label, anchor="middle")
+    for value, label in y_ticks:
+        y = plot.y_px(value)
+        doc.line(FRAME.left - 5, y, FRAME.left, y, "#000000")
+        doc.text(FRAME.left - 9, y + 4, label, anchor="end")
+    doc.text(FRAME.left + FRAME.width / 2, FRAME.bottom + 42, x_label, anchor="middle")
+    doc.text(FRAME.left - 50, FRAME.top - 14, y_label, anchor="start")
+    return "\n".join(doc._parts[head:])
 
 
 def draw_legend(doc: SvgDoc, entries: Sequence[tuple[str, str, bool]]) -> None:

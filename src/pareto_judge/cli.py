@@ -38,7 +38,7 @@ from .ingest_report import (
     render_dataset_table,
     render_report,
 )
-from .objective_space import ObjectivePoint, SolutionSet, pareto_front
+from .objective_space import front_rows
 
 METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
 
@@ -211,15 +211,14 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
                 f"reference method {method!r} has {len(group)} solutions for "
                 f"dataset {dataset!r} fold {args.fold}"
             )
-        rows = front[dataset][front_methods[0]]
-        solution_front = SolutionSet.from_coords(front_methods[0], front_points[rows].tolist())
+        points = front_points[front[dataset][front_methods[0]]]
         if args.filter_front:
-            solution_front = pareto_front(solution_front)
+            points = front_rows(points)
         path = os.path.join(args.out, f"{dataset}_region-{args.mode}.svg")
-        plots.append((path, solution_front, ObjectivePoint(tuple(ref_points[group[0]].tolist()))))
+        plots.append((path, points, ref_points[group[0]]))
     os.makedirs(args.out, exist_ok=True)
-    for path, solution_front, ref_point in plots:
-        render_region_plot(solution_front, ref_point, args.mode, path)
+    for path, points, ref in plots:
+        render_region_plot(points, ref, args.mode, path)
     return 0
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from . import _svg
 from ._io import atomic_write_text
 from .confusion_metrics import ConfusionMatrix, counts_array, ratio_array
-from .indicators import hypervolume, sdr, ndr
-from .objective_space import ObjectivePoint, SolutionSet, strictly_dominates
+from .indicators import _exact_hv
 
 __all__ = [
     "BetaGrid",
@@ -70,6 +69,8 @@ class BetaGrid:
         """count points spaced uniformly in log(beta) between lo and hi."""
         if count < 2:
             raise ValueError(f"grid needs at least 2 points, got {count}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid bounds must be finite, got lo={lo!r} hi={hi!r}")
         if not (0.0 < lo < hi):
             raise ValueError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
         exponents = np.linspace(math.log10(lo), math.log10(hi), count)
@@ -173,8 +174,9 @@ def fbeta_envelope(
     )
 
 
-def isocurve_y(metric: str, level: float, x: float) -> float:
-    """y such that the chosen aggregate of (x, y) equals the level.
+def isocurve_y(metric: str, level: float, x: float | np.ndarray) -> float | np.ndarray:
+    """y such that the chosen aggregate of (x, y) equals the level, for a float
+    or elementwise for an array of x.
 
     gmean: sqrt(x * y) = level, so y = level^2 / x.
     f1: 2xy / (x + y) = level, so y = level * x / (2x - level).
@@ -217,83 +219,77 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
         for e in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
     ]
     plot.draw_frame(decade_ticks, _unit_ticks())
+    # math.log10 per beta: np.log10 may differ from it in the last bit
+    x = plot.x_px(np.array([math.log10(b) for b in betas]))
+    ys = plot.y_px(np.array([curve.values for curve in curves]))
     legend = []
-    for i, curve in enumerate(curves):
+    for i, (curve, y) in enumerate(zip(curves, ys)):
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
-        pts = [
-            (plot.x_px(math.log10(b)), plot.y_px(v))
-            for b, v in zip(curve.betas, curve.values)
-        ]
-        doc.polyline(pts, color, dashed=curve.is_envelope)
+        doc.polyline(np.column_stack((x, y)), color, dashed=curve.is_envelope)
         legend.append((curve.method_label, color, curve.is_envelope))
     _svg.draw_legend(doc, legend)
     _write_doc(doc, out)
 
 
-def render_region_plot(front: SolutionSet, ref: ObjectivePoint, mode: str, out: str) -> None:
-    """Front vs reference point over the unit square.
+def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
+    """An (n, 2) front vs a length-2 reference row over the unit square.
 
     hypervolume mode shades the union of boxes between the front and the
     reference; dominance mode shades the strictly-dominating and
     strictly-dominated regions and colors front points by their class.
     """
-    if front.dim != 2 or ref.dim != 2:
-        raise ValueError(f"region plot requires 2 objectives, got {front.dim}")
+    front = np.asarray(front, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    if front.ndim != 2 or front.shape[1] != 2:
+        raise ValueError(f"region plot requires 2 objectives, got a front of shape {front.shape}")
+    if ref.shape != (2,):
+        raise ValueError(
+            f"region plot requires 2 objectives, got a reference of shape {ref.shape}"
+        )
+    n = len(front)
+    if not n:
+        raise ValueError("region plot needs at least one front point")
+    if not (np.isfinite(front).all() and np.isfinite(ref).all()):
+        raise ValueError("region plot coordinates must be finite")
     if mode not in REGION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {REGION_MODES}")
     doc = _svg.SvgDoc()
     plot = _svg.Plot(doc, (0.0, 1.0), (0.0, 1.0), "objective 1", "objective 2")
-    rx, ry = ref.coords
-    if mode == "hypervolume":
-        for p in front.points:
-            px, py = p.coords
-            if px > rx and py > ry:
-                doc.rect(
-                    plot.x_px(rx),
-                    plot.y_px(py),
-                    plot.x_px(px) - plot.x_px(rx),
-                    plot.y_px(ry) - plot.y_px(py),
-                    HV_FILL,
-                )
-    else:
-        doc.rect(
-            plot.x_px(rx),
-            plot.y_px(1.0),
-            plot.x_px(1.0) - plot.x_px(rx),
-            plot.y_px(ry) - plot.y_px(1.0),
-            DOMINATING_FILL,
-            opacity=0.15,
-        )
-        doc.rect(
-            plot.x_px(0.0),
-            plot.y_px(ry),
-            plot.x_px(rx) - plot.x_px(0.0),
-            plot.y_px(0.0) - plot.y_px(ry),
-            DOMINATED_FILL,
-            opacity=0.15,
-        )
-    plot.draw_frame(_unit_ticks(), _unit_ticks())
-    for p in front.points:
-        if mode == "dominance":
-            if strictly_dominates(p, ref):
-                fill = DOMINATING_FILL
-            elif strictly_dominates(ref, p):
-                fill = DOMINATED_FILL
-            else:
-                fill = NEUTRAL_FILL
-        else:
-            fill = "#08519c"
-        doc.circle(plot.x_px(p.coords[0]), plot.y_px(p.coords[1]), 4.0, fill)
-    # reference marker: a black cross
+    rx, ry = ref.tolist()
     cx, cy = plot.x_px(rx), plot.y_px(ry)
+    xy = np.column_stack((plot.x_px(front[:, 0]), plot.y_px(front[:, 1])))
+    above = (front > ref).all(axis=1).tolist()
+    below = (front < ref).all(axis=1).tolist()
+    if mode == "hypervolume":
+        for (x, y), shaded in zip(xy.tolist(), above):
+            if shaded:
+                doc.rect(cx, y, x - cx, cy - y, HV_FILL)
+    else:
+        top, right = plot.y_px(1.0), plot.x_px(1.0)
+        left, bottom = plot.x_px(0.0), plot.y_px(0.0)
+        doc.rect(cx, top, right - cx, cy - top, DOMINATING_FILL, opacity=0.15)
+        doc.rect(left, cy, cx - left, bottom - cy, DOMINATED_FILL, opacity=0.15)
+    plot.draw_frame(_unit_ticks(), _unit_ticks())
+    if mode == "dominance":
+        fills = [
+            DOMINATING_FILL if a else DOMINATED_FILL if b else NEUTRAL_FILL
+            for a, b in zip(above, below)
+        ]
+    else:
+        fills = ["#08519c"] * n
+    doc.circles(xy, 4.0, fills)
+    # reference marker: a black cross
     doc.line(cx - 5, cy - 5, cx + 5, cy + 5, "#000000", 2.0)
     doc.line(cx - 5, cy + 5, cx + 5, cy - 5, "#000000", 2.0)
-    legend = [(f"front ({len(front)} points)", "#08519c", False), ("reference", "#000000", False)]
+    legend = [(f"front ({n} points)", "#08519c", False), ("reference", "#000000", False)]
     if mode == "hypervolume":
-        legend.append((f"HV = {hypervolume(front, ref):.4f}", HV_FILL, False))
+        legend.append((f"HV = {_exact_hv(front, ref):.4f}", HV_FILL, False))
     else:
-        legend.append((f"dominating (SDR = {sdr(front, ref):.2f})", DOMINATING_FILL, False))
-        legend.append((f"dominated (NDR = {ndr(front, ref):.2f})", DOMINATED_FILL, False))
+        # the fractions of sdr and ndr, from the masks' counts
+        sdr = sum(above) / n
+        ndr = (n - sum(below)) / n
+        legend.append((f"dominating (SDR = {sdr:.2f})", DOMINATING_FILL, False))
+        legend.append((f"dominated (NDR = {ndr:.2f})", DOMINATED_FILL, False))
     _svg.draw_legend(doc, legend)
     _write_doc(doc, out)
 
@@ -317,11 +313,8 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         level = float(level)
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
         xs = np.linspace(_isocurve_domain_start(metric, level), 1.0, _ISOCURVE_SAMPLES)
-        pts = [
-            (plot.x_px(float(x)), plot.y_px(min(1.0, isocurve_y(metric, level, float(x)))))
-            for x in xs
-        ]
-        doc.polyline(pts, color)
+        ys = np.minimum(1.0, isocurve_y(metric, level, xs))
+        doc.polyline(np.column_stack((plot.x_px(xs), plot.y_px(ys))), color)
         legend.append((f"{label} = {level:g}", color, False))
     _svg.draw_legend(doc, legend)
     _write_doc(doc, out)

@@ -17,10 +17,11 @@ columns (a ``RecordTable``). A counts body is read as one byte array: its
 comma and LF positions must give eight non-empty fields a line, and each
 column is checked against its byte class (identifier or digit) and converted
 from the bytes of its own fields. An objectives body is matched against its
-grammar by one regular expression first; its key columns are then read as
-for counts, and its numbers by ``loadtxt``. A body that fails any check is
-parsed again line by line (``_parse_lines``), which names the first bad
-``file:line``.
+grammar by one regular expression first, in LF-aligned chunks of about
+64 KiB so that the matcher's state stays bounded; its key columns are then
+read as for counts, and its numbers by ``loadtxt``. A body that fails any
+check is parsed again line by line (``_parse_lines``), which names the first
+bad ``file:line``.
 """
 
 from __future__ import annotations
@@ -380,10 +381,27 @@ def _objectives_header(header: Sequence[str], path: str) -> int:
 
 
 def _objectives_pattern(dim: int) -> bytes:
-    """Every data line of the objectives schema, as one pattern over the whole
-    body: the last line may lack its LF, and no line may be empty."""
+    """Every data line of the objectives schema, as one pattern over a run of
+    whole lines: the last line may lack its LF, and no line may be empty."""
     row = ",".join([_IDENT, _IDENT, _UINT, _UINT] + [_NUMBER] * dim)
     return f"(?:{row}\n)*(?:{row})?".encode()
+
+
+# bytes per objectives match; the matcher keeps about 2 kB of state per line
+# it repeats over, so matching whole bodies took 30 times the file
+_MATCH_CHUNK = 1 << 16
+
+
+def _lines_match(pattern: re.Pattern, body: bytes) -> bool:
+    """Whether the pattern fully matches every chunk of whole lines of the body,
+    each chunk ending at the first LF from ``_MATCH_CHUNK`` bytes on."""
+    start = 0
+    while start < len(body):
+        end = body.find(b"\n", start + _MATCH_CHUNK - 1) + 1 or len(body)
+        if not pattern.fullmatch(body, start, end):
+            return False
+        start = end
+    return True
 
 
 _COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
@@ -485,7 +503,7 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
     first bad line. Accepts exactly what ``_parse_lines`` accepts.
     """
     counts = payload_kind == "counts"
-    if not counts and not re.fullmatch(_objectives_pattern(dim), body):
+    if not counts and not _lines_match(re.compile(_objectives_pattern(dim)), body):
         return None
     if not body:
         return _table((), (), (), (), np.zeros((0, dim), np.int64 if counts else np.float64))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,56 @@ class TestFigureSubcommands:
         a = (workdir / "p1" / "ds1_region-hypervolume.svg").read_bytes()
         b = (workdir / "p2" / "ds1_region-hypervolume.svg").read_bytes()
         assert a == b
+
+    def test_fbeta_plot_rejects_an_infinite_beta_bound(self, workdir, capsys):
+        args = [
+            "fbeta-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--fold",
+            "0",
+            "--beta-max",
+            "inf",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "Warning" not in err
+        assert not (workdir / "plots").exists()
+
+    def test_region_plot_names_a_reference_of_the_wrong_dimension(self, workdir, capsys):
+        (workdir / "front2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\n"
+            "ds1,moo,0,0,0.2,0.9\nds1,moo,0,1,0.8,0.3\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs3d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2,obj_3\nds1,base,0,0,0.5,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front2d.csv"),
+            "--refs",
+            str(workdir / "refs3d.csv"),
+            "--payload",
+            "objectives",
+            "--mode",
+            "dominance",
+            "--fold",
+            "0",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "reference of shape (3,)" in err and "front" not in err
 
     def test_isocurves(self, workdir):
         out = workdir / "iso.svg"

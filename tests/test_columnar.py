@@ -36,6 +36,7 @@ from pareto_judge.ingest_report import (
     ExperimentRecord,
     ParseError,
     RecordTable,
+    _MATCH_CHUNK,
     _block_indicators,
     _fold_stats,
     _parse_lines,
@@ -246,6 +247,42 @@ class TestCountsFieldEdges:
         body = "d,m,0,0,1,2,3,4\nd,m,0,1,5,6,7,8"
         _assert_same_table(self._parse(tmp_path, body), self._parse(tmp_path, body + "\n"))
         assert self._parse(tmp_path, body).values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+
+
+class TestObjectivesChunkEdges:
+    """Bad objectives lines on either side of the boundaries of the body match."""
+
+    LINE = "dsA,moo,0,{:06d},0.250,0.750,0.500\n"
+    # loadtxt reads ".2500", so only the match can refuse it; same width
+    BAD = "dsA,moo,0,{:06d},.2500,0.750,0.500\n"
+    WIDTH = len(LINE.format(0))
+    # the 1-based body line holding the first LF of the first chunk
+    LAST = -(-_MATCH_CHUNK // WIDTH)
+    ROWS = 3 * LAST + 5
+
+    @pytest.mark.parametrize(
+        "bad_line", [1, LAST - 1, LAST, LAST + 1, LAST + 2, 2 * LAST, 2 * LAST + 1, ROWS]
+    )
+    def test_bad_line_fails_at_its_line(self, tmp_path, bad_line):
+        lines = [
+            (self.BAD if k == bad_line else self.LINE).format(k) for k in range(1, self.ROWS + 1)
+        ]
+        body = "".join(lines).encode()
+        assert len(body) > 3 * _MATCH_CHUNK
+        path = tmp_path / "objectives.csv"
+        path.write_bytes(_header("objectives", 3) + b"\n" + body)
+        with pytest.raises(ParseError) as err:
+            parse_records(str(path), "objectives")
+        assert err.value.line == bad_line + 1  # the header is line 1
+        assert "column obj_1" in str(err.value)
+
+    def test_valid_body_across_chunks_reads_every_line(self, tmp_path):
+        body = "".join(self.LINE.format(k) for k in range(1, self.ROWS + 1)).encode()
+        path = tmp_path / "objectives.csv"
+        path.write_bytes(_header("objectives", 3) + b"\n" + body[:-1])  # no final LF
+        assert _scan_body(body, "objectives", *_schema("objectives", 3)) is not None
+        table = parse_records(str(path), "objectives")
+        assert table.solution_id.tolist() == list(range(1, self.ROWS + 1))
 
 
 def _reference_cells(front_records, reference_records, names, filter_front):

@@ -6,8 +6,9 @@ degenerate confusion matrices without being committed. Each digest is the
 SHA-256 of one output file, or of every file in an output directory with its
 name; they were computed before the columnar ingest and aggregation replaced
 the per-record path (the ``metrics`` digest before its per-row objects were
-replaced by array arithmetic), and any change to them is an output change
-that needs a reason.
+replaced by array arithmetic, and the ``isocurves`` and further
+``region-plot`` digests before the figure renderers moved onto arrays), and
+any change to them is an output change that needs a reason.
 """
 
 from __future__ import annotations
@@ -70,6 +71,38 @@ def _objectives_files(directory) -> tuple[str, str]:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     return paths
+
+
+def _objectives_2d_files(directory) -> tuple[str, str]:
+    """Two objectives on a coarse lattice, the second a cost column read with
+    ``--negate obj_2``: equal x values, duplicate points and 0.0 (-0.0 once
+    negated) are common."""
+    rng = np.random.default_rng(11)
+    header = "dataset,method,fold,solution_id,obj_1,obj_2"
+    front, refs = [header], [header]
+    for dataset in DATASETS[:2]:
+        for fold in range(2):
+            points = rng.integers(0, 9, (16, 2)) / 8.0
+            points[7] = points[3]
+            points[9, 0] = points[5, 0]
+            points[:, 1] = 1.0 - points[:, 1]  # a cost: lower is better
+            for sid, point in enumerate(points.tolist()):
+                front.append(f"{dataset},moo,{fold},{sid}," + ",".join(map(repr, point)))
+            for method in METHODS[:2]:
+                point = [float(rng.uniform(0.2, 0.6)), float(rng.uniform(0.4, 0.8))]
+                refs.append(f"{dataset},{method},{fold},0," + ",".join(map(repr, point)))
+    paths = (os.path.join(directory, "front2d.csv"), os.path.join(directory, "refs2d.csv"))
+    for path, lines in zip(paths, (front, refs)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return paths
+
+
+MAKERS = {
+    "counts": _counts_files,
+    "objectives": _objectives_files,
+    "objectives-2d": _objectives_2d_files,
+}
 
 
 def _digest(path: str) -> str:
@@ -135,16 +168,51 @@ GOLDEN = {
         ("metrics",),
         "90ddd211c853e258dcbed0122a72f43531dd781660501eed9b6f7728ec91a310",
     ),
+    "isocurves-gmean": (
+        None,
+        ("isocurves", "--metric", "gmean", "--levels", "0.1,0.35,0.6,0.85,0.99"),
+        "76338cee8c7f2fa6460cf78022f4c06e0fd6210ba21f6ae275d5d0ead5f0f320",
+    ),
+    "isocurves-f1": (
+        None,
+        ("isocurves", "--metric", "f1", "--levels", "0.05,0.5,0.75,0.95"),
+        "20dc7d9fa6069a1f3758dfe43c4c5d86ea5c8f5e1dd4b67e13f28f414df816fd",
+    ),
+    "region-dominance-unfiltered": (
+        "counts",
+        ("region-plot", "--mode", "dominance", "--fold", "0", "--ref-method", "ref1"),
+        "f2043e14bd7dfe376e00d0fd954880d02584c7fb77aaf66524e73ccc1bfa4d85",
+    ),
+    "region-hypervolume-filtered": (
+        "counts",
+        ("region-plot", "--mode", "hypervolume", "--fold", "2", "--ref-method", "ref1",
+         "--filter-front"),
+        "30a2bea7c3dc6cb56987a6b5df68b5a1633a200a99e8780c2ea3d0c30c55ca85",
+    ),
+    "region-objectives-2d-dominance": (
+        "objectives-2d",
+        ("region-plot", "--payload", "objectives", "--negate", "obj_2", "--mode", "dominance",
+         "--fold", "0", "--ref-method", "ref0"),
+        "0d5243cd3b62925fbc0bad56d0ec1a6f820336c92b83e7288e9f0ddf0ec6d1d7",
+    ),
+    "region-objectives-2d-hypervolume-filtered": (
+        "objectives-2d",
+        ("region-plot", "--payload", "objectives", "--negate", "obj_2", "--mode", "hypervolume",
+         "--fold", "1", "--ref-method", "ref1", "--filter-front"),
+        "f4c87290d41f563b0ac1b7de1f0362238b0f909923cd90e77875b88592fa3aaf",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(tmp_path, name):
     inputs, args, expected = GOLDEN[name]
-    maker = _counts_files if inputs == "counts" else _objectives_files
-    front, refs = maker(str(tmp_path))
     out = str(tmp_path / "out")
     command, *rest = args
-    files = ["--in", front] if command == "metrics" else ["--front", front, "--refs", refs]
+    if inputs is None:
+        files = []
+    else:
+        front, refs = MAKERS[inputs](str(tmp_path))
+        files = ["--in", front] if command == "metrics" else ["--front", front, "--refs", refs]
     assert run([command, *files, *rest, "--out", out]) == 0
     assert _digest(out) == expected

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_box_union_count, brute_force_front
 from pareto_judge import _kernels
-from pareto_judge.objective_space import ObjectivePoint, strictly_dominates
+from pareto_judge.objective_space import ObjectivePoint, front_rows, strictly_dominates
 
 # Coordinates from a coarse grid produce ties and duplicates; free floats in
 # the same range produce the general case.
@@ -96,3 +98,58 @@ class TestBackendSelection:
     def test_empty_point_set_covers_nothing(self):
         samples = np.random.default_rng(0).random((100, 2))
         assert _kernels.count_in_box_union(samples, np.empty((0, 2))) == 0
+
+
+# signed zeros compare equal, so they must land in one equal-x group
+_signed = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0))
+
+
+@st.composite
+def _points_2d(draw):
+    """(n, 2) arrays, n up to about 300, of one of several shapes that stress
+    the sweep: few distinct x (large equal-x groups), signed zeros, exact
+    duplicates, chains where every point but one is dominated, antichains,
+    and free floats."""
+    kind = draw(st.sampled_from(("lattice", "chain", "antichain", "floats")))
+    if kind == "lattice":
+        xs = draw(st.lists(_signed, min_size=1, max_size=3))
+        rows = draw(st.lists(st.tuples(st.sampled_from(xs), _signed), min_size=1, max_size=300))
+    elif kind == "chain":
+        n = draw(st.integers(1, 300))
+        rows = draw(st.permutations([(i * 0.5, i * 0.25 - 3.0) for i in range(n)]))
+    elif kind == "antichain":
+        n = draw(st.integers(1, 300))
+        rows = draw(st.permutations([(float(i), float(n - i)) for i in range(n)]))
+    else:
+        rows = draw(
+            st.lists(st.tuples(_coord | _signed, _coord | _signed), min_size=1, max_size=120)
+        )
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    return np.asarray(rows + [rows[i] for i in copies], dtype=np.float64)
+
+
+class TestTwoDimensionalFront:
+    """The 2-D sweep against the all-pairs oracle, compared with ==."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_points_2d())
+    def test_mask_equals_brute_force(self, points):
+        coords = [tuple(p) for p in points.tolist()]
+        front = set(brute_force_front(coords))
+        assert _kernels.nondominated_mask(points).tolist() == [c in front for c in coords]
+
+    @settings(deadline=None, max_examples=300)
+    @given(_points_2d())
+    def test_front_rows_equal_brute_force(self, points):
+        expected = brute_force_front([tuple(p) for p in points.tolist()])
+        assert [tuple(row) for row in front_rows(points).tolist()] == expected
+
+    def test_front_rows_of_20000_points_within_one_second(self):
+        points = np.random.default_rng(20000).random((20_000, 2))
+        start = time.perf_counter()
+        front = front_rows(points)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        # no point dominates a front row, and every point is weakly below one
+        assert not (points[:, None, :] > front[None, :, :]).all(axis=2).any()
+        assert (points[:, None, :] <= front[None, :, :]).all(axis=2).any(axis=1).all()

@@ -1,8 +1,9 @@
-"""Peak traced memory of the counts pipeline, in multiples of the input file.
+"""Peak traced memory of the parse and the indicators, in multiples of the file.
 
-A counts file is read whole, so the parse and the indicator evaluation are
+A results file is read whole, so the parse and the indicator evaluation are
 bounded relative to its size: at most 12 times the file, each measured with
-``tracemalloc`` (which also sees numpy's buffers) on a 40,000-row front.
+``tracemalloc`` (which also sees numpy's buffers) on a 40,000-row counts
+front, and the parse also on a 40,000-row file of three objectives.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def counts_files(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def objectives_file(tmp_path_factory):
+    """20 datasets x 10 folds of a 200-solution front of three objectives."""
+    rng = np.random.default_rng(2025)
+    lines = ["dataset,method,fold,solution_id,obj_1,obj_2,obj_3"]
+    for d in range(20):
+        for fold in range(10):
+            for sid, values in enumerate(rng.random((200, 3)).tolist()):
+                lines.append(f"ds{d:02d},moo,{fold},{sid}," + ",".join(map(repr, values)))
+    path = str(tmp_path_factory.mktemp("memory") / "front3d.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
+
+
 def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
@@ -64,4 +80,11 @@ def test_aggregate_peak_within_twelve_times_the_file(counts_files):
     size = os.path.getsize(front_path)
     front, refs = parse_records(front_path, "counts"), parse_records(refs_path, "counts")
     peak = _traced_peak(aggregate, front, refs, ("ED", "GD", "HV", "SDR", "NDR"))
+    assert peak <= PEAK_PER_FILE_BYTE * size, f"{peak / size:.1f} x the file size"
+
+
+def test_objectives_parse_peak_within_twelve_times_the_file(objectives_file):
+    size = os.path.getsize(objectives_file)
+    assert len(parse_records(objectives_file, "objectives")) == 40_000
+    peak = _traced_peak(parse_records, objectives_file, "objectives")
     assert peak <= PEAK_PER_FILE_BYTE * size, f"{peak / size:.1f} x the file size"

@@ -18,7 +18,7 @@ from pareto_judge.fbeta_analysis import (
     render_isocurves,
     render_region_plot,
 )
-from pareto_judge.indicators import hypervolume
+from pareto_judge.indicators import hypervolume, ndr, sdr
 from pareto_judge.objective_space import ObjectivePoint, SolutionSet
 
 _RECT_RE = re.compile(
@@ -94,23 +94,44 @@ class TestRegionPlot:
     def test_requires_two_objectives(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.1, 0.2, 0.3)])
         with pytest.raises(ValueError, match="2 objectives"):
-            render_region_plot(front, ObjectivePoint((0, 0, 0)), "hypervolume", str(tmp_path / "x"))
+            render_region_plot(
+                front.as_array(), ObjectivePoint((0, 0, 0)).as_array(), "hypervolume",
+                str(tmp_path / "x"),
+            )
+
+    def test_shape_error_names_the_wrong_operand(self, tmp_path):
+        front = np.array([[0.5, 0.5], [0.7, 0.2]])
+        with pytest.raises(ValueError, match=r"reference of shape \(3,\)"):
+            render_region_plot(front, np.zeros(3), "hypervolume", str(tmp_path / "x"))
+        with pytest.raises(ValueError, match=r"front of shape \(2, 3\)"):
+            render_region_plot(np.zeros((2, 3)), np.zeros(2), "hypervolume", str(tmp_path / "x"))
+
+    def test_rejects_an_empty_front(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one"):
+            render_region_plot(np.empty((0, 2)), np.zeros(2), "dominance", str(tmp_path / "x"))
 
     def test_rejects_unknown_mode(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.5, 0.5)])
         with pytest.raises(ValueError, match="mode"):
-            render_region_plot(front, ObjectivePoint((0.1, 0.1)), "volume", str(tmp_path / "x"))
+            render_region_plot(
+                front.as_array(), ObjectivePoint((0.1, 0.1)).as_array(), "volume",
+                str(tmp_path / "x"),
+            )
 
     def test_front_equal_to_reference_shades_nothing(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.5, 0.5)])
         out = tmp_path / "zero.svg"
-        render_region_plot(front, ObjectivePoint((0.5, 0.5)), "hypervolume", str(out))
+        render_region_plot(
+            front.as_array(), ObjectivePoint((0.5, 0.5)).as_array(), "hypervolume", str(out)
+        )
         assert _rects_with_fill(_read(out), HV_FILL) == []
 
     def test_dominance_mode_classifies_points(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.2, 0.2), (0.6, 0.6), (0.9, 0.9)])
         out = tmp_path / "dom.svg"
-        render_region_plot(front, ObjectivePoint((0.5, 0.5)), "dominance", str(out))
+        render_region_plot(
+            front.as_array(), ObjectivePoint((0.5, 0.5)).as_array(), "dominance", str(out)
+        )
         circles = _CIRCLE_RE.findall(_read(out))
         assert circles.count(DOMINATING_FILL) == 2
         assert circles.count(DOMINATED_FILL) == 1
@@ -122,16 +143,32 @@ class TestRegionPlot:
             ref = ObjectivePoint(tuple(rng.random(2) * 0.5))
             front = SolutionSet.from_coords("f", coords)
             out = tmp_path / f"hv{i}.svg"
-            render_region_plot(front, ref, "hypervolume", str(out))
+            render_region_plot(front.as_array(), ref.as_array(), "hypervolume", str(out))
             fraction = _shaded_fraction(_read(out), HV_FILL)
             assert fraction == pytest.approx(hypervolume(front, ref), abs=0.01)
+
+    def test_legend_matches_the_indicators(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for i in range(20):
+            coords = rng.integers(0, 5, (int(rng.integers(1, 9)), 2)) / 4.0
+            ref = ObjectivePoint(tuple(rng.integers(0, 5, 2) / 4.0))
+            front = SolutionSet.from_coords("f", coords)
+            for mode in ("dominance", "hypervolume"):
+                out = tmp_path / f"{mode}{i}.svg"
+                render_region_plot(front.as_array(), ref.as_array(), mode, str(out))
+                svg = _read(out)
+                if mode == "dominance":
+                    assert f"(SDR = {sdr(front, ref):.2f})" in svg
+                    assert f"(NDR = {ndr(front, ref):.2f})" in svg
+                else:
+                    assert f"HV = {hypervolume(front, ref):.4f}" in svg
 
     def test_byte_identical_reruns(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.4, 0.9), (0.9, 0.4), (0.7, 0.7)])
         ref = ObjectivePoint((0.6, 0.6))
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_region_plot(front, ref, "dominance", str(a))
-        render_region_plot(front, ref, "dominance", str(b))
+        render_region_plot(front.as_array(), ref.as_array(), "dominance", str(a))
+        render_region_plot(front.as_array(), ref.as_array(), "dominance", str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
