@@ -1,4 +1,4 @@
-"""Vectorized numpy counting kernels for box unions and strict dominance.
+"""Vectorized numpy kernels for box-union counts and the non-dominated mask.
 
 Every kernel returns exact integer counts (or a boolean mask), so results do
 not depend on how the work is chunked. Inputs are processed in chunks of
@@ -63,9 +63,3 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         keep[start : start + _CHUNK] = ~dominated
     return keep
 
-
-def dominance_counts(points: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
-    """Return (points strictly dominating ref, points strictly dominated by ref)."""
-    dominating = int((points > ref).all(axis=1).sum())
-    dominated = int((points < ref).all(axis=1).sum())
-    return dominating, dominated

@@ -186,6 +186,15 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
     refs_table = _load_records(args.refs, args.payload, "reference", args.fold, negate)
     refs = _rows_by_dataset(refs_table)
     front_points, ref_points = front_table.points(), refs_table.points()
+    # checked before the output directory is made, so a failed run leaves none
+    if front_points.shape[1] != 2:
+        raise ValueError(
+            f"region plot requires 2 objectives, got a front of shape {front_points.shape}"
+        )
+    if ref_points.shape[1] != 2:
+        raise ValueError(
+            f"region plot requires 2 objectives, got a reference of shape {ref_points.shape[1:]}"
+        )
     plots = []
     for dataset in _matching_datasets(front, refs):
         front_methods = sorted(front[dataset])

@@ -17,7 +17,7 @@ import numpy as np
 from . import _svg
 from ._io import atomic_write_text
 from .confusion_metrics import ConfusionMatrix, counts_array, ratio_array
-from .indicators import _exact_hv
+from .indicators import _block_indicators
 
 __all__ = [
     "BetaGrid",
@@ -283,11 +283,11 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
     doc.line(cx - 5, cy + 5, cx + 5, cy - 5, "#000000", 2.0)
     legend = [(f"front ({n} points)", "#08519c", False), ("reference", "#000000", False)]
     if mode == "hypervolume":
-        legend.append((f"HV = {_exact_hv(front, ref):.4f}", HV_FILL, False))
+        hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
+        legend.append((f"HV = {hv:.4f}", HV_FILL, False))
     else:
-        # the fractions of sdr and ndr, from the masks' counts
-        sdr = sum(above) / n
-        ndr = (n - sum(below)) / n
+        values = _block_indicators(front[None], ref[None, None], ["SDR", "NDR"])
+        sdr, ndr = values["SDR"].item(), values["NDR"].item()
         legend.append((f"dominating (SDR = {sdr:.2f})", DOMINATING_FILL, False))
         legend.append((f"dominated (NDR = {ndr:.2f})", DOMINATED_FILL, False))
     _svg.draw_legend(doc, legend)

@@ -56,13 +56,13 @@ def _check_dims(front: SolutionSet, dim: int) -> None:
 def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     """(..., n, k) Euclidean distances from (..., n, M) points to (..., k, M) others.
 
-    Each distance has the bits of the sum along the last axis that
-    ``generational_distance`` takes, so each set of a stack gets the
-    distances it gets alone, and swapping the two arguments transposes them
-    exactly. numpy adds fewer than 8 terms in order, so below M = 8 the
-    squares are added one coordinate at a time over whole arrays, which
-    takes about a quarter of the time of one reduction call per distance.
-    From M = 8 numpy sums pairwise, and the reduction itself is used.
+    Each set of a stack gets the bits it gets alone, and swapping the two
+    arguments transposes the distances exactly: every distance is summed
+    over its own M squares in one fixed order. numpy adds fewer than 8 terms
+    in order, so below M = 8 the squares are added one coordinate at a time
+    over whole arrays, which takes about a quarter of the time of one
+    reduction call per distance. From M = 8 numpy sums pairwise, and the
+    reduction itself is used.
     """
     if points.shape[-1] >= 8:
         diffs = points[..., :, None, :] - others[..., None, :, :]
@@ -72,25 +72,6 @@ def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
         diff = points[..., :, None, i] - others[..., None, :, i]
         total = total + diff * diff
     return np.sqrt(total)
-
-
-def generational_distance(front: SolutionSet, refs: SolutionSet) -> float:
-    """Mean distance from each front point to its nearest reference point."""
-    _check_dims(front, refs.dim)
-    diffs = front.as_array()[:, None, :] - refs.as_array()[None, :, :]
-    nearest = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
-    # sorted before the mean so front point order cannot perturb the float sum
-    return float(np.sort(nearest).mean())
-
-
-def euclidean_distance(front: SolutionSet, ref: ObjectivePoint) -> float:
-    """Mean distance between the front points and a single reference point."""
-    return generational_distance(front, SolutionSet("reference", (ref,)))
-
-
-def _exact_hv_1d(points: np.ndarray, ref: np.ndarray) -> float:
-    best = float(points.max())
-    return max(0.0, best - float(ref[0]))
 
 
 def _sweep_order(points: np.ndarray) -> np.ndarray:
@@ -130,12 +111,6 @@ def _staircase_areas(xy: np.ndarray, mask: np.ndarray, refs: np.ndarray) -> np.n
     return np.cumsum(slabs, axis=-1)[..., -1]
 
 
-def _exact_hv_2d(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Exact 2-D hypervolume of the points against each row of the (r, 2) refs."""
-    xy = points[_sweep_order(points)]
-    return _staircase_areas(xy, _strictly_above(xy, refs), refs)
-
-
 def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     # Slice by the last objective (the z-sweep of Beume et al. 2009, recursive
     # in M as HSO, While et al. 2006): each slab between consecutive last
@@ -144,9 +119,10 @@ def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     # set, are skipped. Dropping dominated points first makes the value
     # exactly independent of them, not just up to rounding.
     if points.shape[1] == 1:
-        return _exact_hv_1d(points, ref)
+        return max(0.0, float(points.max()) - float(ref[0]))
     if points.shape[1] == 2:
-        return float(_exact_hv_2d(points, ref[None, :])[0])
+        xy, refs = points[_sweep_order(points)], ref[None, :]
+        return float(_staircase_areas(xy, _strictly_above(xy, refs), refs)[0])
     eff = points[(points > ref).all(axis=1)]
     eff = eff[_kernels.nondominated_mask(eff)]
     eff = eff[np.argsort(-eff[:, -1], kind="stable")]
@@ -159,6 +135,72 @@ def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     return volume
 
 
+def _block_indicators(
+    fronts: np.ndarray, refs: np.ndarray, names: list[str]
+) -> dict[str, np.ndarray]:
+    """The named indicators of B front blocks, each against its r reference points.
+
+    fronts is a (B, n, M) stack and refs a (B, r, M) stack; each value array
+    is (B, r), and (B, 1) for GD, which takes the r points pooled. Every ED,
+    GD, HV, SDR and NDR value of the package comes from here; the per-record
+    functions pass one block. Each block's values do not depend on the rest
+    of the stack: ``_distances`` sums each distance over its own
+    coordinates, each reference's distances are sorted as one C-contiguous
+    row, so the mean sums them in the same pairwise order for any stack and
+    any front point order, and the 2-D staircase sweeps each block in its
+    own order.
+    """
+    n = fronts.shape[1]
+    values: dict[str, np.ndarray] = {}
+    if "ED" in names or "GD" in names:
+        # (B, r, n): each reference's distances are one C-contiguous row
+        distances = _distances(refs, fronts)
+        nearest = distances.min(axis=1)
+        if "ED" in names:
+            distances.sort(axis=2)
+            values["ED"] = distances.mean(axis=2)
+        if "GD" in names:
+            nearest.sort(axis=1)
+            values["GD"] = nearest.mean(axis=1, keepdims=True)
+    if "HV" in names or "SDR" in names:
+        # one strict-dominance mask serves the 2-D staircase and SDR
+        planar = fronts.shape[2] == 2
+        if planar:
+            fronts = np.take_along_axis(fronts, _sweep_order(fronts)[..., None], axis=1)
+        above = _strictly_above(fronts, refs)
+        if "HV" in names:
+            if planar:
+                values["HV"] = _staircase_areas(fronts, above, refs)
+            else:
+                values["HV"] = np.array(
+                    [[_exact_hv(front, ref) for ref in block] for front, block in zip(fronts, refs)]
+                )
+        if "SDR" in names:
+            values["SDR"] = above.sum(axis=2) / n
+    if "NDR" in names:
+        # (B, n, r) mask of each reference strictly above each front point
+        dominated = _strictly_above(refs, fronts).sum(axis=1)
+        # (n - dominated) / n, so exact count ratios stay exact floats
+        values["NDR"] = (n - dominated) / n
+    return values
+
+
+def _value(name: str, front: SolutionSet, refs: np.ndarray) -> float:
+    """The named indicator of one front against the (r, M) refs."""
+    _check_dims(front, refs.shape[1])
+    return float(_block_indicators(front.as_array()[None], refs[None], [name])[name][0, 0])
+
+
+def generational_distance(front: SolutionSet, refs: SolutionSet) -> float:
+    """Mean distance from each front point to its nearest reference point."""
+    return _value("GD", front, refs.as_array())
+
+
+def euclidean_distance(front: SolutionSet, ref: ObjectivePoint) -> float:
+    """Mean distance between the front points and a single reference point."""
+    return _value("ED", front, ref.as_array()[None])
+
+
 def hypervolume(front: SolutionSet, ref: ObjectivePoint) -> float:
     """Measure of the region between the front and a reference point.
 
@@ -166,8 +208,7 @@ def hypervolume(front: SolutionSet, ref: ObjectivePoint) -> float:
     coordinates where p does not exceed ref clip the box to zero volume. The
     value is the exact measure of the box union in every dimension.
     """
-    _check_dims(front, ref.dim)
-    return _exact_hv(front.as_array(), ref.as_array())
+    return _value("HV", front, ref.as_array()[None])
 
 
 def hypervolume_mc(
@@ -197,9 +238,7 @@ def hypervolume_mc(
 
 def sdr(front: SolutionSet, ref: ObjectivePoint) -> float:
     """Fraction of front points that strictly dominate the reference point."""
-    _check_dims(front, ref.dim)
-    dominating, _ = _kernels.dominance_counts(front.as_array(), ref.as_array())
-    return dominating / len(front)
+    return _value("SDR", front, ref.as_array()[None])
 
 
 def ndr(front: SolutionSet, ref: ObjectivePoint) -> float:
@@ -208,10 +247,7 @@ def ndr(front: SolutionSet, ref: ObjectivePoint) -> float:
     Ties count as non-dominated: only strict domination by the reference
     removes a point from the numerator.
     """
-    _check_dims(front, ref.dim)
-    _, dominated = _kernels.dominance_counts(front.as_array(), ref.as_array())
-    # computed as (n - dominated) / n so exact count ratios stay exact floats
-    return (len(front) - dominated) / len(front)
+    return _value("NDR", front, ref.as_array()[None])
 
 
 def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> IndicatorResult:
@@ -223,18 +259,7 @@ def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> Indi
     key = name.upper()
     if key not in INDICATOR_NAMES:
         raise ValueError(f"unknown indicator {name!r}; expected one of {INDICATOR_NAMES}")
-    if key == "GD":
-        value = generational_distance(front, refs)
-    else:
-        if len(refs) != 1:
-            raise ValueError(f"{key} needs exactly one reference point, got {len(refs)}")
-        point = refs.points[0]
-        if key == "ED":
-            value = euclidean_distance(front, point)
-        elif key == "HV":
-            value = hypervolume(front, point)
-        elif key == "SDR":
-            value = sdr(front, point)
-        else:
-            value = ndr(front, point)
+    if key != "GD" and len(refs) != 1:
+        raise ValueError(f"{key} needs exactly one reference point, got {len(refs)}")
+    value = _value(key, front, refs.as_array())
     return IndicatorResult(key, value, front_size=len(front), reference_size=len(refs))

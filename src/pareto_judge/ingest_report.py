@@ -42,14 +42,7 @@ from .confusion_metrics import (
     objective_point_of,
     rates_array,
 )
-from .indicators import (
-    INDICATOR_NAMES,
-    _distances,
-    _exact_hv,
-    _staircase_areas,
-    _strictly_above,
-    _sweep_order,
-)
+from .indicators import INDICATOR_NAMES, _block_indicators
 from .objective_space import ObjectivePoint, front_rows
 
 __all__ = [
@@ -769,55 +762,6 @@ def _fold_stats(
 # Largest stack of blocks evaluated at once, counted in front points times
 # references; it bounds the (B, n, r) intermediates of _block_indicators.
 _BATCH_ELEMENTS = 1 << 16
-
-
-def _block_indicators(
-    fronts: np.ndarray, refs: np.ndarray, names: list[str]
-) -> dict[str, np.ndarray]:
-    """The named indicators of B front blocks, each against its r reference points.
-
-    fronts is a (B, n, M) stack and refs a (B, r, M) stack; each value array
-    is (B, r), and (B, 1) for GD, which takes the r points pooled. Every value
-    equals ``evaluate_indicator`` on the same points bit for bit, and does not
-    depend on the other blocks of the stack: ``_distances`` uses the
-    arithmetic of ``generational_distance``, each reference's
-    distances are sorted as a C-contiguous row, so the mean sums them in the
-    same pairwise order as on a single array, and the 2-D staircase sweeps
-    each block in its own order.
-    """
-    n = fronts.shape[1]
-    values: dict[str, np.ndarray] = {}
-    if "ED" in names or "GD" in names:
-        # (B, r, n): each reference's distances are one C-contiguous row
-        distances = _distances(refs, fronts)
-        nearest = distances.min(axis=1)
-        if "ED" in names:
-            distances.sort(axis=2)
-            values["ED"] = distances.mean(axis=2)
-        if "GD" in names:
-            nearest.sort(axis=1)
-            values["GD"] = nearest.mean(axis=1, keepdims=True)
-    if "HV" in names or "SDR" in names:
-        # one strict-dominance mask serves the 2-D staircase and SDR
-        planar = fronts.shape[2] == 2
-        if planar:
-            fronts = np.take_along_axis(fronts, _sweep_order(fronts)[..., None], axis=1)
-        above = _strictly_above(fronts, refs)
-        if "HV" in names:
-            if planar:
-                values["HV"] = _staircase_areas(fronts, above, refs)
-            else:
-                values["HV"] = np.array(
-                    [[_exact_hv(front, ref) for ref in block] for front, block in zip(fronts, refs)]
-                )
-        if "SDR" in names:
-            values["SDR"] = above.sum(axis=2) / n
-    if "NDR" in names:
-        # (B, n, r) mask of each reference strictly above each front point
-        dominated = _strictly_above(refs, fronts).sum(axis=1)
-        # (n - dominated) / n, so exact count ratios stay exact floats
-        values["NDR"] = (n - dominated) / n
-    return values
 
 
 def aggregate(

@@ -92,3 +92,18 @@ def loop_hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
         if depth > 0.0:
             volume += depth * loop_hypervolume(eff[: i + 1, :-1], ref[:-1])
     return volume
+
+
+def loop_generational_distance(points: np.ndarray, refs: np.ndarray) -> float:
+    """Mean distance from each of the (n, M) points to its nearest of the (r, M) refs.
+
+    Not independent of the package: this is the arithmetic generational
+    distance had before the block function computed it (broadcast
+    differences, a ``sum(axis=2)`` of their squares, the square root, the
+    nearest reference per point, a sort, then the mean), kept so that the
+    block's ED and GD can be checked against it with ``==``. ED against one
+    reference r is this with refs = r[None].
+    """
+    diffs = points[:, None, :] - refs[None, :, :]
+    nearest = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
+    return float(np.sort(nearest).mean())

@@ -419,6 +419,36 @@ class TestFigureSubcommands:
         assert run(args) == 1
         err = capsys.readouterr().err
         assert "reference of shape (3,)" in err and "front" not in err
+        assert not (workdir / "plots").exists()
+
+    def test_region_plot_with_a_3_objective_front_leaves_no_output(self, workdir, capsys):
+        (workdir / "front3d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2,obj_3\n"
+            "ds1,moo,0,0,0.2,0.9,0.5\nds1,moo,0,1,0.8,0.3,0.5\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nds1,base,0,0,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front3d.csv"),
+            "--refs",
+            str(workdir / "refs2d.csv"),
+            "--payload",
+            "objectives",
+            "--mode",
+            "hypervolume",
+            "--fold",
+            "0",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        assert "front of shape (2, 3)" in capsys.readouterr().err
+        assert not (workdir / "plots").exists()
 
     def test_isocurves(self, workdir):
         out = workdir / "iso.svg"

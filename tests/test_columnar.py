@@ -4,8 +4,9 @@ The CLI reads counts and objectives files with one whole-body check
 (``_scan_body``) and evaluates indicators and F-beta sweeps on arrays. These
 properties require it to accept exactly what the line-by-line parse
 (``_parse_lines``) accepts, to fail at the same line with the same message,
-and to give values equal bit for bit to ``evaluate_indicator``, the scalar
-``fbeta``, per-point hypervolume sweeps and per-cell fold statistics.
+and to give values equal bit for bit to the scalar ``fbeta``, per-cell fold
+statistics and, for the indicators, a per-cell ``evaluate_indicator`` loop,
+brute-force dominance counts and the loop oracles of ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,33 +19,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_hypervolume
+from oracles import loop_generational_distance, loop_hypervolume
 from pareto_judge import ingest_report
 from pareto_judge.cli import run
 from pareto_judge.confusion_metrics import ConfusionMatrix, bac, fbeta, gmean, ppv, tnr, tpr
 from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
-from pareto_judge.indicators import (
-    _distances,
-    _exact_hv_2d,
-    euclidean_distance,
-    evaluate_indicator,
-    generational_distance,
-    hypervolume,
-)
+from pareto_judge.indicators import _block_indicators, _distances, _exact_hv, evaluate_indicator
 from pareto_judge.ingest_report import (
     COUNTS_HEADER,
     ExperimentRecord,
     ParseError,
     RecordTable,
     _MATCH_CHUNK,
-    _block_indicators,
     _fold_stats,
     _parse_lines,
     _scan_body,
     aggregate,
     parse_records,
 )
-from pareto_judge.objective_space import ObjectivePoint, SolutionSet, pareto_front
+from pareto_judge.objective_space import (
+    ObjectivePoint,
+    SolutionSet,
+    pareto_front,
+    strictly_dominates,
+)
 
 _ident = st.text(alphabet="aZ09_-", min_size=1, max_size=3)
 # leading zeros and the largest id the format allows are valid integer text,
@@ -407,23 +405,22 @@ class TestBlockStaircase:
     @given(_front_and_refs())
     def test_block_hv_equals_hypervolume_per_reference(self, drawn):
         front, refs = drawn
-        solutions = SolutionSet.from_coords("front", front.tolist())
-        expected = [hypervolume(solutions, ObjectivePoint(tuple(r))) for r in refs.tolist()]
-        assert expected == [loop_hypervolume(front, ref) for ref in refs]
-        assert _exact_hv_2d(front, refs).tolist() == expected
+        expected = [loop_hypervolume(front, ref) for ref in refs]
+        assert [_exact_hv(front, ref) for ref in refs] == expected
         assert _block_indicators(front[None], refs[None], ["HV"])["HV"][0].tolist() == expected
 
     @settings(deadline=None)
     @given(_front_and_refs())
     def test_sdr_from_the_shared_mask(self, drawn):
         front, refs = drawn
-        solutions = SolutionSet.from_coords("front", front.tolist())
         values = _block_indicators(front[None], refs[None], ["HV", "SDR"])
-        for name in ("HV", "SDR"):
-            assert values[name][0].tolist() == [
-                evaluate_indicator(name, solutions, SolutionSet("r", (ObjectivePoint(r),))).value
-                for r in map(tuple, refs.tolist())
-            ]
+        members = [ObjectivePoint(tuple(p)) for p in front.tolist()]
+        dominating = [
+            sum(strictly_dominates(p, ObjectivePoint(tuple(r))) for p in members)
+            for r in refs.tolist()
+        ]
+        assert values["SDR"][0].tolist() == [count / len(members) for count in dominating]
+        assert values["HV"][0].tolist() == [loop_hypervolume(front, ref) for ref in refs]
 
 
 _ALL_NAMES = ["ED", "GD", "HV", "SDR", "NDR"]
@@ -458,20 +455,18 @@ class TestDistances:
             assert stacked[i].tobytes() == expected.tobytes()
             assert _distances(others[i], points[i]).tobytes() == expected.T.copy().tobytes()
 
-    @pytest.mark.parametrize("dim", [8, 9, 10])
+    @pytest.mark.parametrize("dim", range(1, 11))
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())
-    def test_block_ed_and_gd_equal_the_public_functions(self, dim, data):
+    def test_block_ed_and_gd_equal_the_loop_oracle(self, dim, data):
         b, n, r = (data.draw(st.integers(1, top)) for top in (3, 6, 4))
         fronts, refs = _spread_points(data, (b, n, dim)), _spread_points(data, (b, r, dim))
         values = _block_indicators(fronts, refs, ["ED", "GD"])
         for i in range(b):
-            front = SolutionSet("f", tuple(ObjectivePoint(tuple(p)) for p in fronts[i].tolist()))
-            ref_points = [ObjectivePoint(tuple(p)) for p in refs[i].tolist()]
-            assert values["ED"][i].tolist() == [euclidean_distance(front, p) for p in ref_points]
-            assert values["GD"][i].tolist() == [
-                generational_distance(front, SolutionSet("r", tuple(ref_points)))
+            assert values["ED"][i].tolist() == [
+                loop_generational_distance(fronts[i], ref[None]) for ref in refs[i]
             ]
+            assert values["GD"][i].tolist() == [loop_generational_distance(fronts[i], refs[i])]
 
 
 @st.composite

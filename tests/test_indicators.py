@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pareto_judge
 from oracles import grid_hypervolume, loop_hypervolume
 from pareto_judge.indicators import (
     IndicatorResult,
@@ -19,7 +22,12 @@ from pareto_judge.indicators import (
     ndr,
     sdr,
 )
-from pareto_judge.objective_space import ObjectivePoint, SolutionSet, pareto_front
+from pareto_judge.objective_space import (
+    ObjectivePoint,
+    SolutionSet,
+    pareto_front,
+    strictly_dominates,
+)
 
 
 # Grid values produce duplicate and tied coordinates; free floats the general case.
@@ -338,6 +346,19 @@ class TestDominanceRatios:
         ref = ObjectivePoint(ref)
         assert sdr(front, ref) <= ndr(front, ref)
 
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 5), data=st.data())
+    def test_equal_to_brute_force_counts(self, dim, data):
+        coords, ref = data.draw(_fronts(dim, max_size=40))
+        members = [ObjectivePoint(c) for c in coords]
+        ref = ObjectivePoint(ref)
+        n = len(members)
+        dominating = sum(strictly_dominates(p, ref) for p in members)
+        dominated = sum(strictly_dominates(ref, p) for p in members)
+        front = SolutionSet("f", tuple(members))
+        assert sdr(front, ref) == dominating / n
+        assert ndr(front, ref) == (n - dominated) / n
+
 
 class TestPermutationInvariance:
     def test_every_indicator_ignores_front_point_order(self):
@@ -410,3 +431,28 @@ class TestEvaluateIndicator:
             IndicatorResult("ED", -0.1, 3, 1)
         with pytest.raises(ValueError):
             IndicatorResult("XYZ", 0.1, 3, 1)
+
+
+class TestModuleBoundary:
+    def test_only_the_block_function_leaves_the_module(self):
+        # every indicator value is computed in indicators.py; other modules
+        # reach it through _block_indicators or the public functions
+        leaks = []
+        for path in sorted(Path(pareto_judge.__file__).parent.glob("*.py")):
+            if path.name == "indicators.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    module, names = node.module or "", [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    module, names = ast.unparse(node.value), [node.attr]
+                else:
+                    continue
+                if module.split(".")[-1] != "indicators":
+                    continue
+                leaks += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name.startswith("_") and name != "_block_indicators"
+                ]
+        assert leaks == []

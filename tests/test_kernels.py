@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_box_union_count, brute_force_front
 from pareto_judge import _kernels
-from pareto_judge.objective_space import ObjectivePoint, front_rows, strictly_dominates
+from pareto_judge.objective_space import front_rows
 
 # Coordinates from a coarse grid produce ties and duplicates; free floats in
 # the same range produce the general case.
@@ -71,18 +71,6 @@ class TestOracleAgreement:
         coords = [tuple(p) for p in points.tolist()]
         front = set(brute_force_front(coords))
         assert _kernels.nondominated_mask(points).tolist() == [c in front for c in coords]
-
-    @settings(deadline=None)
-    @given(data=st.data())
-    def test_dominance_counts(self, data):
-        points, dim = data.draw(_point_arrays())
-        ref = ObjectivePoint(data.draw(st.tuples(*[_coord] * dim)))
-        members = [ObjectivePoint(tuple(p)) for p in points.tolist()]
-        expected = (
-            sum(strictly_dominates(p, ref) for p in members),
-            sum(strictly_dominates(ref, p) for p in members),
-        )
-        assert _kernels.dominance_counts(points, ref.as_array()) == expected
 
 
 class TestBackendSelection:
