@@ -8,18 +8,16 @@ arguments and input files always produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
-import numpy as np
-
 from ._io import atomic_write_text
-from .confusion_metrics import ratio_array
+from .confusion_metrics import metric_table
 from .fbeta_analysis import (
     BetaGrid,
     ISOCURVE_METRICS,
     REGION_MODES,
-    _fbeta_sweep,
     fbeta_curves,
     fbeta_envelope,
     render_fbeta_plot,
@@ -30,8 +28,8 @@ from .indicators import INDICATOR_NAMES
 from .ingest_report import (
     REPORT_FORMATS,
     ParseError,
-    RecordTable,
     aggregate,
+    pair_blocks,
     parse_datasets,
     parse_records,
     read_report_csv,
@@ -90,33 +88,19 @@ def _parse_negate(raw: str | None) -> tuple[str, ...]:
     return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-def _rows_by_dataset(table: RecordTable) -> dict[str, dict[str, list[int]]]:
-    """Row indices per dataset and method, each ordered by solution_id."""
-    grouped: dict[str, dict[str, list[int]]] = {}
-    for rows in table.groups("dataset", "method"):
-        dataset = table.dataset_names[table.dataset[rows[0]]]
-        method = table.method_names[table.method[rows[0]]]
-        grouped.setdefault(dataset, {})[method] = rows.tolist()
-    return grouped
-
-
-def _matching_datasets(front: dict, refs: dict) -> list[str]:
-    if set(front) != set(refs):
-        raise ValueError(
-            f"front and reference files cover different datasets: "
-            f"{sorted(set(front) ^ set(refs))}"
-        )
-    return sorted(front)
+@contextlib.contextmanager
+def _naming_both_files(args: argparse.Namespace):
+    """Prefix the front and reference paths to a ValueError that checks one against the other."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{args.front} with {args.refs}: {exc}") from None
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     table = _load_records(args.input, "counts", "input", args.fold)
-    tp, fn, fp, tn = table.values.T
-    t, n, p = ratio_array(tp, tp + fn), ratio_array(tn, tn + fp), ratio_array(tp, tp + fp)
-    f1, _ = _fbeta_sweep(table.values, (1.0,))
-    # the same operations as tpr, tnr, ppv, bac, gmean and fbeta(m, 1.0)
-    values = np.stack([t, n, p, (t + n) / 2.0, np.sqrt(t * n), f1[:, 0]], axis=1)
-    degenerate = (tp + fn == 0) | (tn + fp == 0) | (tp + fp == 0)
+    values, defined = metric_table(table.values, (1.0,))
+    degenerate = ~defined[:, :3].all(axis=1)  # TPR, TNR or PPV undefined
     lines = [METRICS_HEADER]
     columns = (table.dataset.tolist(), table.method.tolist(), table.fold.tolist())
     for d, m, fold, solution_id, row, flag in zip(
@@ -134,11 +118,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     indicators = _parse_indicator_list(args.indicators)
     front = _load_records(args.front, args.payload, "front", args.fold, negate)
     refs = _load_records(args.refs, args.payload, "reference", args.fold, negate)
-    try:
+    with _naming_both_files(args):
         report = aggregate(front, refs, indicators, filter_front=args.filter_front)
-    except ValueError as exc:
-        # aggregate checks the two files' records against each other
-        raise ValueError(f"{args.front} with {args.refs}: {exc}") from None
     render_report(report, args.format, args.out)
     return 0
 
@@ -150,29 +131,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
-    front_table = _load_records(args.front, "counts", "front", args.fold)
-    front = _rows_by_dataset(front_table)
-    refs_table = _load_records(args.refs, "counts", "reference", args.fold)
-    refs = _rows_by_dataset(refs_table)
+    front = _load_records(args.front, "counts", "front", args.fold)
+    refs = _load_records(args.refs, "counts", "reference", args.fold)
     grid = BetaGrid.log_spaced(args.beta_min, args.beta_max, args.beta_count)
+    with _naming_both_files(args):
+        moo_method, blocks = pair_blocks(front, refs)
     plots = []
-    for dataset in _matching_datasets(front, refs):
-        front_methods = sorted(front[dataset])
-        if len(front_methods) != 1:
-            raise ValueError(f"front file must hold one method, got {front_methods}")
-        members = front_table.values[front[dataset][front_methods[0]]]
-        methods = sorted(refs[dataset])
-        for method in methods:
-            group = refs[dataset][method]
-            if len(group) != 1:
-                raise ValueError(
-                    f"reference method {method!r} has {len(group)} solutions for "
-                    f"dataset {dataset!r} fold {args.fold}"
-                )
-        rows = [refs[dataset][method][0] for method in methods]
-        curves = fbeta_curves(refs_table.values[rows], grid, methods)
-        curves.append(fbeta_envelope(members, grid, label=f"{front_methods[0]} envelope"))
-        plots.append((os.path.join(args.out, f"{dataset}_fbeta.svg"), curves))
+    for block in blocks:
+        curves = fbeta_curves(refs.values[block.ref_rows], grid, block.methods)
+        members = front.values[block.front_rows]
+        curves.append(fbeta_envelope(members, grid, label=f"{moo_method} envelope"))
+        plots.append((os.path.join(args.out, f"{block.dataset}_fbeta.svg"), curves))
     os.makedirs(args.out, exist_ok=True)
     for path, curves in plots:
         render_fbeta_plot(curves, path)
@@ -181,11 +150,9 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
 
 def _cmd_region_plot(args: argparse.Namespace) -> int:
     negate = _parse_negate(args.negate)
-    front_table = _load_records(args.front, args.payload, "front", args.fold, negate)
-    front = _rows_by_dataset(front_table)
-    refs_table = _load_records(args.refs, args.payload, "reference", args.fold, negate)
-    refs = _rows_by_dataset(refs_table)
-    front_points, ref_points = front_table.points(), refs_table.points()
+    front = _load_records(args.front, args.payload, "front", args.fold, negate)
+    refs = _load_records(args.refs, args.payload, "reference", args.fold, negate)
+    front_points, ref_points = front.points(), refs.points()
     # checked before the output directory is made, so a failed run leaves none
     if front_points.shape[1] != 2:
         raise ValueError(
@@ -195,36 +162,25 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
         raise ValueError(
             f"region plot requires 2 objectives, got a reference of shape {ref_points.shape[1:]}"
         )
+    with _naming_both_files(args):
+        _, blocks = pair_blocks(front, refs)
     plots = []
-    for dataset in _matching_datasets(front, refs):
-        front_methods = sorted(front[dataset])
-        if len(front_methods) != 1:
-            raise ValueError(f"front file must hold one method, got {front_methods}")
-        methods = sorted(refs[dataset])
-        if args.ref_method is not None:
-            if args.ref_method not in refs[dataset]:
-                raise ValueError(
-                    f"reference method {args.ref_method!r} not present for dataset {dataset!r}"
-                )
-            method = args.ref_method
-        elif len(methods) == 1:
-            method = methods[0]
-        else:
+    for block in blocks:
+        if args.ref_method is None and len(block.methods) > 1:
             raise ValueError(
-                f"dataset {dataset!r} has several reference methods {methods}; "
+                f"dataset {block.dataset!r} has several reference methods {block.methods}; "
                 f"pick one with --ref-method"
             )
-        group = refs[dataset][method]
-        if len(group) != 1:
+        method = block.methods[0] if args.ref_method is None else args.ref_method
+        if method not in block.methods:
             raise ValueError(
-                f"reference method {method!r} has {len(group)} solutions for "
-                f"dataset {dataset!r} fold {args.fold}"
+                f"reference method {method!r} not present for dataset {block.dataset!r}"
             )
-        points = front_points[front[dataset][front_methods[0]]]
+        points = front_points[block.front_rows]
         if args.filter_front:
             points = front_rows(points)
-        path = os.path.join(args.out, f"{dataset}_region-{args.mode}.svg")
-        plots.append((path, points, ref_points[group[0]]))
+        path = os.path.join(args.out, f"{block.dataset}_region-{args.mode}.svg")
+        plots.append((path, points, ref_points[block.ref_rows[block.methods.index(method)]]))
     os.makedirs(args.out, exist_ok=True)
     for path, points, ref in plots:
         render_region_plot(points, ref, args.mode, path)

@@ -4,12 +4,13 @@ Metrics are always computed from raw integer counts, never from pre-rounded
 rates, so precision stays consistent with the recall/specificity pair and
 the class sizes. A zero denominator never raises: the metric takes the
 convention value 0 and its ``defined`` flag drops to False, so degenerate
-folds cannot abort a batch evaluation.
+folds cannot abort a batch evaluation. Every metric, for one matrix or for
+an array of count rows, comes from ``metric_table``.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,13 +31,12 @@ __all__ = [
     "objective_point_of",
     "COUNTS_LIMIT",
     "counts_array",
-    "ratio_array",
+    "metric_table",
     "rates_array",
 ]
 
 # Largest total of one matrix's counts. Up to 2**53 every count and every sum
-# of counts is an exact float64, so array division matches the scalar metrics
-# bit for bit.
+# of counts is an exact float64, so each rate is the correctly rounded quotient.
 COUNTS_LIMIT = 2**53
 
 
@@ -57,8 +57,16 @@ class ConfusionMatrix:
             if count < 0:
                 raise ValueError(f"{name} must be non-negative, got {count}")
             object.__setattr__(self, name, int(count))
-        if self.tp + self.fn + self.fp + self.tn == 0:
+        total = self.tp + self.fn + self.fp + self.tn
+        if total == 0:
             raise ValueError("confusion matrix must contain at least one outcome")
+        if total > COUNTS_LIMIT:
+            raise ValueError(f"confusion counts sum to {total}, above the limit 2**53")
+
+    @functools.cached_property
+    def _metrics(self) -> list[MetricValue]:
+        # TPR, TNR, PPV, BAC and G-mean: computed once, read by each scalar metric
+        return _metrics_of(self)
 
 
 @dataclass(frozen=True)
@@ -77,37 +85,68 @@ class MetricValue:
         return self.value
 
 
-def _ratio(num: int, den: int) -> MetricValue:
-    if den == 0:
-        return MetricValue(0.0, defined=False)
-    return MetricValue(num / den)
+def metric_table(
+    counts: np.ndarray, betas: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every metric of each (tp, fn, fp, tn) row: (n, 5 + len(betas)) values and flags.
+
+    Columns are TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta. A rate
+    is 0, undefined, where its denominator is 0; BAC and G-mean are defined
+    where both TPR and TNR are, and F-beta where ``b2 * PPV + TPR`` is not 0.
+    Rejects a beta that is not finite and positive.
+    """
+    beta = np.asarray(betas, dtype=np.float64)
+    valid = np.isfinite(beta) & (beta > 0.0)
+    if not valid.all():
+        raise ValueError(f"beta must be a finite positive real, got {beta[~valid][0].item()!r}")
+    # where a denominator is 0 so is its numerator, so dividing by 1 there
+    # gives the convention value 0: a rate's numerator is one of the counts
+    # its denominator sums, and F-beta's has the factor TPR
+    columns = counts.T
+    nums = columns[[0, 3, 0]]
+    dens = nums + columns[[1, 2, 2]]
+    rates_defined = dens != 0
+    rates = nums / (dens + ~rates_defined)
+    t, n, p = rates
+    both = rates_defined[0] & rates_defined[1]
+    b2 = (beta * beta)[:, None]  # one row per beta
+    f_den = b2 * p + t
+    f_defined = f_den != 0.0
+    # the minimum guards against rounding overshoot of the [0, 1] bound
+    f = np.minimum((b2 + 1.0) * p * t / (f_den + ~f_defined), 1.0)
+    # built one row per metric, returned transposed to one row per count row
+    values = np.vstack([rates, (t + n) / 2.0, np.sqrt(t * n), f]).T
+    return values, np.vstack([rates_defined, both, both, f_defined]).T
+
+
+def _metrics_of(m: ConfusionMatrix, betas: Sequence[float] = ()) -> list[MetricValue]:
+    values, defined = metric_table(counts_array([m]), betas)
+    return [MetricValue(v, d) for v, d in zip(values[0].tolist(), defined[0].tolist())]
 
 
 def tpr(m: ConfusionMatrix) -> MetricValue:
     """Sensitivity (recall): TP / (TP + FN)."""
-    return _ratio(m.tp, m.tp + m.fn)
+    return m._metrics[0]
 
 
 def tnr(m: ConfusionMatrix) -> MetricValue:
     """Specificity: TN / (TN + FP)."""
-    return _ratio(m.tn, m.tn + m.fp)
+    return m._metrics[1]
 
 
 def ppv(m: ConfusionMatrix) -> MetricValue:
     """Precision: TP / (TP + FP)."""
-    return _ratio(m.tp, m.tp + m.fp)
+    return m._metrics[2]
 
 
 def bac(m: ConfusionMatrix) -> MetricValue:
     """Balanced accuracy: arithmetic mean of sensitivity and specificity."""
-    t, n = tpr(m), tnr(m)
-    return MetricValue((t.value + n.value) / 2.0, defined=t.defined and n.defined)
+    return m._metrics[3]
 
 
 def gmean(m: ConfusionMatrix) -> MetricValue:
     """Geometric mean of sensitivity and specificity."""
-    t, n = tpr(m), tnr(m)
-    return MetricValue(math.sqrt(t.value * n.value), defined=t.defined and n.defined)
+    return m._metrics[4]
 
 
 def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
@@ -116,45 +155,21 @@ def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
     beta expresses how much more recall matters than precision; beta = 1
     weighs them equally. Rejects beta <= 0 or non-finite beta.
     """
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be a finite positive real, got {beta!r}")
-    p = ppv(m).value
-    t = tpr(m).value
-    b2 = beta * beta
-    den = b2 * p + t
-    if den == 0.0:
-        return MetricValue(0.0, defined=False)
-    value = (b2 + 1.0) * p * t / den
-    if value > 1.0:  # guard against rounding overshoot of the [0, 1] bound
-        value = 1.0
-    return MetricValue(value)
+    return _metrics_of(m, (beta,))[5]
 
 
 def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     """The (sensitivity, specificity) pair as a 2-D maximization point."""
-    return ObjectivePoint((tpr(m).value, tnr(m).value))
+    t, n = m._metrics[:2]
+    return ObjectivePoint((t.value, n.value))
 
 
 def counts_array(matrices: Sequence[ConfusionMatrix]) -> np.ndarray:
     """The matrices stacked into an (n, 4) int64 array of (tp, fn, fp, tn) rows."""
     rows = [(m.tp, m.fn, m.fp, m.tn) for m in matrices]
-    for row in rows:
-        if sum(row) > COUNTS_LIMIT:
-            raise ValueError(f"confusion counts sum to {sum(row)}, above the limit 2**53")
     return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
 
 
-def ratio_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise num / den as float64, 0 where den is 0, as the scalar metrics divide."""
-    out = np.zeros(np.broadcast(num, den).shape, dtype=np.float64)
-    return np.divide(num, den, out=out, where=den != 0)
-
-
 def rates_array(counts: np.ndarray) -> np.ndarray:
-    """(sensitivity, specificity) of each (tp, fn, fp, tn) row, as (n, 2) points.
-
-    Equal bit for bit to ``objective_point_of`` on each row's matrix.
-    """
-    tp, fn, fp, tn = counts.T
-    return np.stack([ratio_array(tp, tp + fn), ratio_array(tn, tn + fp)], axis=1)
+    """(sensitivity, specificity) of each (tp, fn, fp, tn) row, as (n, 2) points."""
+    return metric_table(counts)[0][:, :2].copy()

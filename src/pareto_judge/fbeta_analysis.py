@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, counts_array, ratio_array
+from .confusion_metrics import ConfusionMatrix, counts_array, metric_table
 from .indicators import _block_indicators
 
 __all__ = [
@@ -114,28 +114,10 @@ class FbetaCurve:
         return tuple(zip(self.betas, self.values))
 
 
-def _fbeta_sweep(counts: np.ndarray, betas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """F-beta of each (tp, fn, fp, tn) row at each beta: (members, betas) values and flags.
-
-    Follows ``confusion_metrics.fbeta`` operation for operation, so every
-    value is bit-identical to the scalar metric: precision and recall are 0
-    where their denominator is, and a zero ``b2 * p + t`` gives 0, undefined.
-    """
-    tp, fn, fp = (counts[:, i, None] for i in range(3))
-    p = ratio_array(tp, tp + fp)
-    t = ratio_array(tp, tp + fn)
-    beta = np.asarray(betas, dtype=np.float64)
-    b2 = beta * beta
-    den = b2 * p + t
-    defined = den != 0.0
-    values = np.divide((b2 + 1.0) * p * t, den, out=np.zeros(den.shape), where=defined)
-    # guard against rounding overshoot of the [0, 1] bound
-    return np.minimum(values, 1.0, out=values), defined
-
-
 def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> list[FbetaCurve]:
     """Pointwise F-beta along the grid of each (tp, fn, fp, tn) row, from one sweep."""
-    values, defined = _fbeta_sweep(counts, grid.betas)
+    # F-beta follows the five base metrics
+    values, defined = (a[:, 5:] for a in metric_table(counts, grid.betas))
     return [
         FbetaCurve(method_label=label, betas=grid.betas, values=tuple(v), defined=tuple(d))
         for label, v, d in zip(labels, values.tolist(), defined.tolist())
@@ -161,7 +143,7 @@ def fbeta_envelope(
         raise ValueError("envelope needs at least one member matrix")
     if not isinstance(front_matrices, np.ndarray):
         front_matrices = counts_array(front_matrices)
-    values, defined = _fbeta_sweep(front_matrices, grid.betas)
+    values, defined = (a[:, 5:] for a in metric_table(front_matrices, grid.betas))
     winners = np.argmax(values, axis=0)  # first occurrence wins ties
     columns = np.arange(len(grid))
     return FbetaCurve(

@@ -31,6 +31,7 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,8 @@ __all__ = [
     "parse_datasets",
     "imbalance_ratio",
     "render_dataset_table",
+    "PairedBlock",
+    "pair_blocks",
     "aggregate",
     "render_report",
     "read_report_csv",
@@ -764,6 +767,55 @@ def _fold_stats(
 _BATCH_ELEMENTS = 1 << 16
 
 
+class PairedBlock(NamedTuple):
+    """One (dataset, fold) of a front and the reference rows it is compared with."""
+
+    dataset: str
+    fold: int
+    front_rows: np.ndarray  # ordered by solution_id
+    methods: list[str]  # sorted reference methods
+    ref_rows: list[int]  # the one row of each method
+
+
+def pair_blocks(front: RecordTable, refs: RecordTable) -> tuple[str, list[PairedBlock]]:
+    """The front's method and its (dataset, fold) blocks, in key order, with their references.
+
+    Raises ValueError unless the front holds one method, both tables have
+    one dimensionality, each reference method has one solution per
+    (dataset, fold), and both tables cover the same (dataset, fold) pairs.
+    """
+    if len(front.method_names) != 1:
+        methods = list(front.method_names)
+        raise ValueError(f"front records must come from one method, got {methods}")
+    dims = {front.dim, refs.dim}
+    if len(dims) != 1:
+        raise ValueError(f"front and reference records mix dimensionalities: {sorted(dims)}")
+    # reference rows by (dataset, fold, method); lexsort keeps equal keys in file order
+    order = np.lexsort((refs.method, refs.fold, refs.dataset))
+    dataset, fold, method = refs.dataset[order], refs.fold[order], refs.method[order]
+    same = (dataset[1:] == dataset[:-1]) & (fold[1:] == fold[:-1]) & (method[1:] == method[:-1])
+    if same.any():
+        row = order[1:][same].min()  # the first row that repeats an earlier row's key
+        raise ValueError(
+            f"reference method {refs.method_names[refs.method[row]]!r} has multiple solutions "
+            f"for dataset {refs.dataset_names[refs.dataset[row]]!r} fold {refs.fold[row]}"
+        )
+    references: dict[tuple[str, int], tuple[list[str], list[int]]] = {}
+    for rows in np.split(order, _run_starts([dataset, fold])[1:]) if len(order) else ():
+        key = (refs.dataset_names[refs.dataset[rows[0]]], int(refs.fold[rows[0]]))
+        methods = [refs.method_names[m] for m in refs.method[rows].tolist()]
+        references[key] = (methods, rows.tolist())
+    fronts = {
+        (front.dataset_names[front.dataset[rows[0]]], int(front.fold[rows[0]])): rows
+        for rows in front.groups("dataset", "fold")
+    }
+    if set(fronts) != set(references):
+        missing = sorted(set(fronts) ^ set(references))
+        raise ValueError(f"front and reference files cover different (dataset, fold) pairs: {missing}")
+    blocks = [PairedBlock(*key, rows, *references[key]) for key, rows in fronts.items()]
+    return front.method_names[0], blocks
+
+
 def aggregate(
     front_records: Sequence[ExperimentRecord],
     reference_records: Sequence[ExperimentRecord],
@@ -781,8 +833,8 @@ def aggregate(
     label 'pooled'. filter_front drops dominated front points first, which
     changes the denominators of SDR and NDR; fronts are otherwise used
     exactly as given. Records may be RecordTable values or any sequence of
-    ExperimentRecord; either way each (dataset, fold) block is evaluated as
-    arrays.
+    ExperimentRecord; either way they are paired by ``pair_blocks`` and each
+    (dataset, fold) block is evaluated as arrays.
     """
     if not front_records:
         raise ValueError("no front records to aggregate")
@@ -791,73 +843,36 @@ def aggregate(
     ordered = _normalize_indicators(indicators)
     front = RecordTable.from_records(front_records)
     refs = RecordTable.from_records(reference_records)
+    moo_method, blocks = pair_blocks(front, refs)
 
-    if len(front.method_names) != 1:
-        methods = list(front.method_names)
-        raise ValueError(f"front records must come from one method, got {methods}")
-    moo_method = front.method_names[0]
-
-    dims = {front.dim, refs.dim}
-    if len(dims) != 1:
-        raise ValueError(f"front and reference records mix dimensionalities: {sorted(dims)}")
-
-    points = front.points()
-    fronts: dict[tuple[str, int], np.ndarray] = {}
-    for rows in front.groups("dataset", "fold"):
-        block = points[rows]
-        key = (front.dataset_names[front.dataset[rows[0]]], int(front.fold[rows[0]]))
-        fronts[key] = front_rows(block) if filter_front else block
-
-    ref_points = refs.points()
-    ref_rows: dict[tuple[str, str, int], int] = {}
-    for row, (d, m, fold) in enumerate(
-        zip(refs.dataset.tolist(), refs.method.tolist(), refs.fold.tolist())
-    ):
-        dataset, method = refs.dataset_names[d], refs.method_names[m]
-        if (dataset, method, fold) in ref_rows:
-            raise ValueError(
-                f"reference method {method!r} has multiple solutions for "
-                f"dataset {dataset!r} fold {fold}"
-            )
-        ref_rows[(dataset, method, fold)] = row
-
-    front_pairs = set(fronts)
-    ref_pairs = {(dataset, fold) for dataset, _, fold in ref_rows}
-    if front_pairs != ref_pairs:
-        missing = sorted(front_pairs ^ ref_pairs)
-        raise ValueError(f"front and reference files cover different (dataset, fold) pairs: {missing}")
+    points, ref_points = front.points(), refs.points()
+    fronts = [points[block.front_rows] for block in blocks]
+    if filter_front:
+        fronts = [front_rows(front_points) for front_points in fronts]
 
     # blocks of equal (n, r) shape are stacked and evaluated together
-    keys = sorted(fronts)
-    present = [
-        [m for m in refs.method_names if (dataset, m, fold) in ref_rows] for dataset, fold in keys
-    ]
-    block_rows = [
-        [ref_rows[(dataset, m, fold)] for m in methods]
-        for (dataset, fold), methods in zip(keys, present)
-    ]
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, (key, methods) in enumerate(zip(keys, present)):
-        by_shape.setdefault((len(fronts[key]), len(methods)), []).append(i)
-    results: list[dict[str, list[float]]] = [{} for _ in keys]
+    for i, block in enumerate(blocks):
+        by_shape.setdefault((len(fronts[i]), len(block.methods)), []).append(i)
+    results: list[dict[str, list[float]]] = [{} for _ in blocks]
     for (n, r), members in by_shape.items():
         step = max(1, _BATCH_ELEMENTS // (n * r))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            stack = np.stack([fronts[keys[i]] for i in chunk])
-            ref_stack = ref_points[[block_rows[i] for i in chunk]]
-            block = _block_indicators(stack, ref_stack, ordered)
-            for name, block_values in block.items():
+            stack = np.stack([fronts[i] for i in chunk])
+            ref_stack = ref_points[[blocks[i].ref_rows for i in chunk]]
+            values = _block_indicators(stack, ref_stack, ordered)
+            for name, block_values in values.items():
                 for i, row in zip(chunk, block_values.tolist()):
                     results[i][name] = row
 
     # values per (indicator, reference label, dataset), appended in fold order
     series: dict[tuple[str, str, str], list[float]] = {}
-    for (dataset, _), methods, block in zip(keys, present, results):
-        for name, block_values in block.items():
-            labels = [POOLED_REFERENCE_LABEL] if name == "GD" else methods
+    for block, values in zip(blocks, results):
+        for name, block_values in values.items():
+            labels = [POOLED_REFERENCE_LABEL] if name == "GD" else block.methods
             for label, value in zip(labels, block_values):
-                series.setdefault((name, label, dataset), []).append(value)
+                series.setdefault((name, label, block.dataset), []).append(value)
     return ComparisonReport(moo_method=moo_method, cells=_fold_stats(series))
 
 

@@ -8,6 +8,8 @@ with the package is meaningful evidence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -107,3 +109,26 @@ def loop_generational_distance(points: np.ndarray, refs: np.ndarray) -> float:
     diffs = points[:, None, :] - refs[None, :, :]
     nearest = np.sqrt((diffs * diffs).sum(axis=2)).min(axis=1)
     return float(np.sort(nearest).mean())
+
+
+def loop_metrics(tp: int, fn: int, fp: int, tn: int, betas=()) -> list[tuple[float, bool]]:
+    """(value, defined) of TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta.
+
+    Not independent of the package: this is the scalar arithmetic the metric
+    functions ran before every metric came from one array function (Python
+    int counts, ``/``, ``math.sqrt``, F-beta clipped at 1), kept so that the
+    array version can be checked against it with ``==``. A zero denominator
+    gives 0, undefined.
+    """
+
+    def ratio(num: int, den: int) -> tuple[float, bool]:
+        return (num / den, True) if den else (0.0, False)
+
+    (t, t_ok), (n, n_ok), (p, p_ok) = ratio(tp, tp + fn), ratio(tn, tn + fp), ratio(tp, tp + fp)
+    both = t_ok and n_ok
+    values = [(t, t_ok), (n, n_ok), (p, p_ok), ((t + n) / 2.0, both), (math.sqrt(t * n), both)]
+    for beta in betas:
+        b2 = beta * beta
+        den = b2 * p + t
+        values.append((min((b2 + 1.0) * p * t / den, 1.0), True) if den else (0.0, False))
+    return values

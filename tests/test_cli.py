@@ -450,6 +450,52 @@ class TestFigureSubcommands:
         assert "front of shape (2, 3)" in capsys.readouterr().err
         assert not (workdir / "plots").exists()
 
+    def test_fbeta_plot_rejects_a_front_of_two_methods(self, workdir, capsys):
+        # each dataset holds one front method, but the file holds two
+        (workdir / "front.csv").write_text(FRONT_CSV + "ds2,other,0,0,5,5,5,5\n", encoding="utf-8")
+        (workdir / "refs.csv").write_text(REFS_CSV + "ds2,base,0,0,6,4,4,6\n", encoding="utf-8")
+        out = workdir / "plots"
+        args = [
+            "fbeta-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--fold",
+            "0",
+            "--out",
+            str(out),
+        ]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert f"{workdir / 'front.csv'} with {workdir / 'refs.csv'}: " in err
+        assert "front records must come from one method" in err
+        assert not out.exists()
+
+    def test_region_plot_rejects_a_repeated_solution_of_another_reference(self, workdir, capsys):
+        # the plotted reference is single, but another one repeats in the fold
+        (workdir / "refs.csv").write_text(REFS_CSV + "ds1,weak,0,1,3,7,7,3\n", encoding="utf-8")
+        out = workdir / "plots"
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--mode",
+            "dominance",
+            "--fold",
+            "0",
+            "--ref-method",
+            "base",
+            "--out",
+            str(out),
+        ]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "reference method 'weak' has multiple solutions" in err
+        assert not out.exists()
+
     def test_isocurves(self, workdir):
         out = workdir / "iso.svg"
         args = ["isocurves", "--metric", "gmean", "--levels", "0.2,0.4,0.6,0.8", "--out", str(out)]

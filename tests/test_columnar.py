@@ -4,9 +4,10 @@ The CLI reads counts and objectives files with one whole-body check
 (``_scan_body``) and evaluates indicators and F-beta sweeps on arrays. These
 properties require it to accept exactly what the line-by-line parse
 (``_parse_lines``) accepts, to fail at the same line with the same message,
-and to give values equal bit for bit to the scalar ``fbeta``, per-cell fold
-statistics and, for the indicators, a per-cell ``evaluate_indicator`` loop,
-brute-force dominance counts and the loop oracles of ``oracles.py``.
+and to give values equal bit for bit to per-cell fold statistics, to the
+loop oracles of ``oracles.py`` for the metrics and, for the indicators, to a
+per-cell ``evaluate_indicator`` loop, brute-force dominance counts and the
+loop oracles.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_generational_distance, loop_hypervolume
+from oracles import loop_generational_distance, loop_hypervolume, loop_metrics
 from pareto_judge import ingest_report
 from pareto_judge.cli import run
-from pareto_judge.confusion_metrics import ConfusionMatrix, bac, fbeta, gmean, ppv, tnr, tpr
+from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.fbeta_analysis import BetaGrid, fbeta_curve, fbeta_envelope
 from pareto_judge.indicators import _block_indicators, _distances, _exact_hv, evaluate_indicator
 from pareto_judge.ingest_report import (
@@ -584,46 +585,47 @@ _betas = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12, unique=True).ma
 )
 
 
+def _loop_fbeta(m: ConfusionMatrix, grid: BetaGrid) -> list[tuple[float, bool]]:
+    return loop_metrics(m.tp, m.fn, m.fp, m.tn, grid.betas)[5:]
+
+
 class TestFbetaSweep:
     @settings(deadline=None, max_examples=40)
     @given(members=st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=8), grid=_betas)
-    def test_envelope_equals_scalar_fbeta(self, members, grid):
+    def test_envelope_equals_loop_metrics(self, members, grid):
         # scaled copies tie exactly, so the lowest index must win
         scaled = [ConfusionMatrix(2 * m.tp, 2 * m.fn, 2 * m.fp, 2 * m.tn) for m in members]
         members = members + scaled
         envelope = fbeta_envelope(members, grid)
-        for j, beta in enumerate(grid.betas):
-            scalar = [fbeta(m, beta) for m in members]
-            best = max(mv.value for mv in scalar)
-            winner = next(i for i, mv in enumerate(scalar) if mv.value == best)
+        curves = [_loop_fbeta(m, grid) for m in members]
+        for j in range(len(grid)):
+            best = max(curve[j][0] for curve in curves)
+            winner = next(i for i, curve in enumerate(curves) if curve[j][0] == best)
             assert envelope.argmax[j] == winner < len(members) // 2
             assert envelope.values[j] == best
-            assert envelope.defined[j] == scalar[winner].defined
+            assert envelope.defined[j] == curves[winner][j][1]
         counts = np.array([(m.tp, m.fn, m.fp, m.tn) for m in members])
         assert fbeta_envelope(counts, grid) == envelope
 
     @settings(deadline=None, max_examples=40)
     @given(m=st.one_of(_matrix, _degenerate), grid=_betas)
-    def test_curve_equals_scalar_fbeta(self, m, grid):
+    def test_curve_equals_loop_metrics(self, m, grid):
         curve = fbeta_curve(m, grid)
-        scalar = [fbeta(m, beta) for beta in grid.betas]
-        assert curve.values == tuple(mv.value for mv in scalar)
-        assert curve.defined == tuple(mv.defined for mv in scalar)
+        assert list(zip(curve.values, curve.defined)) == _loop_fbeta(m, grid)
 
 
-def _scalar_metrics_line(dataset: str, fold: int, solution_id: int, m: ConfusionMatrix) -> str:
-    """One ``metrics`` output line built from the scalar metric functions."""
-    base = [tpr(m), tnr(m), ppv(m)]
-    values = base + [bac(m), gmean(m), fbeta(m, 1.0)]
-    degenerate = int(not all(v.defined for v in base))
-    cells = ",".join(repr(v.value) for v in values)
+def _loop_metrics_line(dataset: str, fold: int, solution_id: int, m: ConfusionMatrix) -> str:
+    """One ``metrics`` output line built from the loop oracle."""
+    values = loop_metrics(m.tp, m.fn, m.fp, m.tn, (1.0,))
+    degenerate = int(not all(defined for _, defined in values[:3]))
+    cells = ",".join(repr(value) for value, _ in values)
     return f"{dataset},moo,{fold},{solution_id},{cells},{degenerate}"
 
 
 class TestMetricsRows:
     @settings(deadline=None, max_examples=40)
     @given(rows=st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=30))
-    def test_rows_equal_scalar_metrics(self, rows):
+    def test_rows_equal_loop_metrics(self, rows):
         # small counts make every kind of zero denominator, alone or together
         rows = [(f"d{i % 3}", i % 2, i, m) for i, m in enumerate(rows)]
         body = "".join(
@@ -636,4 +638,4 @@ class TestMetricsRows:
             assert run(["metrics", "--in", path, "--out", out]) == 0
             with open(out, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()[1:]
-        assert lines == [_scalar_metrics_line(*row) for row in rows]
+        assert lines == [_loop_metrics_line(*row) for row in rows]

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import loop_metrics
 from pareto_judge.confusion_metrics import (
     ConfusionMatrix,
     MetricValue,
     bac,
     fbeta,
     gmean,
+    metric_table,
     objective_point_of,
     ppv,
     tnr,
@@ -42,6 +47,11 @@ class TestConstruction:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             ConfusionMatrix(1.5, 0, 0, 1)
+
+    def test_counts_bounded_by_two_to_the_53(self):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            ConfusionMatrix(2**53, 1, 0, 0)
+        assert tpr(ConfusionMatrix(2**53, 0, 0, 0)).value == 1.0
 
     def test_metric_value_range_enforced(self):
         with pytest.raises(ValueError):
@@ -109,6 +119,46 @@ class TestAggregatedMetrics:
     def test_fbeta_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta"):
             fbeta(ConfusionMatrix(1, 1, 1, 1), beta)
+
+
+# four counts summing to at most 2**53, from tiny to the largest allowed
+_counts = st.lists(
+    st.one_of(st.integers(0, 30), st.integers(0, 2**51)), min_size=4, max_size=4
+).filter(any)
+_beta_lists = st.lists(st.floats(1e-3, 1e3), max_size=6)
+
+
+class TestMetricTable:
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.lists(_counts, min_size=1, max_size=20), betas=_beta_lists)
+    def test_equals_loop_metrics(self, rows, betas):
+        values, defined = metric_table(np.array(rows, dtype=np.int64), betas)
+        for row, row_values, row_defined in zip(rows, values.tolist(), defined.tolist()):
+            assert list(zip(row_values, row_defined)) == loop_metrics(*row, betas)
+
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.lists(_counts, min_size=1, max_size=20))
+    def test_rates_are_correctly_rounded_quotients(self, rows):
+        values, defined = (a.tolist() for a in metric_table(np.array(rows, dtype=np.int64)))
+        for (tp, fn, fp, tn), row_values, row_defined in zip(rows, values, defined):
+            for (num, den), value, ok in zip(
+                ((tp, tp + fn), (tn, tn + fp), (tp, tp + fp)), row_values, row_defined
+            ):
+                assert ok == (den > 0)
+                assert value == (float(Fraction(num, den)) if den else 0.0)
+
+    def test_one_row_per_scalar_function(self):
+        m = ConfusionMatrix(7, 3, 2, 11)
+        values, defined = metric_table(np.array([[7, 3, 2, 11]]), (0.5, 2.0))
+        scalar = [tpr(m), tnr(m), ppv(m), bac(m), gmean(m), fbeta(m, 0.5), fbeta(m, 2.0)]
+        assert values[0].tolist() == [v.value for v in scalar]
+        assert defined[0].all()
+        assert objective_point_of(m).coords == tuple(values[0, :2].tolist())
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            metric_table(np.array([[1, 1, 1, 1]]), (1.0, beta))
 
 
 class TestObjectivePoint:

@@ -456,3 +456,16 @@ class TestModuleBoundary:
                     if name.startswith("_") and name != "_block_indicators"
                 ]
         assert leaks == []
+
+    def test_cli_imports_no_private_name(self):
+        # the CLI parses arguments, calls public library functions and writes outputs
+        path = Path(pareto_judge.__file__).parent / "cli.py"
+        private = [
+            f"cli.py:{node.lineno} {alias.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("pareto_judge"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
