@@ -30,6 +30,7 @@ __all__ = [
     "fbeta",
     "objective_point_of",
     "COUNTS_LIMIT",
+    "check_counts",
     "counts_array",
     "metric_table",
     "rates_array",
@@ -38,6 +39,7 @@ __all__ = [
 # Largest total of one matrix's counts. Up to 2**53 every count and every sum
 # of counts is an exact float64, so each rate is the correctly rounded quotient.
 COUNTS_LIMIT = 2**53
+COUNT_NAMES = ("tp", "fn", "fp", "tn")
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,14 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self) -> None:
-        for name in ("tp", "fn", "fp", "tn"):
+        for name in COUNT_NAMES:
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < 0:
-                raise ValueError(f"{name} must be non-negative, got {count}")
+            if not -(2**63) <= count < 2**63:
+                raise ValueError(f"{name} must fit int64, got {count}")
             object.__setattr__(self, name, int(count))
-        total = self.tp + self.fn + self.fp + self.tn
-        if total == 0:
-            raise ValueError("confusion matrix must contain at least one outcome")
-        if total > COUNTS_LIMIT:
-            raise ValueError(f"confusion counts sum to {total}, above the limit 2**53")
+        check_counts(np.array([[self.tp, self.fn, self.fp, self.tn]], dtype=np.int64))
 
     @functools.cached_property
     def _metrics(self) -> list[MetricValue]:
@@ -162,6 +160,25 @@ def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     """The (sensitivity, specificity) pair as a 2-D maximization point."""
     t, n = m._metrics[:2]
     return ObjectivePoint((t.value, n.value))
+
+
+def check_counts(counts: np.ndarray) -> None:
+    """Raise ValueError unless counts is an (n, 4) integer array of (tp, fn, fp, tn)
+    rows, each non-negative, not all 0, and summing to at most 2**53."""
+    if counts.dtype.kind not in "iu" or counts.shape[1:] != (4,):
+        raise ValueError(f"counts must be an (n, 4) int array, got {counts.dtype} {counts.shape}")
+    # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
+    bad = ((counts < 0) | (counts > COUNTS_LIMIT)).any(axis=1)
+    totals = counts.sum(axis=1)
+    bad |= (totals > COUNTS_LIMIT) | (totals == 0)
+    if bad.any():
+        row = counts[bad.argmax()].tolist()  # the first bad row
+        for name, count in zip(COUNT_NAMES, row):
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
+        if not any(row):
+            raise ValueError("confusion matrix must contain at least one outcome")
+        raise ValueError(f"counts sum to {sum(row)}, above the limit 2**53")
 
 
 def counts_array(matrices: Sequence[ConfusionMatrix]) -> np.ndarray:

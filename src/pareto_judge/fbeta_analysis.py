@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, counts_array, metric_table
+from .confusion_metrics import ConfusionMatrix, check_counts, counts_array, metric_table
 from .indicators import _block_indicators
 
 __all__ = [
@@ -116,6 +116,7 @@ class FbetaCurve:
 
 def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> list[FbetaCurve]:
     """Pointwise F-beta along the grid of each (tp, fn, fp, tn) row, from one sweep."""
+    check_counts(counts)
     # F-beta follows the five base metrics
     values, defined = (a[:, 5:] for a in metric_table(counts, grid.betas))
     return [
@@ -136,13 +137,14 @@ def fbeta_envelope(
 ) -> FbetaCurve:
     """Upper envelope of the member curves, with the per-beta winning member.
 
-    Members are confusion matrices, or an (n, 4) integer array of
-    (tp, fn, fp, tn) rows.
+    Members are confusion matrices, or an (n, 4) array of (tp, fn, fp, tn)
+    rows that passes ``check_counts``.
     """
     if not len(front_matrices):
         raise ValueError("envelope needs at least one member matrix")
     if not isinstance(front_matrices, np.ndarray):
         front_matrices = counts_array(front_matrices)
+    check_counts(front_matrices)
     values, defined = (a[:, 5:] for a in metric_table(front_matrices, grid.betas))
     winners = np.argmax(values, axis=0)  # first occurrence wins ties
     columns = np.arange(len(grid))
@@ -181,6 +183,19 @@ def _unit_ticks() -> list[tuple[float, str]]:
     return [(v, f"{v:g}") for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
+def _covering_axis(values: np.ndarray) -> tuple[tuple[float, float], list[tuple[float, str]]]:
+    """[0, 1] widened to multiples of the tick step until it covers the values,
+    and a tick at every step. The step is 0.25, doubled while the axis would
+    hold more than 16 steps, so values far from the unit square stay readable."""
+    step = 0.25
+    while True:
+        lo = math.floor(min(0.0, values.min()) / step)
+        hi = math.ceil(max(1.0, values.max()) / step)
+        if hi - lo <= 16:
+            return (lo * step, hi * step), [(k * step, f"{k * step:g}") for k in range(lo, hi + 1)]
+        step *= 2.0
+
+
 def _write_doc(doc: _svg.SvgDoc, out: str) -> None:
     atomic_write_text(out, doc.tostring())
 
@@ -214,7 +229,7 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
 
 
 def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
-    """An (n, 2) front vs a length-2 reference row over the unit square.
+    """An (n, 2) front vs a length-2 reference row, on axes from ``_covering_axis``.
 
     hypervolume mode shades the union of boxes between the front and the
     reference; dominance mode shades the strictly-dominating and
@@ -235,8 +250,11 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
         raise ValueError("region plot coordinates must be finite")
     if mode not in REGION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {REGION_MODES}")
+    (x_range, x_ticks), (y_range, y_ticks) = (
+        _covering_axis(np.append(front[:, i], ref[i])) for i in range(2)
+    )
     doc = _svg.SvgDoc()
-    plot = _svg.Plot(doc, (0.0, 1.0), (0.0, 1.0), "objective 1", "objective 2")
+    plot = _svg.Plot(doc, x_range, y_range, "objective 1", "objective 2")
     rx, ry = ref.tolist()
     cx, cy = plot.x_px(rx), plot.y_px(ry)
     xy = np.column_stack((plot.x_px(front[:, 0]), plot.y_px(front[:, 1])))
@@ -247,11 +265,11 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
             if shaded:
                 doc.rect(cx, y, x - cx, cy - y, HV_FILL)
     else:
-        top, right = plot.y_px(1.0), plot.x_px(1.0)
-        left, bottom = plot.x_px(0.0), plot.y_px(0.0)
+        top, right = plot.y_px(y_range[1]), plot.x_px(x_range[1])
+        left, bottom = plot.x_px(x_range[0]), plot.y_px(y_range[0])
         doc.rect(cx, top, right - cx, cy - top, DOMINATING_FILL, opacity=0.15)
         doc.rect(left, cy, cx - left, bottom - cy, DOMINATED_FILL, opacity=0.15)
-    plot.draw_frame(_unit_ticks(), _unit_ticks())
+    plot.draw_frame(x_ticks, y_ticks)
     if mode == "dominance":
         fills = [
             DOMINATING_FILL if a else DOMINATED_FILL if b else NEUTRAL_FILL

@@ -12,24 +12,25 @@ Integer fields are ASCII digits ``[0-9]+`` with a value below 2**63, and the
 four counts of a row sum to at most 2**53; number fields match
 ``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?`` and must be finite.
 
-Counts and objectives files are checked whole and read straight into numpy
-columns (a ``RecordTable``). A counts body is read as one byte array: its
-comma and LF positions must give eight non-empty fields a line, and each
-column is checked against its byte class (identifier or digit) and converted
-from the bytes of its own fields. An objectives body is matched against its
-grammar by one regular expression first, in LF-aligned chunks of about
-64 KiB so that the matcher's state stays bounded; its key columns are then
-read as for counts, and its numbers by ``loadtxt``. A body that fails any
-check is parsed again line by line (``_parse_lines``), which names the first
-bad ``file:line``.
+Every file is read whole (``_read_file``), and one row reader
+(``_body_rows``) checks the lines of all four schemas, each given as its
+(column name, check) pairs. Counts and objectives bodies are first checked
+whole and read straight into numpy columns (``_scan_body``): a counts body
+as one byte array, by its comma and LF positions and each column's byte
+class; an objectives body by one regular expression over LF-aligned chunks
+of about 64 KiB, then ``loadtxt``. A body that fails any check goes through
+the row reader (``_parse_lines``), which names the first bad ``file:line``.
+``emit_records`` checks the lines it formats in the same way before writing,
+so it never writes a file that ``parse_records`` rejects.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,8 +38,8 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .confusion_metrics import (
-    COUNTS_LIMIT,
     ConfusionMatrix,
+    check_counts,
     counts_array,
     objective_point_of,
     rates_array,
@@ -325,11 +326,7 @@ def _check_float(value: str, path: str, line: int, column: str) -> float:
 
 
 def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
-    """Fields of one raw line, enforcing UTF-8, LF line endings and no quoting.
-
-    A tuple, not the list ``str.split`` returns: that list is over-allocated,
-    which costs about 32 bytes a row on files held whole in memory.
-    """
+    """Fields of one raw line, enforcing UTF-8, LF line endings and no quoting."""
     try:
         text = raw.decode("utf-8").rstrip("\n")
     except UnicodeDecodeError as exc:
@@ -345,35 +342,72 @@ def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
 
 def _check_header(header: tuple[str, ...], expected: tuple[str, ...], path: str) -> None:
     if header != expected:
-        raise ParseError(
-            path, 1, f"expected header {','.join(expected)}, got {','.join(header)}"
-        )
+        raise ParseError(path, 1, f"expected header {','.join(expected)}, got {','.join(header)}")
 
 
-def _read_rows(path: str, expected_header: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
-    """Return (line_number, row) for every data row after validating the header."""
+def _read_file(path: str) -> tuple[tuple[str, ...], bytes]:
+    """The header fields and the body bytes of a file."""
     with open(path, "rb") as handle:
-        lines = enumerate(handle, start=1)
+        data = handle.read()
+    if not data:
+        raise ParseError(path, 1, "missing header row")
+    first, _, body = data.partition(b"\n")
+    return _split_line(first, path, 1), body
+
+
+def _check_indicator(value: str, path: str, line: int, column: str) -> str:
+    if value not in INDICATOR_NAMES:
+        raise ParseError(path, line, f"column {column}: unknown indicator {value!r}")
+    return value
+
+
+_COUNTS_COLUMNS = tuple(zip(COUNTS_HEADER, (_check_ident, _check_ident, *[_check_int] * 6)))
+_KEY_COLUMNS = _COUNTS_COLUMNS[:4]
+_DATASET_COLUMNS = tuple(zip(DATASETS_HEADER, (_check_ident, *[_check_int] * 3)))
+_REPORT_COLUMNS = tuple(
+    zip(REPORT_HEADER, (_check_indicator, *[_check_ident] * 2, *[_check_float] * 2, _check_int))
+)
+
+
+def _body_rows(
+    body: bytes, path: str, columns: Sequence[tuple[str, Callable]], key_width: int, what: str,
+    make_row: Callable[[list], object],
+) -> list:
+    """``make_row(values)`` of every line of the body, its values checked by
+    the (column name, check) pairs of the schema; raises ParseError at the
+    first bad line.
+
+    A line's first key_width columns are checked first, then its key against
+    the earlier lines (a repeat is a duplicate ``what``), then its other
+    columns. A ValueError from make_row is an error of that line.
+    """
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    rows = []
+    seen: set[tuple] = set()
+    for line, raw in enumerate(lines, start=2):
+        fields = _split_line(raw, path, line)
+        if len(fields) != len(columns):
+            raise ParseError(path, line, f"expected {len(columns)} fields, got {len(fields)}")
+        checks = (check(text, path, line, name) for text, (name, check) in zip(fields, columns))
+        key = tuple(itertools.islice(checks, key_width))
+        if key in seen:
+            raise ParseError(path, line, f"duplicate {what} {key if key_width > 1 else key[0]!r}")
+        seen.add(key)
+        values = [*key, *checks]
         try:
-            _, raw = next(lines)
-        except StopIteration:
-            raise ParseError(path, 1, "missing header row")
-        _check_header(_split_line(raw, path, 1), expected_header, path)
-        return [(line, _split_line(raw, path, line)) for line, raw in lines]
+            rows.append(make_row(values))
+        except ValueError as exc:
+            raise ParseError(path, line, str(exc))
+    return rows
 
 
-def _objectives_header(header: Sequence[str], path: str) -> int:
-    if tuple(header[:4]) != KEY_HEADER:
-        raise ParseError(
-            path, 1, f"expected header to start with {','.join(KEY_HEADER)}, got {','.join(header)}"
-        )
-    objectives = header[4:]
-    if not objectives:
-        raise ParseError(path, 1, "objectives schema needs at least one obj_i column")
-    expected = [f"obj_{i}" for i in range(1, len(objectives) + 1)]
-    if list(objectives) != expected:
-        raise ParseError(path, 1, f"objective columns must be {','.join(expected)}")
-    return len(objectives)
+def _objectives_header(header: tuple[str, ...], path: str) -> int:
+    """The number of objectives of a valid objectives header."""
+    dim = len(header) - 4
+    _check_header(header, (*KEY_HEADER, *(f"obj_{i}" for i in range(1, max(dim, 1) + 1))), path)
+    return dim
 
 
 def _objectives_pattern(dim: int) -> bytes:
@@ -512,8 +546,9 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
     (dataset_names, dataset), (method_names, method), fold, solution_id, *payload = columns
     if counts:
         values = np.stack(payload, axis=1)
-        totals = values.sum(axis=1)
-        if (values > COUNTS_LIMIT).any() or (totals > COUNTS_LIMIT).any() or not totals.all():
+        try:
+            check_counts(values)
+        except ValueError:
             return None
     else:
         values = np.loadtxt(
@@ -526,50 +561,32 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
     return None if table._has_duplicate_keys() else table
 
 
+def _counts_row(values: list) -> list:
+    check_counts(np.array([values[4:]], dtype=np.int64))
+    return values
+
+
 def _parse_lines(
     body: bytes, path: str, payload_kind: str, dim: int, flip: np.ndarray
 ) -> RecordTable:
     """The body parsed one line at a time; raises ParseError at the first bad line."""
-    lines = body.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    n_fields = 4 + dim
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    seen: set[tuple[str, str, int, int]] = set()
-    for line, raw in enumerate(lines, start=2):
-        row = _split_line(raw, path, line)
-        if len(row) != n_fields:
-            raise ParseError(path, line, f"expected {n_fields} fields, got {len(row)}")
-        dataset = _check_ident(row[0], path, line, "dataset")
-        method = _check_ident(row[1], path, line, "method")
-        fold = _check_int(row[2], path, line, "fold")
-        solution_id = _check_int(row[3], path, line, "solution_id")
-        key = (dataset, method, fold, solution_id)
-        if key in seen:
-            raise ParseError(path, line, f"duplicate record key {key!r}")
-        seen.add(key)
-        if payload_kind == "counts":
-            values = [
-                _check_int(row[4 + i], path, line, name)
-                for i, name in enumerate(COUNTS_HEADER[4:])
-            ]
-            total = sum(values)
-            if total == 0:
-                raise ParseError(path, line, "confusion matrix must contain at least one outcome")
-            if total > COUNTS_LIMIT:
-                raise ParseError(path, line, f"counts sum to {total}, above the limit 2**53")
-        else:
-            values = [
-                -value if flip[i] else value
-                for i, value in enumerate(
-                    _check_float(row[4 + i], path, line, f"obj_{i + 1}") for i in range(dim)
-                )
-            ]
-        for column, value in zip(columns, (*key, values)):
-            column.append(value)
-    dtype = np.int64 if payload_kind == "counts" else np.float64
-    *keys, values = columns
-    return _table(*keys, np.array(values, dtype=dtype).reshape(len(values), dim))
+    counts = payload_kind == "counts"
+    objectives = ((f"obj_{i}", _check_float) for i in range(1, dim + 1))
+    columns = _COUNTS_COLUMNS if counts else (*_KEY_COLUMNS, *objectives)
+    rows = _body_rows(body, path, columns, 4, "record key", _counts_row if counts else list)
+    values = np.array([row[4:] for row in rows], dtype=np.int64 if counts else np.float64)
+    values = values.reshape(len(rows), dim)
+    values[:, flip] = -values[:, flip]
+    return _table(*([row[i] for row in rows] for i in range(4)), values)
+
+
+def _body_table(
+    body: bytes, path: str, payload_kind: str, dim: int, flip: np.ndarray
+) -> RecordTable:
+    """The body read by ``_scan_body``, or by ``_parse_lines`` to name the
+    first bad line when the whole-body check fails."""
+    table = _scan_body(body, payload_kind, dim, flip)
+    return _parse_lines(body, path, payload_kind, dim, flip) if table is None else table
 
 
 def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> RecordTable:
@@ -586,13 +603,7 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
         raise ValueError(f"payload_kind must be 'counts' or 'objectives', got {payload_kind!r}")
     if negate and payload_kind != "objectives":
         raise ValueError("negate applies only to the objectives payload")
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data:
-        raise ParseError(path, 1, "missing header row")
-    first, _, body = data.partition(b"\n")
-    del data  # the body is a copy; keep one
-    header = _split_line(first, path, 1)
+    header, body = _read_file(path)
     if payload_kind == "counts":
         _check_header(header, COUNTS_HEADER, path)
         dim = 4
@@ -602,8 +613,7 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
         if unknown:
             raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
     flip = np.array([f"obj_{i}" in set(negate) for i in range(1, dim + 1)])
-    table = _scan_body(body, payload_kind, dim, flip)
-    return _parse_lines(body, path, payload_kind, dim, flip) if table is None else table
+    return _body_table(body, path, payload_kind, dim, flip)
 
 
 def emit_records(
@@ -612,69 +622,36 @@ def emit_records(
     """Write records back out in the schema matching their payload kind.
 
     The kind is inferred from the records; pass payload_kind explicitly only
-    to emit a header-only file from an empty sequence.
+    to emit a header-only file from an empty sequence. The lines are checked
+    as ``parse_records`` checks them before anything is written: a record it
+    would reject raises its ParseError, naming path and line, and records it
+    would not read back equal raise ValueError; either way no file is written.
     """
-    if not records:
-        if payload_kind == "counts":
-            atomic_write_text(path, ",".join(COUNTS_HEADER) + "\n")
-            return
-        if payload_kind == "objectives":
-            atomic_write_text(path, ",".join(KEY_HEADER) + ",obj_1\n")
-            return
+    if records:
+        payload_kind = "counts" if isinstance(records[0].payload, ConfusionMatrix) else "objectives"
+    elif payload_kind not in ("counts", "objectives"):
         raise ValueError("emitting an empty record list requires an explicit payload_kind")
-
-    counts = isinstance(records[0].payload, ConfusionMatrix)
-    seen: set[tuple[str, str, int, int]] = set()
-    lines: list[str] = []
-    dim: int | None = None
+    counts = payload_kind == "counts"
+    if any(isinstance(rec.payload, ConfusionMatrix) != counts for rec in records):
+        raise ValueError("cannot mix confusion counts and objective payloads in one file")
+    dim = 4 if counts else records[0].payload.dim if records else 1
+    header = COUNTS_HEADER if counts else (*KEY_HEADER, *(f"obj_{i}" for i in range(1, dim + 1)))
+    lines = []
     for rec in records:
-        if isinstance(rec.payload, ConfusionMatrix) != counts:
-            raise ValueError("cannot mix confusion counts and objective payloads in one file")
-        if rec.key in seen:
-            raise ValueError(f"duplicate record key {rec.key!r}")
-        seen.add(rec.key)
-        for name, value in (("dataset", rec.dataset), ("method", rec.method)):
-            if not _IDENT_RE.match(value):
-                raise ValueError(f"{name} must match [A-Za-z0-9_-]+, got {value!r}")
-        prefix = f"{rec.dataset},{rec.method},{rec.fold},{rec.solution_id}"
-        if counts:
-            m = rec.payload
-            lines.append(f"{prefix},{m.tp},{m.fn},{m.fp},{m.tn}")
-        else:
-            if dim is None:
-                dim = rec.payload.dim
-            elif rec.payload.dim != dim:
-                raise ValueError(f"mixed objective dimensionality: {dim} vs {rec.payload.dim}")
-            values = ",".join(repr(c) for c in rec.payload.coords)
-            lines.append(f"{prefix},{values}")
-    if counts:
-        header = ",".join(COUNTS_HEADER)
-    else:
-        header = ",".join(KEY_HEADER) + "," + ",".join(f"obj_{i + 1}" for i in range(dim or 1))
-    atomic_write_text(path, header + "\n" + "\n".join(lines) + "\n")
+        m = rec.payload
+        values = ",".join(map(repr, (m.tp, m.fn, m.fp, m.tn) if counts else m.coords))
+        lines.append(f"{rec.dataset},{rec.method},{rec.fold},{rec.solution_id},{values}\n")
+    body = "".join(lines)
+    if _body_table(body.encode(), path, payload_kind, dim, np.zeros(dim, np.bool_)) != records:
+        raise ValueError(f"{path}: records would read back changed: a field's type or a line break")
+    atomic_write_text(path, ",".join(header) + "\n" + body)
 
 
 def parse_datasets(path: str) -> list[DatasetInfo]:
     """Parse a dataset characteristics file."""
-    rows = _read_rows(path, DATASETS_HEADER)
-    infos: list[DatasetInfo] = []
-    seen: set[str] = set()
-    for line, row in rows:
-        if len(row) != len(DATASETS_HEADER):
-            raise ParseError(path, line, f"expected {len(DATASETS_HEADER)} fields, got {len(row)}")
-        name = _check_ident(row[0], path, line, "name")
-        if name in seen:
-            raise ParseError(path, line, f"duplicate dataset {name!r}")
-        seen.add(name)
-        values = [
-            _check_int(row[1 + i], path, line, column)
-            for i, column in enumerate(("n_features", "n_samples", "n_minority"))
-        ]
-        try:
-            infos.append(DatasetInfo(name, *values))
-        except ValueError as exc:
-            raise ParseError(path, line, str(exc))
-    return infos
+    header, body = _read_file(path)
+    _check_header(header, DATASETS_HEADER, path)
+    return _body_rows(body, path, _DATASET_COLUMNS, 1, "dataset", lambda row: DatasetInfo(*row))
 
 
 def render_dataset_table(infos: Sequence[DatasetInfo], fmt: str) -> str:
@@ -928,24 +905,10 @@ def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
 
 def read_report_csv(path: str) -> ComparisonReport:
     """Load a report previously written in the csv format."""
-    rows = _read_rows(path, REPORT_HEADER)
-    cells: dict[tuple[str, str, str], ReportCell] = {}
-    for line, row in rows:
-        if len(row) != len(REPORT_HEADER):
-            raise ParseError(path, line, f"expected {len(REPORT_HEADER)} fields, got {len(row)}")
-        indicator = row[0]
-        if indicator not in INDICATOR_NAMES:
-            raise ParseError(path, line, f"column indicator: unknown indicator {indicator!r}")
-        method = _check_ident(row[1], path, line, "reference_method")
-        dataset = _check_ident(row[2], path, line, "dataset")
-        mean = _check_float(row[3], path, line, "mean")
-        std = _check_float(row[4], path, line, "std")
-        fold_count = _check_int(row[5], path, line, "fold_count")
-        key = (indicator, method, dataset)
-        if key in cells:
-            raise ParseError(path, line, f"duplicate report row {key!r}")
-        try:
-            cells[key] = ReportCell(mean, std, fold_count)
-        except ValueError as exc:
-            raise ParseError(path, line, str(exc))
-    return ComparisonReport(moo_method="", cells=cells)
+    header, body = _read_file(path)
+    _check_header(header, REPORT_HEADER, path)
+    rows = _body_rows(
+        body, path, _REPORT_COLUMNS, 3, "report row",
+        lambda row: (tuple(row[:3]), ReportCell(*row[3:])),
+    )
+    return ComparisonReport(moo_method="", cells=dict(rows))

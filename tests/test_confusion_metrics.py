@@ -13,6 +13,7 @@ from pareto_judge.confusion_metrics import (
     ConfusionMatrix,
     MetricValue,
     bac,
+    check_counts,
     fbeta,
     gmean,
     metric_table,
@@ -52,6 +53,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"2\*\*53"):
             ConfusionMatrix(2**53, 1, 0, 0)
         assert tpr(ConfusionMatrix(2**53, 0, 0, 0)).value == 1.0
+
+    def test_counts_outside_int64_rejected(self):
+        with pytest.raises(ValueError, match="tp must fit int64"):
+            ConfusionMatrix(2**63, 0, 0, 0)
+        with pytest.raises(ValueError, match="fn must fit int64"):
+            ConfusionMatrix(1, -(2**70), 0, 0)
+
+    def test_int64_row_sums_cannot_wrap(self):
+        # four counts of 2**62 sum to 2**64, which wraps to 0 in int64
+        with pytest.raises(ValueError, match=f"counts sum to {2**64}, above the limit 2"):
+            check_counts(np.full((1, 4), 2**62, dtype=np.int64))
+        with pytest.raises(ValueError, match=f"counts sum to {2**64 - 1 + 3}, above"):
+            check_counts(np.array([[2**64 - 1, 1, 1, 1]], dtype=np.uint64))
+
+    def test_check_names_the_first_bad_row(self):
+        counts = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, -2, 1]])
+        with pytest.raises(ValueError, match="at least one outcome"):
+            check_counts(counts)
+        with pytest.raises(ValueError, match="fp must be non-negative, got -2"):
+            check_counts(counts[[0, 2, 1]])
+        check_counts(counts[:1])
+        check_counts(np.zeros((0, 4), dtype=np.int64))
 
     def test_metric_value_range_enforced(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pareto_judge.fbeta_analysis import (
     FbetaCurve,
     default_beta_grid,
     fbeta_curve,
+    fbeta_curves,
     fbeta_envelope,
     isocurve_y,
 )
@@ -121,6 +122,26 @@ class TestFbetaEnvelope:
     def test_rejects_empty_member_list(self):
         with pytest.raises(ValueError, match="at least one"):
             fbeta_envelope([], default_beta_grid())
+
+
+# count arrays that no ConfusionMatrix could hold, with the rule each breaks
+BAD_COUNTS = [
+    ([[1.5, 0.5, 0.0, 1.0]], "int array"),
+    ([[True, False, False, True]], "int array"),
+    ([[1, 2, 3]], "int array"),
+    ([[5, -1, 2, 3]], "fn must be non-negative, got -1"),
+    ([[1, 1, 1, 1], [0, 0, 0, 0]], "at least one outcome"),
+    ([[2**52, 2**52, 1, 0]], f"counts sum to {2**53 + 1}, above the limit 2\\*\\*53"),
+]
+
+
+@pytest.mark.parametrize("counts,message", BAD_COUNTS)
+def test_array_entry_points_reject_what_confusion_matrix_rejects(counts, message):
+    counts = np.array(counts)
+    with pytest.raises(ValueError, match=message):
+        fbeta_envelope(counts, default_beta_grid())
+    with pytest.raises(ValueError, match=message):
+        fbeta_curves(counts, default_beta_grid(), ["m"] * len(counts))
 
 
 class TestIsocurves:

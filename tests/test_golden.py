@@ -8,17 +8,22 @@ name; they were computed before the columnar ingest and aggregation replaced
 the per-record path (the ``metrics`` digest before its per-row objects were
 replaced by array arithmetic, and the ``isocurves`` and further
 ``region-plot`` digests before the figure renderers moved onto arrays), and
-any change to them is an output change that needs a reason.
+any change to them is an output change that needs a reason. The two
+``region-objectives-2d`` digests changed when the region plot's axes were
+widened to cover data outside the unit square: their negated cost column
+lies in [-1, 0], which the unit square had drawn below the canvas.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
+from pareto_judge._svg import FRAME
 from pareto_judge.cli import run
 
 DATASETS = ("dsA", "dsB", "dsC")
@@ -193,13 +198,13 @@ GOLDEN = {
         "objectives-2d",
         ("region-plot", "--payload", "objectives", "--negate", "obj_2", "--mode", "dominance",
          "--fold", "0", "--ref-method", "ref0"),
-        "0d5243cd3b62925fbc0bad56d0ec1a6f820336c92b83e7288e9f0ddf0ec6d1d7",
+        "6de8aea4084d53652fcec5ca63b235ff8a9613ff91022cea4811632e52f47842",
     ),
     "region-objectives-2d-hypervolume-filtered": (
         "objectives-2d",
         ("region-plot", "--payload", "objectives", "--negate", "obj_2", "--mode", "hypervolume",
          "--fold", "1", "--ref-method", "ref1", "--filter-front"),
-        "f4c87290d41f563b0ac1b7de1f0362238b0f909923cd90e77875b88592fa3aaf",
+        "e7c13d079947634b30f5ead8123663ce164f84a2ccc204c8a51737f93a371ca2",
     ),
 }
 
@@ -216,3 +221,20 @@ def test_output_digest(tmp_path, name):
         files = ["--in", front] if command == "metrics" else ["--front", front, "--refs", refs]
     assert run([command, *files, *rest, "--out", out]) == 0
     assert _digest(out) == expected
+
+
+@pytest.mark.parametrize("mode", ["dominance", "hypervolume"])
+def test_negated_region_plot_draws_every_point_inside_the_frame(tmp_path, mode):
+    front, refs = _objectives_2d_files(str(tmp_path))
+    for fold in ("0", "1"):
+        out = tmp_path / f"out{fold}"
+        args = ["--front", front, "--refs", refs, "--payload", "objectives", "--negate", "obj_2"]
+        args += ["--mode", mode, "--fold", fold, "--ref-method", "ref0", "--out", str(out)]
+        assert run(["region-plot", *args]) == 0
+        for svg in sorted(out.iterdir()):
+            circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg.read_text())
+            assert len(circles) == 16
+            for cx, cy in circles:
+                # the frame lies inside the 800x600 document
+                assert FRAME.left <= float(cx) <= FRAME.right
+                assert FRAME.top <= float(cy) <= FRAME.bottom

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import string
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.ingest_report import (
@@ -272,6 +278,84 @@ def test_number_outside_the_grammar_names_file_and_line(tmp_path, schema, bad):
     assert line == 3 and message.endswith(f"expected a number, got {bad!r}")
 
 
+# The kind of each column per schema; the report's indicator has a check of its own.
+COLUMN_KINDS = {
+    "counts": ("ident",) * 2 + ("int",) * 6,
+    "objectives": ("ident",) * 2 + ("int",) * 2 + ("number",) * 2,
+    "datasets": ("ident",) + ("int",) * 3,
+    "report": ("indicator",) + ("ident",) * 2 + ("number",) * 2 + ("int",),
+}
+# A malformed field and its message in each column kind whose grammar it breaks.
+MALFORMED_FIELDS = {
+    "+2": {
+        "ident": "invalid identifier '+2'",
+        "int": "expected an integer, got '+2'",
+        "number": "expected a number, got '+2'",
+    },
+    "1_0": {"int": "expected an integer, got '1_0'", "number": "expected a number, got '1_0'"},
+    str(2**63): {"int": f"must be below 2**63, got {2**63}"},
+    "nan": {"int": "expected an integer, got 'nan'", "number": "must be finite, got 'nan'"},
+    "": {
+        "ident": "invalid identifier ''",
+        "int": "expected an integer, got ''",
+        "number": "expected a number, got ''",
+    },
+}
+# A malformed line 3, built from a valid row, and its message in every schema.
+MALFORMED_LINES = {
+    "cr": (lambda row: row + b"\r", "carriage return found; lines must end in LF only"),
+    "quote": (lambda row: b'"' + row + b'"', "quote character found; fields are never quoted"),
+    "byte-0xff": (lambda row: b"\xff" + row, "not valid UTF-8: byte 0xff at offset 0"),
+}
+
+
+def _line_three_error(tmp_path, schema: str, line_three: bytes) -> tuple[int, str]:
+    _, header, row = SCHEMAS[schema]
+    last = row.replace("ds1", "ds3")
+    data = f"{header}\n{row}\n".encode() + line_three + f"\n{last}\n".encode()
+    return _format_error(tmp_path, schema, data)
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+class TestSharedGrammar:
+    """One malformed field or line gives the same error in every schema."""
+
+    @pytest.mark.parametrize("bad", sorted(MALFORMED_FIELDS))
+    def test_malformed_field(self, tmp_path, schema, bad):
+        _, header, row = SCHEMAS[schema]
+        checked = 0
+        for column, kind in enumerate(COLUMN_KINDS[schema]):
+            if kind in MALFORMED_FIELDS[bad]:
+                line_three = _with_field(row.replace("ds1", "ds2"), column, bad).encode()
+                name = header.split(",")[column]
+                expected = f"column {name}: {MALFORMED_FIELDS[bad][kind]}"
+                assert _line_three_error(tmp_path, schema, line_three) == (3, expected)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("bad", sorted(MALFORMED_LINES))
+    def test_malformed_line(self, tmp_path, schema, bad):
+        corrupt, expected = MALFORMED_LINES[bad]
+        row = SCHEMAS[schema][2].replace("ds1", "ds2").encode()
+        assert _line_three_error(tmp_path, schema, corrupt(row)) == (3, expected)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_field_count(self, tmp_path, schema, change):
+        fields = SCHEMAS[schema][2].replace("ds1", "ds2").split(",")
+        n = len(fields)
+        fields = fields[:change] if change < 0 else fields + fields[-1:]
+        line_three = ",".join(fields).encode()
+        expected = f"expected {n} fields, got {n + change}"
+        assert _line_three_error(tmp_path, schema, line_three) == (3, expected)
+
+
+def test_report_row_repeating_a_key_is_a_duplicate_before_its_other_fields(tmp_path):
+    _, header, row = SCHEMAS["report"]
+    line_three = _with_field(row, 3, "x").encode()
+    line, message = _line_three_error(tmp_path, "report", line_three)
+    assert (line, message) == (3, "duplicate report row ('HV', 'base', 'ds1')")
+
+
 class TestNumberGrammar:
     @pytest.mark.parametrize("text", ["0", "-0", "007", "1e5", "1E+05", "-2.5e-3", "5e-324"])
     def test_documented_number_forms_parse_like_python(self, tmp_path, text):
@@ -319,6 +403,93 @@ class TestRoundTrip:
         rec = ExperimentRecord("ds", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4))
         with pytest.raises(ValueError, match="duplicate"):
             emit_records([rec, rec], str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("fold", -1, "column fold: must be non-negative, got -1"),
+            ("fold", True, "column fold: expected an integer, got 'True'"),
+            ("fold", 0.5, "column fold: expected an integer, got '0.5'"),
+            ("solution_id", 2**63, f"column solution_id: must be below 2**63, got {2**63}"),
+            ("dataset", "a b", "column dataset: invalid identifier 'a b'"),
+            ("solution_id", 0, "duplicate record key ('ds', 'm', 0, 0)"),
+        ],
+    )
+    def test_emit_raises_what_parse_would_and_writes_nothing(self, tmp_path, field, value, message):
+        first = ExperimentRecord("ds", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4))
+        fields = {"dataset": "ds", "method": "m", "fold": 0, "solution_id": 1, field: value}
+        records = [first, ExperimentRecord(**fields, payload=ConfusionMatrix(5, 6, 7, 8))]
+        path = tmp_path / "out.csv"
+        with pytest.raises(ParseError) as err:
+            emit_records(records, str(path))
+        assert str(err.value) == f"{path}:3: {message}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dataset", "ds,m,0,9,1,1,1,1\nds"), ("method", 7), ("fold", "1"), ("solution_id", "01")],
+    )
+    def test_emit_refuses_lines_that_would_read_back_changed(self, tmp_path, field, value):
+        fields = {"dataset": "ds", "method": "m", "fold": 0, "solution_id": 1, field: value}
+        records = [ExperimentRecord(**fields, payload=ConfusionMatrix(5, 6, 7, 8))]
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="read back changed"):
+            emit_records(records, str(path))
+        assert not path.exists()
+
+
+_GRAMMAR_NAME = st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=4)
+_ANY_NAME = st.one_of(_GRAMMAR_NAME, st.text(max_size=4), st.integers(0, 9))
+_ANY_ID = st.one_of(
+    st.integers(0, 2**63 - 1),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+    st.sampled_from([0.5, "1"]),
+)
+# four counts of at most 2**51 sum to at most 2**53
+_MATRIX = st.tuples(*[st.integers(0, 2**51)] * 4).filter(any).map(lambda c: ConfusionMatrix(*c))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _records(draw, kind: str, name, ident) -> list[ExperimentRecord]:
+    if kind == "counts":
+        payload = _MATRIX
+    else:
+        payload = st.tuples(*[_FINITE] * draw(st.integers(1, 3))).map(ObjectivePoint)
+    record = st.builds(ExperimentRecord, name, name, ident, ident, payload)
+    return draw(st.lists(record, max_size=8))
+
+
+def _emit_and_read(records: list[ExperimentRecord], kind: str):
+    """What parse_records reads back from what emit_records wrote, or None,
+    with no file, when emit_records raised ValueError."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out.csv")
+        try:
+            emit_records(records, path, payload_kind=kind)
+        except ValueError:
+            assert not os.path.exists(path)
+            return None
+        return parse_records(path, kind)
+
+
+@pytest.mark.parametrize("kind", ["counts", "objectives"])
+class TestEmitReadsBack:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_whatever_emit_writes_reads_back_equal(self, kind, data):
+        records = data.draw(_records(kind, _ANY_NAME, _ANY_ID))
+        back = _emit_and_read(records, kind)
+        assert back is None or back == records
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_records_in_the_grammar_with_distinct_keys_are_written(self, kind, data):
+        records = data.draw(_records(kind, _GRAMMAR_NAME, st.integers(0, 2**63 - 1)))
+        keys = {rec.key for rec in records}
+        assume(len(keys) == len(records))
+        assert _emit_and_read(records, kind) == records
 
 
 TABLE = [

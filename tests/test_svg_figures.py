@@ -207,3 +207,34 @@ class TestIsocurvePlot:
         render_isocurves("gmean", [0.25, 0.5, 0.75], str(a))
         render_isocurves("gmean", [0.25, 0.5, 0.75], str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRegionAxes:
+    def _axes(self, tmp_path, front, ref, mode="dominance"):
+        """(x tick labels, y tick labels, circle centres) of a region plot."""
+        path = tmp_path / "region.svg"
+        render_region_plot(np.array(front, dtype=float), np.array(ref, dtype=float), mode, path)
+        svg = _read(path)
+        x_labels = re.findall(r'text-anchor="middle">([^<]+)</text>', svg)[:-1]  # less the title
+        y_labels = re.findall(r'text-anchor="end">([^<]+)</text>', svg)
+        centres = [(float(x), float(y)) for x, y in re.findall(r'cx="([^"]+)" cy="([^"]+)"', svg)]
+        return x_labels, y_labels, centres
+
+    def test_unit_square_data_keeps_the_unit_axes(self, tmp_path):
+        x, y, _ = self._axes(tmp_path, [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        assert x == y == ["0", "0.25", "0.5", "0.75", "1"]
+
+    def test_axes_widen_by_quarters_to_cover_front_and_reference(self, tmp_path):
+        x, y, centres = self._axes(tmp_path, [[0.3, -0.9], [1.1, -0.2]], [-0.1, 0.5])
+        assert x == ["-0.25", "0", "0.25", "0.5", "0.75", "1", "1.25"]
+        assert y == ["-1", "-0.75", "-0.5", "-0.25", "0", "0.25", "0.5", "0.75", "1"]
+        for cx, cy in centres:
+            assert FRAME.left <= cx <= FRAME.right and FRAME.top <= cy <= FRAME.bottom
+
+    @pytest.mark.parametrize("mode", ["dominance", "hypervolume"])
+    def test_far_data_stays_inside_the_frame_with_few_ticks(self, tmp_path, mode):
+        x, y, centres = self._axes(tmp_path, [[350.0, -2e9], [0.5, 7.0]], [100.0, -3e9], mode)
+        assert x == [str(32 * k) for k in range(12)]  # 350 needs 11 steps of 32
+        assert len(y) <= 17 and float(y[0]) <= -3e9 and float(y[-1]) >= 7.0
+        for cx, cy in centres:
+            assert FRAME.left <= cx <= FRAME.right and FRAME.top <= cy <= FRAME.bottom
