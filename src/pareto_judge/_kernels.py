@@ -1,16 +1,16 @@
 """Vectorized numpy kernels for box-union counts and the non-dominated mask.
 
 Every kernel returns exact integer counts (or a boolean mask), so results do
-not depend on how the work is chunked. Inputs are processed in chunks of
-``_CHUNK`` rows to bound the size of the broadcast comparison arrays; 2-D
-inputs need no broadcast, as a sort and a running maximum answer them.
+not depend on how the work is chunked. Chunks of rows are sized so that each
+broadcast comparison array holds at most ``_ELEMENTS`` elements; 2-D inputs
+need no broadcast, as a sort and a running maximum answer them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 1 << 16
+_ELEMENTS = 1 << 20
 
 
 def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
@@ -31,8 +31,9 @@ def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
         inside = first < xs.size
         return int((samples[inside, 1] <= reach[first[inside]]).sum())
     total = 0
-    for start in range(0, samples.shape[0], _CHUNK):
-        chunk = samples[start : start + _CHUNK]
+    step = max(1, _ELEMENTS // max(1, points.size))  # samples per chunk
+    for start in range(0, samples.shape[0], step):
+        chunk = samples[start : start + step]
         covered = (chunk[:, None, :] <= points[None, :, :]).all(axis=2).any(axis=1)
         total += int(covered.sum())
     return total
@@ -57,9 +58,10 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         keep[order] = ~(best > ys)
         return keep
     keep = np.ones(n, dtype=np.bool_)
-    for start in range(0, n, _CHUNK):
-        block = points[start : start + _CHUNK]
+    step = max(1, _ELEMENTS // max(1, points.size))  # points per chunk
+    for start in range(0, n, step):
+        block = points[start : start + step]
         dominated = (points[None, :, :] > block[:, None, :]).all(axis=2).any(axis=1)
-        keep[start : start + _CHUNK] = ~dominated
+        keep[start : start + step] = ~dominated
     return keep
 

@@ -27,7 +27,6 @@ from .fbeta_analysis import (
 from .indicators import INDICATOR_NAMES
 from .ingest_report import (
     REPORT_FORMATS,
-    ParseError,
     aggregate,
     pair_blocks,
     parse_datasets,
@@ -300,8 +299,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except ParseError as exc:
-        return _fail(str(exc))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 

@@ -4,13 +4,14 @@ Metrics are always computed from raw integer counts, never from pre-rounded
 rates, so precision stays consistent with the recall/specificity pair and
 the class sizes. A zero denominator never raises: the metric takes the
 convention value 0 and its ``defined`` flag drops to False, so degenerate
-folds cannot abort a batch evaluation. Every metric, for one matrix or for
-an array of count rows, comes from ``metric_table``.
+folds cannot abort a batch evaluation. Every metric comes from one formula,
+on an array's count columns in ``metric_table`` and on one matrix's ints in
+the scalar functions, which are bit-equal to ``metric_table``.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ __all__ = [
     "check_counts",
     "counts_array",
     "metric_table",
-    "rates_array",
 ]
 
 # Largest total of one matrix's counts. Up to 2**53 every count and every sum
@@ -59,12 +59,7 @@ class ConfusionMatrix:
             if not -(2**63) <= count < 2**63:
                 raise ValueError(f"{name} must fit int64, got {count}")
             object.__setattr__(self, name, int(count))
-        check_counts(np.array([[self.tp, self.fn, self.fp, self.tn]], dtype=np.int64))
-
-    @functools.cached_property
-    def _metrics(self) -> list[MetricValue]:
-        # TPR, TNR, PPV, BAC and G-mean: computed once, read by each scalar metric
-        return _metrics_of(self)
+        _check_row((self.tp, self.fn, self.fp, self.tn))
 
 
 @dataclass(frozen=True)
@@ -83,68 +78,70 @@ class MetricValue:
         return self.value
 
 
-def metric_table(
-    counts: np.ndarray, betas: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every metric of each (tp, fn, fp, tn) row: (n, 5 + len(betas)) values and flags.
+def _squared(beta: float) -> float:
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be a finite positive real, got {beta!r}")
+    return beta * beta
 
-    Columns are TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta. A rate
-    is 0, undefined, where its denominator is 0; BAC and G-mean are defined
-    where both TPR and TNR are, and F-beta where ``b2 * PPV + TPR`` is not 0.
-    Rejects a beta that is not finite and positive.
-    """
-    beta = np.asarray(betas, dtype=np.float64)
-    valid = np.isfinite(beta) & (beta > 0.0)
-    if not valid.all():
-        raise ValueError(f"beta must be a finite positive real, got {beta[~valid][0].item()!r}")
+
+def _metrics(tp, fn, fp, tn, b2, sqrt, minimum) -> tuple[list, list]:
+    """TPR, TNR, PPV, BAC, G-mean and F-beta at the squared beta b2, and their
+    defined flags, of Python int counts or int columns, through operators both
+    share: counts sum to at most 2**53, so ``int / int`` gives the bits of
+    numpy's convert-then-divide. A rate is 0, undefined, where its denominator
+    is 0; BAC and G-mean are defined where TPR and TNR are, F-beta where
+    ``b2 * PPV + TPR`` is not 0."""
     # where a denominator is 0 so is its numerator, so dividing by 1 there
     # gives the convention value 0: a rate's numerator is one of the counts
     # its denominator sums, and F-beta's has the factor TPR
-    columns = counts.T
-    nums = columns[[0, 3, 0]]
-    dens = nums + columns[[1, 2, 2]]
-    rates_defined = dens != 0
-    rates = nums / (dens + ~rates_defined)
-    t, n, p = rates
-    both = rates_defined[0] & rates_defined[1]
-    b2 = (beta * beta)[:, None]  # one row per beta
+    dens = (tp + fn, tn + fp, tp + fp)
+    t, n, p = (num / (den + (den == 0)) for num, den in zip((tp, tn, tp), dens))
+    defined = [den != 0 for den in dens]
+    both = defined[0] & defined[1]
     f_den = b2 * p + t
-    f_defined = f_den != 0.0
     # the minimum guards against rounding overshoot of the [0, 1] bound
-    f = np.minimum((b2 + 1.0) * p * t / (f_den + ~f_defined), 1.0)
-    # built one row per metric, returned transposed to one row per count row
-    values = np.vstack([rates, (t + n) / 2.0, np.sqrt(t * n), f]).T
-    return values, np.vstack([rates_defined, both, both, f_defined]).T
+    f = minimum((b2 + 1.0) * p * t / (f_den + (f_den == 0.0)), 1.0)
+    return [t, n, p, (t + n) / 2.0, sqrt(t * n), f], [*defined, both, both, f_den != 0.0]
 
 
-def _metrics_of(m: ConfusionMatrix, betas: Sequence[float] = ()) -> list[MetricValue]:
-    values, defined = metric_table(counts_array([m]), betas)
-    return [MetricValue(v, d) for v, d in zip(values[0].tolist(), defined[0].tolist())]
+def metric_table(counts: np.ndarray, betas: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Every metric of each (tp, fn, fp, tn) row, as (n, 5 + len(betas)) values and
+    flags: TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta, which must be
+    finite and positive."""
+    b2 = np.array([_squared(float(b)) for b in betas], dtype=np.float64)[:, None]
+    # built one row per metric (F-beta one row per beta), returned transposed
+    values, defined = _metrics(*counts.T, b2, np.sqrt, np.minimum)
+    return np.vstack(values).T, np.vstack(defined).T
+
+
+def _metric(m: ConfusionMatrix, index: int, b2: float = 1.0) -> MetricValue:
+    values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2, math.sqrt, min)
+    return MetricValue(values[index], defined[index])
 
 
 def tpr(m: ConfusionMatrix) -> MetricValue:
     """Sensitivity (recall): TP / (TP + FN)."""
-    return m._metrics[0]
+    return _metric(m, 0)
 
 
 def tnr(m: ConfusionMatrix) -> MetricValue:
     """Specificity: TN / (TN + FP)."""
-    return m._metrics[1]
+    return _metric(m, 1)
 
 
 def ppv(m: ConfusionMatrix) -> MetricValue:
     """Precision: TP / (TP + FP)."""
-    return m._metrics[2]
+    return _metric(m, 2)
 
 
 def bac(m: ConfusionMatrix) -> MetricValue:
     """Balanced accuracy: arithmetic mean of sensitivity and specificity."""
-    return m._metrics[3]
+    return _metric(m, 3)
 
 
 def gmean(m: ConfusionMatrix) -> MetricValue:
     """Geometric mean of sensitivity and specificity."""
-    return m._metrics[4]
+    return _metric(m, 4)
 
 
 def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
@@ -153,18 +150,30 @@ def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
     beta expresses how much more recall matters than precision; beta = 1
     weighs them equally. Rejects beta <= 0 or non-finite beta.
     """
-    return _metrics_of(m, (beta,))[5]
+    return _metric(m, 5, _squared(float(beta)))
 
 
 def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     """The (sensitivity, specificity) pair as a 2-D maximization point."""
-    t, n = m._metrics[:2]
-    return ObjectivePoint((t.value, n.value))
+    return ObjectivePoint((tpr(m).value, tnr(m).value))
+
+
+def _check_row(row: Sequence[int]) -> None:
+    """Raise ValueError unless the (tp, fn, fp, tn) counts are non-negative,
+    not all 0, and sum to at most 2**53."""
+    for name, count in zip(COUNT_NAMES, row):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
+    total = sum(row)
+    if total == 0:
+        raise ValueError("confusion matrix must contain at least one outcome")
+    if total > COUNTS_LIMIT:
+        raise ValueError(f"counts sum to {total}, above the limit 2**53")
 
 
 def check_counts(counts: np.ndarray) -> None:
-    """Raise ValueError unless counts is an (n, 4) integer array of (tp, fn, fp, tn)
-    rows, each non-negative, not all 0, and summing to at most 2**53."""
+    """Raise ValueError unless counts is an (n, 4) integer array whose rows
+    each pass ``_check_row``; the message names the first bad row."""
     if counts.dtype.kind not in "iu" or counts.shape[1:] != (4,):
         raise ValueError(f"counts must be an (n, 4) int array, got {counts.dtype} {counts.shape}")
     # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
@@ -172,21 +181,10 @@ def check_counts(counts: np.ndarray) -> None:
     totals = counts.sum(axis=1)
     bad |= (totals > COUNTS_LIMIT) | (totals == 0)
     if bad.any():
-        row = counts[bad.argmax()].tolist()  # the first bad row
-        for name, count in zip(COUNT_NAMES, row):
-            if count < 0:
-                raise ValueError(f"{name} must be non-negative, got {count}")
-        if not any(row):
-            raise ValueError("confusion matrix must contain at least one outcome")
-        raise ValueError(f"counts sum to {sum(row)}, above the limit 2**53")
+        _check_row(counts[bad.argmax()].tolist())
 
 
 def counts_array(matrices: Sequence[ConfusionMatrix]) -> np.ndarray:
     """The matrices stacked into an (n, 4) int64 array of (tp, fn, fp, tn) rows."""
-    rows = [(m.tp, m.fn, m.fp, m.tn) for m in matrices]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    return np.array([(m.tp, m.fn, m.fp, m.tn) for m in matrices], np.int64).reshape(-1, 4)
 
-
-def rates_array(counts: np.ndarray) -> np.ndarray:
-    """(sensitivity, specificity) of each (tp, fn, fp, tn) row, as (n, 2) points."""
-    return metric_table(counts)[0][:, :2].copy()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, check_counts, counts_array, metric_table
+from .confusion_metrics import ConfusionMatrix, _metrics, check_counts, counts_array, metric_table
 from .indicators import _block_indicators
 
 __all__ = [
@@ -127,7 +127,9 @@ def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> l
 
 def fbeta_curve(m: ConfusionMatrix, grid: BetaGrid, label: str = "") -> FbetaCurve:
     """Pointwise F-beta of one confusion matrix along the grid."""
-    return fbeta_curves(counts_array([m]), grid, [label])[0]
+    b2 = np.square(grid.betas)
+    values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2, math.sqrt, np.minimum)
+    return FbetaCurve(label, grid.betas, tuple(values[5].tolist()), tuple(defined[5].tolist()))
 
 
 def fbeta_envelope(

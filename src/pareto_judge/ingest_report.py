@@ -39,10 +39,11 @@ import numpy as np
 from ._io import atomic_write_text
 from .confusion_metrics import (
     ConfusionMatrix,
+    _check_row,
     check_counts,
     counts_array,
+    metric_table,
     objective_point_of,
-    rates_array,
 )
 from .indicators import INDICATOR_NAMES, _block_indicators
 from .objective_space import ObjectivePoint, front_rows
@@ -194,7 +195,7 @@ class RecordTable(Sequence):
 
     def points(self) -> np.ndarray:
         """(n, dim) objective points: (TPR, TNR) for counts, the objectives otherwise."""
-        return rates_array(self.values) if self.is_counts else self.values
+        return metric_table(self.values)[0][:, :2].copy() if self.is_counts else self.values
 
     def take(self, rows: np.ndarray) -> RecordTable:
         """The rows selected by a boolean mask or an index array, in that order."""
@@ -562,7 +563,7 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
 
 
 def _counts_row(values: list) -> list:
-    check_counts(np.array([values[4:]], dtype=np.int64))
+    _check_row(values[4:])
     return values
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_metrics
@@ -14,6 +14,7 @@ from pareto_judge.confusion_metrics import (
     MetricValue,
     bac,
     check_counts,
+    counts_array,
     fbeta,
     gmean,
     metric_table,
@@ -22,6 +23,7 @@ from pareto_judge.confusion_metrics import (
     tnr,
     tpr,
 )
+from pareto_judge.ingest_report import COUNTS_HEADER, ParseError, parse_records
 
 
 def _random_matrices(rng: np.random.Generator, n: int, high: int = 250, min_tp: int = 0):
@@ -182,6 +184,78 @@ class TestMetricTable:
     def test_rejects_bad_beta(self, beta):
         with pytest.raises(ValueError, match="beta"):
             metric_table(np.array([[1, 1, 1, 1]]), (1.0, beta))
+
+
+# betas over the whole range the property covers, and log-uniform within it
+_wide_betas = st.one_of(
+    st.floats(1e-150, 1e150), st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+)
+
+
+def _bits(metric: MetricValue) -> tuple[str, bool]:
+    return metric.value.hex(), metric.defined
+
+
+class TestScalarEqualsTable:
+    """The scalar functions run the table's formula on one matrix's ints."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        row=st.lists(
+            st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 2**51)), min_size=4, max_size=4
+        ).filter(any),
+        beta=_wide_betas,
+    )
+    @example(row=[2**53, 0, 0, 0], beta=1e150)
+    @example(row=[0, 2**52, 2**51, 2**51], beta=1e-150)
+    @example(row=[0, 0, 3, 7], beta=1.0)  # TPR undefined
+    @example(row=[5, 5, 0, 0], beta=1.0)  # TNR undefined
+    @example(row=[0, 4, 0, 6], beta=1.0)  # PPV and F-beta undefined
+    def test_bit_equal_to_metric_table(self, row, beta):
+        m = ConfusionMatrix(*row)
+        values, defined = metric_table(counts_array([m]), (beta,))
+        table = [(v.hex(), d) for v, d in zip(values[0].tolist(), defined[0].tolist())]
+        scalar = [tpr(m), tnr(m), ppv(m), bac(m), gmean(m), fbeta(m, beta)]
+        assert [_bits(metric) for metric in scalar] == table
+        assert [type(metric.defined) for metric in scalar] == [bool] * 6
+        assert [c.hex() for c in objective_point_of(m).coords] == [v for v, _ in table[:2]]
+
+
+def _one_row_file(directory, row) -> str:
+    path = str(directory / "counts.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(COUNTS_HEADER) + "\nd,m,0,0," + ",".join(map(str, row)) + "\n")
+    return path
+
+
+def _message(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestOneCountsRule:
+    """A matrix, a counts array and a counts file reject a row with one text."""
+
+    def test_negative_count(self):
+        text = _message(ConfusionMatrix, 3, 0, -2, 1)
+        assert text == "fp must be non-negative, got -2"
+        assert _message(check_counts, np.array([[3, 0, -2, 1]])) == text
+
+    @pytest.mark.parametrize(
+        "row, text",
+        [
+            ((0, 0, 0, 0), "confusion matrix must contain at least one outcome"),
+            ((2**52, 2**52, 1, 0), f"counts sum to {2**53 + 1}, above the limit 2**53"),
+        ],
+    )
+    def test_matrix_array_and_file_agree(self, tmp_path, row, text):
+        assert _message(ConfusionMatrix, *row) == text
+        assert _message(check_counts, np.array([row], dtype=np.int64)) == text
+        path = _one_row_file(tmp_path, row)
+        with pytest.raises(ParseError) as info:
+            parse_records(path, "counts")
+        assert str(info.value) == f"{path}:2: {text}"
 
 
 class TestObjectivePoint:

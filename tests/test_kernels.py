@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -86,6 +87,26 @@ class TestBackendSelection:
     def test_empty_point_set_covers_nothing(self):
         samples = np.random.default_rng(0).random((100, 2))
         assert _kernels.count_in_box_union(samples, np.empty((0, 2))) == 0
+
+    def test_broadcasts_stay_within_the_element_budget(self):
+        # unchunked, 5 000 points compared pairwise would hold 75M booleans,
+        # and 70 000 samples against 200 boxes 42M
+        rng = np.random.default_rng(114)
+        points, boxes = rng.random((5000, 3)), rng.random((200, 3))
+        samples = rng.random((70_000, 3))
+        tracemalloc.start()
+        try:
+            mask = _kernels.nondominated_mask(points)
+            count = _kernels.count_in_box_union(samples, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert mask.tolist() == [not (points > p).all(axis=1).any() for p in points]
+        covered = np.zeros(len(samples), dtype=np.bool_)
+        for box in boxes:
+            covered |= (samples <= box).all(axis=1)
+        assert count == int(covered.sum())
 
 
 # signed zeros compare equal, so they must land in one equal-x group
