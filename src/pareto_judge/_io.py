@@ -8,7 +8,11 @@ import tempfile
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        # name the requested path, not the random temp name
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -1,13 +1,13 @@
 """Small deterministic SVG builder shared by the figure renderers.
 
-Every document is a fixed 800x600 viewBox with 12pt sans-serif labels.
-Coordinates are always formatted with two decimals, so identical inputs
-yield byte-identical markup.
+One ``SvgDoc`` per figure holds its elements and its data-to-pixel mapping
+of the axes; only its methods write elements. Every document is a fixed
+800x600 viewBox with 12pt sans-serif labels. Coordinates are always
+formatted with two decimals, so identical inputs yield byte-identical markup.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,13 +67,39 @@ class Frame:
 FRAME = Frame(left=80.0, top=40.0, width=560.0, height=490.0)
 
 
+DASH = ' stroke-dasharray="7 4"'
+
+
 class SvgDoc:
-    def __init__(self) -> None:
+    """One figure: its elements, and a linear data-to-pixel mapping over FRAME."""
+
+    def __init__(
+        self,
+        x_range: tuple[float, float],
+        y_range: tuple[float, float],
+        x_label: str,
+        y_label: str,
+    ) -> None:
+        self.x_lo, self.x_hi = x_range
+        self.y_lo, self.y_hi = y_range
+        self.x_label = x_label
+        self.y_label = y_label
         self._parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         ]
+
+    # x_px and y_px take floats or float64 arrays; numpy applies the same IEEE
+    # operations in the same order, so both give the same pixels
+
+    def x_px(self, x: float | np.ndarray) -> float | np.ndarray:
+        span = self.x_hi - self.x_lo
+        return FRAME.left + (x - self.x_lo) / span * FRAME.width
+
+    def y_px(self, y: float | np.ndarray) -> float | np.ndarray:
+        span = self.y_hi - self.y_lo
+        return FRAME.bottom - (y - self.y_lo) / span * FRAME.height
 
     def rect(
         self,
@@ -91,11 +117,18 @@ class SvgDoc:
         )
 
     def line(
-        self, x1: float, y1: float, x2: float, y2: float, stroke: str, width: float = 1.0
+        self,
+        x1: float,
+        y1: float,
+        x2: float,
+        y2: float,
+        stroke: str,
+        width: float = 1.0,
+        dashed: bool = False,
     ) -> None:
         self._parts.append(
             f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{fmt(width)}"/>'
+            f'stroke="{stroke}" stroke-width="{fmt(width)}"{DASH if dashed else ""}/>'
         )
 
     def polyline(
@@ -108,10 +141,9 @@ class SvgDoc:
         """One polyline through the rows of an (n, 2) float array."""
         # one %-format call gives the bytes of fmt applied to each coordinate
         coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-        dash = ' stroke-dasharray="7 4"' if dashed else ""
         self._parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{fmt(width)}"'
-            f'{dash} points="{coords}"/>'
+            f'{DASH if dashed else ""} points="{coords}"/>'
         )
 
     def circles(self, xy: np.ndarray, r: float, fills: Sequence[str]) -> None:
@@ -129,90 +161,33 @@ class SvgDoc:
             f'font-family="{FONT_FAMILY}" text-anchor="{anchor}">{escape(content)}</text>'
         )
 
-    def tostring(self) -> str:
-        return "\n".join(self._parts + ["</svg>"]) + "\n"
-
-
-class Plot:
-    """Linear data-to-pixel mapping over FRAME plus the axis frame drawing."""
-
-    def __init__(
-        self,
-        doc: SvgDoc,
-        x_range: tuple[float, float],
-        y_range: tuple[float, float],
-        x_label: str,
-        y_label: str,
-    ) -> None:
-        self.doc = doc
-        self.x_lo, self.x_hi = x_range
-        self.y_lo, self.y_hi = y_range
-        self.x_label = x_label
-        self.y_label = y_label
-
-    # x_px and y_px take floats or float64 arrays; numpy applies the same IEEE
-    # operations in the same order, so both give the same pixels
-
-    def x_px(self, x: float | np.ndarray) -> float | np.ndarray:
-        span = self.x_hi - self.x_lo
-        return FRAME.left + (x - self.x_lo) / span * FRAME.width
-
-    def y_px(self, y: float | np.ndarray) -> float | np.ndarray:
-        span = self.y_hi - self.y_lo
-        return FRAME.bottom - (y - self.y_lo) / span * FRAME.height
-
     def draw_frame(
         self,
         x_ticks: Sequence[tuple[float, str]],
         y_ticks: Sequence[tuple[float, str]],
     ) -> None:
-        """Axes, ticks and axis labels. Figures of one kind share their frame,
-        so its markup is built once per distinct frame and reused."""
-        self.doc._parts.append(
-            _frame_markup(
-                (self.x_lo, self.x_hi), (self.y_lo, self.y_hi), self.x_label, self.y_label,
-                tuple(x_ticks), tuple(y_ticks),
-            )
-        )
+        """Axes, ticks and axis labels."""
+        self.line(FRAME.left, FRAME.bottom, FRAME.right, FRAME.bottom, "#000000", 1.5)
+        self.line(FRAME.left, FRAME.top, FRAME.left, FRAME.bottom, "#000000", 1.5)
+        for value, label in x_ticks:
+            x = self.x_px(value)
+            self.line(x, FRAME.bottom, x, FRAME.bottom + 5, "#000000")
+            self.text(x, FRAME.bottom + 20, label, anchor="middle")
+        for value, label in y_ticks:
+            y = self.y_px(value)
+            self.line(FRAME.left - 5, y, FRAME.left, y, "#000000")
+            self.text(FRAME.left - 9, y + 4, label, anchor="end")
+        self.text(FRAME.left + FRAME.width / 2, FRAME.bottom + 42, self.x_label, anchor="middle")
+        self.text(FRAME.left - 50, FRAME.top - 14, self.y_label, anchor="start")
 
+    def draw_legend(self, entries: Sequence[tuple[str, str, bool]]) -> None:
+        """One (label, color, dashed) row per entry, laid out beside the frame."""
+        x = FRAME.right + 16.0
+        y = FRAME.top + 10.0
+        for label, color, dashed in entries:
+            self.line(x, y, x + 24, y, color, 2.0, dashed)
+            self.text(x + 30, y + 4, label)
+            y += 20.0
 
-@functools.lru_cache(maxsize=64)
-def _frame_markup(
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    x_label: str,
-    y_label: str,
-    x_ticks: tuple[tuple[float, str], ...],
-    y_ticks: tuple[tuple[float, str], ...],
-) -> str:
-    """The frame's elements as one string, one element per line."""
-    doc = SvgDoc()
-    head = len(doc._parts)
-    plot = Plot(doc, x_range, y_range, x_label, y_label)
-    doc.line(FRAME.left, FRAME.bottom, FRAME.right, FRAME.bottom, "#000000", 1.5)
-    doc.line(FRAME.left, FRAME.top, FRAME.left, FRAME.bottom, "#000000", 1.5)
-    for value, label in x_ticks:
-        x = plot.x_px(value)
-        doc.line(x, FRAME.bottom, x, FRAME.bottom + 5, "#000000")
-        doc.text(x, FRAME.bottom + 20, label, anchor="middle")
-    for value, label in y_ticks:
-        y = plot.y_px(value)
-        doc.line(FRAME.left - 5, y, FRAME.left, y, "#000000")
-        doc.text(FRAME.left - 9, y + 4, label, anchor="end")
-    doc.text(FRAME.left + FRAME.width / 2, FRAME.bottom + 42, x_label, anchor="middle")
-    doc.text(FRAME.left - 50, FRAME.top - 14, y_label, anchor="start")
-    return "\n".join(doc._parts[head:])
-
-
-def draw_legend(doc: SvgDoc, entries: Sequence[tuple[str, str, bool]]) -> None:
-    """One (label, color, dashed) row per entry, laid out beside the frame."""
-    x = FRAME.right + 16.0
-    y = FRAME.top + 10.0
-    for label, color, dashed in entries:
-        dash = ' stroke-dasharray="7 4"' if dashed else ""
-        doc._parts.append(
-            f'<line x1="{fmt(x)}" y1="{fmt(y)}" x2="{fmt(x + 24)}" y2="{fmt(y)}" '
-            f'stroke="{color}" stroke-width="2.00"{dash}/>'
-        )
-        doc.text(x + 30, y + 4, label)
-        y += 20.0
+    def tostring(self) -> str:
+        return "\n".join(self._parts + ["</svg>"]) + "\n"

@@ -52,13 +52,15 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self) -> None:
-        for name in COUNT_NAMES:
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+        row = (self.tp, self.fn, self.fp, self.tn)
+        for name, count in zip(COUNT_NAMES, row):
+            if type(count) is not int:
+                if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {count!r}")
+                object.__setattr__(self, name, int(count))
             if not -(2**63) <= count < 2**63:
                 raise ValueError(f"{name} must fit int64, got {count}")
-            object.__setattr__(self, name, int(count))
+        # Python ints: an int64 sum of numpy counts could wrap
         _check_row((self.tp, self.fn, self.fp, self.tn))
 
 

@@ -198,10 +198,6 @@ def _covering_axis(values: np.ndarray) -> tuple[tuple[float, float], list[tuple[
         step *= 2.0
 
 
-def _write_doc(doc: _svg.SvgDoc, out: str) -> None:
-    atomic_write_text(out, doc.tostring())
-
-
 def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: str) -> None:
     """Curves over log10(beta), envelopes dashed, with a method legend."""
     if not curves:
@@ -211,23 +207,22 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
         if c.betas != betas:
             raise ValueError("all curves must share one beta grid")
     lo, hi = math.log10(betas[0]), math.log10(betas[-1])
-    doc = _svg.SvgDoc()
-    plot = _svg.Plot(doc, (lo, hi), (0.0, 1.0), "beta (log scale)", "F_beta")
+    doc = _svg.SvgDoc((lo, hi), (0.0, 1.0), "beta (log scale)", "F_beta")
     decade_ticks = [
         (float(e), f"{10.0 ** e:g}")
         for e in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
     ]
-    plot.draw_frame(decade_ticks, _unit_ticks())
+    doc.draw_frame(decade_ticks, _unit_ticks())
     # math.log10 per beta: np.log10 may differ from it in the last bit
-    x = plot.x_px(np.array([math.log10(b) for b in betas]))
-    ys = plot.y_px(np.array([curve.values for curve in curves]))
+    x = doc.x_px(np.array([math.log10(b) for b in betas]))
+    ys = doc.y_px(np.array([curve.values for curve in curves]))
     legend = []
     for i, (curve, y) in enumerate(zip(curves, ys)):
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
         doc.polyline(np.column_stack((x, y)), color, dashed=curve.is_envelope)
         legend.append((curve.method_label, color, curve.is_envelope))
-    _svg.draw_legend(doc, legend)
-    _write_doc(doc, out)
+    doc.draw_legend(legend)
+    atomic_write_text(out, doc.tostring())
 
 
 def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
@@ -255,11 +250,10 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
     (x_range, x_ticks), (y_range, y_ticks) = (
         _covering_axis(np.append(front[:, i], ref[i])) for i in range(2)
     )
-    doc = _svg.SvgDoc()
-    plot = _svg.Plot(doc, x_range, y_range, "objective 1", "objective 2")
+    doc = _svg.SvgDoc(x_range, y_range, "objective 1", "objective 2")
     rx, ry = ref.tolist()
-    cx, cy = plot.x_px(rx), plot.y_px(ry)
-    xy = np.column_stack((plot.x_px(front[:, 0]), plot.y_px(front[:, 1])))
+    cx, cy = doc.x_px(rx), doc.y_px(ry)
+    xy = np.column_stack((doc.x_px(front[:, 0]), doc.y_px(front[:, 1])))
     above = (front > ref).all(axis=1).tolist()
     below = (front < ref).all(axis=1).tolist()
     if mode == "hypervolume":
@@ -267,11 +261,11 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
             if shaded:
                 doc.rect(cx, y, x - cx, cy - y, HV_FILL)
     else:
-        top, right = plot.y_px(y_range[1]), plot.x_px(x_range[1])
-        left, bottom = plot.x_px(x_range[0]), plot.y_px(y_range[0])
+        top, right = doc.y_px(y_range[1]), doc.x_px(x_range[1])
+        left, bottom = doc.x_px(x_range[0]), doc.y_px(y_range[0])
         doc.rect(cx, top, right - cx, cy - top, DOMINATING_FILL, opacity=0.15)
         doc.rect(left, cy, cx - left, bottom - cy, DOMINATED_FILL, opacity=0.15)
-    plot.draw_frame(x_ticks, y_ticks)
+    doc.draw_frame(x_ticks, y_ticks)
     if mode == "dominance":
         fills = [
             DOMINATING_FILL if a else DOMINATED_FILL if b else NEUTRAL_FILL
@@ -292,8 +286,8 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
         sdr, ndr = values["SDR"].item(), values["NDR"].item()
         legend.append((f"dominating (SDR = {sdr:.2f})", DOMINATING_FILL, False))
         legend.append((f"dominated (NDR = {ndr:.2f})", DOMINATED_FILL, False))
-    _svg.draw_legend(doc, legend)
-    _write_doc(doc, out)
+    doc.draw_legend(legend)
+    atomic_write_text(out, doc.tostring())
 
 
 def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: str) -> None:
@@ -306,9 +300,8 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
             raise ValueError(f"levels must lie strictly inside (0, 1), got {level!r}")
     x_label, y_label = ("TPR", "TNR") if metric == "gmean" else ("precision", "recall")
-    doc = _svg.SvgDoc()
-    plot = _svg.Plot(doc, (0.0, 1.0), (0.0, 1.0), x_label, y_label)
-    plot.draw_frame(_unit_ticks(), _unit_ticks())
+    doc = _svg.SvgDoc((0.0, 1.0), (0.0, 1.0), x_label, y_label)
+    doc.draw_frame(_unit_ticks(), _unit_ticks())
     legend = []
     label = "G-mean" if metric == "gmean" else "F1"
     for i, level in enumerate(levels):
@@ -316,7 +309,7 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
         xs = np.linspace(_isocurve_domain_start(metric, level), 1.0, _ISOCURVE_SAMPLES)
         ys = np.minimum(1.0, isocurve_y(metric, level, xs))
-        doc.polyline(np.column_stack((plot.x_px(xs), plot.y_px(ys))), color)
+        doc.polyline(np.column_stack((doc.x_px(xs), doc.y_px(ys))), color)
         legend.append((f"{label} = {level:g}", color, False))
-    _svg.draw_legend(doc, legend)
-    _write_doc(doc, out)
+    doc.draw_legend(legend)
+    atomic_write_text(out, doc.tostring())

@@ -91,6 +91,14 @@ class TestExitCodes:
         assert not (workdir / "never.csv").exists()
         assert "cover different" in capsys.readouterr().err
 
+    def test_output_in_a_missing_directory_names_that_path(self, workdir, capsys):
+        out = workdir / "missing" / "report.csv"
+        expected = f"error: [Errno 2] No such file or directory: '{out}'\n"
+        for _ in range(2):
+            assert run(_compare_args(workdir, out="missing/report.csv")) == 1
+            assert capsys.readouterr().err == expected
+        assert not (workdir / "missing").exists()
+
     def test_parse_error_reports_file_and_line(self, workdir, capsys):
         (workdir / "front.csv").write_text(
             "dataset,method,fold,solution_id,tp,fn,fp,tn\nds1,moo,0,0,-2,1,1,1\n",

@@ -51,6 +51,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="integer"):
             ConfusionMatrix(1.5, 0, 0, 1)
 
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError, match="tp must be an integer"):
+            ConfusionMatrix(True, 0, 0, 1)
+
+    def test_numpy_counts_stored_as_python_ints(self):
+        m = ConfusionMatrix(np.int64(40), np.uint8(10), 5, 45)
+        assert [type(c) for c in (m.tp, m.fn, m.fp, m.tn)] == [int] * 4
+        assert m == ConfusionMatrix(40, 10, 5, 45)
+
+    def test_numpy_row_sums_cannot_wrap(self):
+        # four int64 counts of 2**62 sum to 2**64, which wraps to 0 in int64
+        with pytest.raises(ValueError, match=rf"counts sum to {2**64}, above the limit 2\*\*53"):
+            ConfusionMatrix(*[np.int64(2**62)] * 4)
+
     def test_counts_bounded_by_two_to_the_53(self):
         with pytest.raises(ValueError, match=r"2\*\*53"):
             ConfusionMatrix(2**53, 1, 0, 0)
