@@ -2,13 +2,15 @@
 
 One ``SvgDoc`` per figure holds its elements and its data-to-pixel mapping
 of the axes; only its methods write elements. Every document is a fixed
-800x600 viewBox with 12pt sans-serif labels. Coordinates are always
+800x600 viewBox whose data area is the rectangle LEFT, TOP, FRAME_WIDTH,
+FRAME_HEIGHT (RIGHT and BOTTOM derived), with room for a legend on the right.
+Styles are fixed: curves are polylines of stroke width 2, markers circles of
+radius 4, and labels 12-unit sans-serif text. Coordinates are always
 formatted with two decimals, so identical inputs yield byte-identical markup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,33 +47,17 @@ def escape(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Pixel rectangle of the data area inside the document."""
-
-    left: float
-    top: float
-    width: float
-    height: float
-
-    @property
-    def right(self) -> float:
-        return self.left + self.width
-
-    @property
-    def bottom(self) -> float:
-        return self.top + self.height
-
-
 # data area shared by every plot kind; the right margin leaves legend room
-FRAME = Frame(left=80.0, top=40.0, width=560.0, height=490.0)
+LEFT, TOP, FRAME_WIDTH, FRAME_HEIGHT = 80.0, 40.0, 560.0, 490.0
+RIGHT = LEFT + FRAME_WIDTH
+BOTTOM = TOP + FRAME_HEIGHT
 
 
 DASH = ' stroke-dasharray="7 4"'
 
 
 class SvgDoc:
-    """One figure: its elements, and a linear data-to-pixel mapping over FRAME."""
+    """One figure: its elements, and a linear data-to-pixel mapping onto the frame."""
 
     def __init__(
         self,
@@ -95,11 +81,11 @@ class SvgDoc:
 
     def x_px(self, x: float | np.ndarray) -> float | np.ndarray:
         span = self.x_hi - self.x_lo
-        return FRAME.left + (x - self.x_lo) / span * FRAME.width
+        return LEFT + (x - self.x_lo) / span * FRAME_WIDTH
 
     def y_px(self, y: float | np.ndarray) -> float | np.ndarray:
         span = self.y_hi - self.y_lo
-        return FRAME.bottom - (y - self.y_lo) / span * FRAME.height
+        return BOTTOM - (y - self.y_lo) / span * FRAME_HEIGHT
 
     def rect(
         self,
@@ -131,33 +117,25 @@ class SvgDoc:
             f'stroke="{stroke}" stroke-width="{fmt(width)}"{DASH if dashed else ""}/>'
         )
 
-    def polyline(
-        self,
-        xy: np.ndarray,
-        stroke: str,
-        width: float = 2.0,
-        dashed: bool = False,
-    ) -> None:
-        """One polyline through the rows of an (n, 2) float array."""
+    def polyline(self, xy: np.ndarray, stroke: str, dashed: bool = False) -> None:
+        """One polyline of width 2 through the rows of an (n, 2) float array."""
         # one %-format call gives the bytes of fmt applied to each coordinate
         coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         self._parts.append(
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="{fmt(width)}"'
+            f'<polyline fill="none" stroke="{stroke}" stroke-width="2.00"'
             f'{DASH if dashed else ""} points="{coords}"/>'
         )
 
-    def circles(self, xy: np.ndarray, r: float, fills: Sequence[str]) -> None:
-        """One circle of radius r at each row of an (n, 2) float array, with
+    def circles(self, xy: np.ndarray, fills: Sequence[str]) -> None:
+        """One circle of radius 4 at each row of an (n, 2) float array, with
         the matching fill; formatted in one %-format call, like polyline."""
-        circle = f'<circle cx="%.2f" cy="%.2f" r="{fmt(r)}" fill="%s"/>'
+        circle = '<circle cx="%.2f" cy="%.2f" r="4.00" fill="%s"/>'
         values = [v for (x, y), fill in zip(xy.tolist(), fills) for v in (x, y, fill)]
         self._parts.append("\n".join([circle] * len(xy)) % tuple(values))
 
-    def text(
-        self, x: float, y: float, content: str, anchor: str = "start", size: int = FONT_SIZE
-    ) -> None:
+    def text(self, x: float, y: float, content: str, anchor: str = "start") -> None:
         self._parts.append(
-            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{size}" '
+            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{FONT_SIZE}" '
             f'font-family="{FONT_FAMILY}" text-anchor="{anchor}">{escape(content)}</text>'
         )
 
@@ -167,23 +145,23 @@ class SvgDoc:
         y_ticks: Sequence[tuple[float, str]],
     ) -> None:
         """Axes, ticks and axis labels."""
-        self.line(FRAME.left, FRAME.bottom, FRAME.right, FRAME.bottom, "#000000", 1.5)
-        self.line(FRAME.left, FRAME.top, FRAME.left, FRAME.bottom, "#000000", 1.5)
+        self.line(LEFT, BOTTOM, RIGHT, BOTTOM, "#000000", 1.5)
+        self.line(LEFT, TOP, LEFT, BOTTOM, "#000000", 1.5)
         for value, label in x_ticks:
             x = self.x_px(value)
-            self.line(x, FRAME.bottom, x, FRAME.bottom + 5, "#000000")
-            self.text(x, FRAME.bottom + 20, label, anchor="middle")
+            self.line(x, BOTTOM, x, BOTTOM + 5, "#000000")
+            self.text(x, BOTTOM + 20, label, anchor="middle")
         for value, label in y_ticks:
             y = self.y_px(value)
-            self.line(FRAME.left - 5, y, FRAME.left, y, "#000000")
-            self.text(FRAME.left - 9, y + 4, label, anchor="end")
-        self.text(FRAME.left + FRAME.width / 2, FRAME.bottom + 42, self.x_label, anchor="middle")
-        self.text(FRAME.left - 50, FRAME.top - 14, self.y_label, anchor="start")
+            self.line(LEFT - 5, y, LEFT, y, "#000000")
+            self.text(LEFT - 9, y + 4, label, anchor="end")
+        self.text(LEFT + FRAME_WIDTH / 2, BOTTOM + 42, self.x_label, anchor="middle")
+        self.text(LEFT - 50, TOP - 14, self.y_label, anchor="start")
 
     def draw_legend(self, entries: Sequence[tuple[str, str, bool]]) -> None:
         """One (label, color, dashed) row per entry, laid out beside the frame."""
-        x = FRAME.right + 16.0
-        y = FRAME.top + 10.0
+        x = RIGHT + 16.0
+        y = TOP + 10.0
         for label, color, dashed in entries:
             self.line(x, y, x + 24, y, color, 2.0, dashed)
             self.text(x + 30, y + 4, label)

@@ -9,6 +9,7 @@ deterministic SVG 1.1 documents.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -108,10 +109,6 @@ class FbetaCurve:
             raise ValueError("curve fields must all match the grid length")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("curve values must lie in [0, 1]")
-
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        """(beta, value) pairs in grid order."""
-        return tuple(zip(self.betas, self.values))
 
 
 def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> list[FbetaCurve]:
@@ -273,7 +270,7 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
         ]
     else:
         fills = ["#08519c"] * n
-    doc.circles(xy, 4.0, fills)
+    doc.circles(xy, fills)
     # reference marker: a black cross
     doc.line(cx - 5, cy - 5, cx + 5, cy + 5, "#000000", 2.0)
     doc.line(cx - 5, cy + 5, cx + 5, cy - 5, "#000000", 2.0)
@@ -299,6 +296,10 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
     for level in levels:
         if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
             raise ValueError(f"levels must lie strictly inside (0, 1), got {level!r}")
+        # gmean starts at x = level^2, and f1 starts level^2 / (2 - level) from
+        # its pole: neither curve can be computed once level^2 is subnormal
+        if level * level < sys.float_info.min:
+            raise ValueError(f"level {level!r} is too small to draw: its square underflows")
     x_label, y_label = ("TPR", "TNR") if metric == "gmean" else ("precision", "recall")
     doc = _svg.SvgDoc((0.0, 1.0), (0.0, 1.0), x_label, y_label)
     doc.draw_frame(_unit_ticks(), _unit_ticks())
@@ -308,7 +309,9 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         level = float(level)
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
         xs = np.linspace(_isocurve_domain_start(metric, level), 1.0, _ISOCURVE_SAMPLES)
-        ys = np.minimum(1.0, isocurve_y(metric, level, xs))
+        # y = 1 at the domain start by definition; f1 evaluated there cancels
+        # in 2x - level, to zero for levels below the float epsilon
+        ys = np.minimum(1.0, np.append(1.0, isocurve_y(metric, level, xs[1:])))
         doc.polyline(np.column_stack((doc.x_px(xs), doc.y_px(ys))), color)
         legend.append((f"{label} = {level:g}", color, False))
     doc.draw_legend(legend)

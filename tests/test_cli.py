@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_judge.cli import run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FRONT_CSV = """dataset,method,fold,solution_id,tp,fn,fp,tn
 ds1,moo,0,0,4,6,1,9
@@ -517,6 +522,44 @@ class TestFigureSubcommands:
         args = ["isocurves", "--metric", "f1", "--levels", "0.5,oops", "--out", "x.svg"]
         assert run(args) == 1
         assert "levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["gmean", "f1"])
+    def test_isocurves_level_too_small_to_draw(self, workdir, capsys, metric):
+        out = workdir / "iso.svg"
+        args = ["isocurves", "--metric", metric, "--levels", "0.5,1e-200", "--out", str(out)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1e-200" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", ["gmean", "f1"])
+    def test_isocurves_tiny_level_draws_finite_points_from_the_top(self, workdir, metric):
+        out = workdir / "iso.svg"
+        args = ["isocurves", "--metric", metric, "--levels", "0.5,1e-17", "--out", str(out)]
+        assert run(args) == 0
+        svg = out.read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+        # the level set meets y = 1, the top of the frame, at its first point
+        tiny = re.findall(r'points="([^"]+)"', svg)[1].split()
+        assert tiny[0].endswith(",40.00")
+
+
+class TestModuleEntryPoint:
+    def _module(self, *args):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        command = [sys.executable, "-m", "pareto_judge.cli", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    def test_runs_a_command_like_run(self, workdir):
+        done = self._module(*_compare_args(workdir, out="module.csv"))
+        assert done.returncode == 0, done.stderr
+        assert run(_compare_args(workdir)) == 0
+        assert (workdir / "module.csv").read_bytes() == (workdir / "report.csv").read_bytes()
+
+    def test_no_arguments_is_a_usage_error(self):
+        done = self._module()
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: pareto-judge")
 
 
 class TestNoPartialOutputs:

@@ -23,7 +23,7 @@ import re
 import numpy as np
 import pytest
 
-from pareto_judge._svg import FRAME
+from pareto_judge._svg import BOTTOM, LEFT, RIGHT, TOP
 from pareto_judge.cli import run
 
 DATASETS = ("dsA", "dsB", "dsC")
@@ -236,5 +236,5 @@ def test_negated_region_plot_draws_every_point_inside_the_frame(tmp_path, mode):
             assert len(circles) == 16
             for cx, cy in circles:
                 # the frame lies inside the 800x600 document
-                assert FRAME.left <= float(cx) <= FRAME.right
-                assert FRAME.top <= float(cy) <= FRAME.bottom
+                assert LEFT <= float(cx) <= RIGHT
+                assert TOP <= float(cy) <= BOTTOM

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_hypervolume
-from pareto_judge._svg import FRAME
+from pareto_judge._svg import BOTTOM, FRAME_HEIGHT, FRAME_WIDTH, LEFT, RIGHT, TOP
 from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.fbeta_analysis import (
     DOMINATED_FILL,
@@ -43,12 +43,12 @@ def _rects_with_fill(svg: str, fill: str) -> list[tuple[float, float, float, flo
 
 def _shaded_fraction(svg: str, fill: str, subpixels: int = 4) -> float:
     """Rasterize the matching rects onto the frame grid and measure the union."""
-    width = int(FRAME.width * subpixels)
-    height = int(FRAME.height * subpixels)
+    width = int(FRAME_WIDTH * subpixels)
+    height = int(FRAME_HEIGHT * subpixels)
     painted = np.zeros((width, height), dtype=bool)
     for x, y, w, h in _rects_with_fill(svg, fill):
-        x0 = round((x - FRAME.left) * subpixels)
-        y0 = round((y - FRAME.top) * subpixels)
+        x0 = round((x - LEFT) * subpixels)
+        y0 = round((y - TOP) * subpixels)
         painted[x0 : x0 + round(w * subpixels), y0 : y0 + round(h * subpixels)] = True
     return painted.sum() / painted.size
 
@@ -70,7 +70,7 @@ class TestFbetaPlot:
         out = tmp_path / "curve.svg"
         render_fbeta_plot([curve], str(out))
         points = _POLYLINE_RE.search(_read(out))[1].split()
-        midline = FRAME.top + FRAME.height / 2
+        midline = TOP + FRAME_HEIGHT / 2
         ys = {float(p.split(",")[1]) for p in points}
         assert len(ys) == 1
         assert ys.pop() == pytest.approx(midline, abs=0.01)
@@ -199,8 +199,8 @@ class TestIsocurvePlot:
         for match in _POLYLINE_RE.finditer(_read(out)):
             for pair in match[1].split():
                 x, y = (float(v) for v in pair.split(","))
-                assert FRAME.left - 0.01 <= x <= FRAME.right + 0.01
-                assert FRAME.top - 0.01 <= y <= FRAME.bottom + 0.01
+                assert LEFT - 0.01 <= x <= RIGHT + 0.01
+                assert TOP - 0.01 <= y <= BOTTOM + 0.01
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -229,7 +229,7 @@ class TestRegionAxes:
         assert x == ["-0.25", "0", "0.25", "0.5", "0.75", "1", "1.25"]
         assert y == ["-1", "-0.75", "-0.5", "-0.25", "0", "0.25", "0.5", "0.75", "1"]
         for cx, cy in centres:
-            assert FRAME.left <= cx <= FRAME.right and FRAME.top <= cy <= FRAME.bottom
+            assert LEFT <= cx <= RIGHT and TOP <= cy <= BOTTOM
 
     @pytest.mark.parametrize("mode", ["dominance", "hypervolume"])
     def test_far_data_stays_inside_the_frame_with_few_ticks(self, tmp_path, mode):
@@ -237,4 +237,4 @@ class TestRegionAxes:
         assert x == [str(32 * k) for k in range(12)]  # 350 needs 11 steps of 32
         assert len(y) <= 17 and float(y[0]) <= -3e9 and float(y[-1]) >= 7.0
         for cx, cy in centres:
-            assert FRAME.left <= cx <= FRAME.right and FRAME.top <= cy <= FRAME.bottom
+            assert LEFT <= cx <= RIGHT and TOP <= cy <= BOTTOM
