@@ -26,6 +26,7 @@ from .fbeta_analysis import (
 )
 from .indicators import INDICATOR_NAMES
 from .ingest_report import (
+    PAYLOAD_KINDS,
     REPORT_FORMATS,
     aggregate,
     pair_blocks,
@@ -226,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="aggregate front-vs-reference indicators over folds")
     p.add_argument("--front", required=True, help="front results csv")
     p.add_argument("--refs", required=True, help="reference results csv")
-    p.add_argument("--payload", choices=("counts", "objectives"), default="counts")
+    p.add_argument("--payload", choices=PAYLOAD_KINDS, default="counts")
     p.add_argument(
         "--negate",
         default=None,
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region-plot", help="hypervolume or dominance region figure per dataset")
     p.add_argument("--front", required=True, help="front results csv")
     p.add_argument("--refs", required=True, help="reference results csv")
-    p.add_argument("--payload", choices=("counts", "objectives"), default="counts")
+    p.add_argument("--payload", choices=PAYLOAD_KINDS, default="counts")
     p.add_argument(
         "--negate",
         default=None,

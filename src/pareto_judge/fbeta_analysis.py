@@ -93,15 +93,14 @@ def default_beta_grid() -> BetaGrid:
 class FbetaCurve:
     """F-beta values along a grid for one method, or an envelope of a front.
 
-    For an envelope, ``argmax`` holds the winning member index at each beta,
-    ties broken toward the lowest index.
+    An envelope holds in ``argmax`` the winning member index at each beta,
+    ties broken toward the lowest index; other curves hold None there.
     """
 
     method_label: str
     betas: tuple[float, ...]
     values: tuple[float, ...]
     defined: tuple[bool, ...]
-    is_envelope: bool = False
     argmax: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -109,6 +108,10 @@ class FbetaCurve:
             raise ValueError("curve fields must all match the grid length")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("curve values must lie in [0, 1]")
+
+    @property
+    def is_envelope(self) -> bool:
+        return self.argmax is not None
 
 
 def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> list[FbetaCurve]:
@@ -152,7 +155,6 @@ def fbeta_envelope(
         betas=grid.betas,
         values=tuple(values[winners, columns].tolist()),
         defined=tuple(defined[winners, columns].tolist()),
-        is_envelope=True,
         argmax=tuple(winners.tolist()),
     )
 

@@ -14,14 +14,16 @@ four counts of a row sum to at most 2**53; number fields match
 
 Every file is read whole (``_read_file``), and one row reader
 (``_body_rows``) checks the lines of all four schemas, each given as its
-(column name, check) pairs. Counts and objectives bodies are first checked
-whole and read straight into numpy columns (``_scan_body``): a counts body
-as one byte array, by its comma and LF positions and each column's byte
-class; an objectives body by one regular expression over LF-aligned chunks
-of about 64 KiB, then ``loadtxt``. A body that fails any check goes through
-the row reader (``_parse_lines``), which names the first bad ``file:line``.
-``emit_records`` checks the lines it formats in the same way before writing,
-so it never writes a file that ``parse_records`` rejects.
+(column name, check) pairs; ``_record_columns`` gives those of results
+files. Counts and objectives bodies are first checked whole and read
+straight into numpy columns (``_scan_body``): a counts body as one byte
+array, by its comma and LF positions and each column's byte class, even
+with one very long name; an objectives body by one regular expression over
+LF-aligned chunks of about 64 KiB, then ``loadtxt``. The row reader
+(``_parse_lines``) reads only a body that fails a check, to name its first
+bad ``file:line``. ``parse_records`` negates the ``negate`` columns of the
+table read. ``emit_records`` checks its lines the same way before writing,
+and ``_table_text`` lays out every table written, as csv or markdown.
 """
 
 from __future__ import annotations
@@ -70,13 +72,13 @@ __all__ = [
 ]
 
 COUNTS_HEADER = ("dataset", "method", "fold", "solution_id", "tp", "fn", "fp", "tn")
-KEY_HEADER = ("dataset", "method", "fold", "solution_id")
 DATASETS_HEADER = ("name", "n_features", "n_samples", "n_minority")
 REPORT_HEADER = ("indicator", "reference_method", "dataset", "mean", "std", "fold_count")
 
 DEFAULT_INDICATORS = ("ED", "HV", "SDR", "NDR")
 POOLED_REFERENCE_LABEL = "pooled"
 
+PAYLOAD_KINDS = ("counts", "objectives")
 REPORT_FORMATS = ("csv", "markdown")
 
 _IDENT = r"[A-Za-z0-9_-]+"
@@ -121,7 +123,7 @@ class ExperimentRecord:
         return self.payload
 
 
-def _factorize(names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _factorize(names: Sequence[str] | Sequence[bytes]) -> tuple[tuple, np.ndarray]:
     """Sorted distinct names, and each name's index into them."""
     ordered = sorted(set(names))
     index = {name: i for i, name in enumerate(ordered)}
@@ -341,7 +343,8 @@ def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
-def _check_header(header: tuple[str, ...], expected: tuple[str, ...], path: str) -> None:
+def _check_header(header: tuple[str, ...], columns: Sequence[tuple], path: str) -> None:
+    expected = tuple(name for name, _ in columns)
     if header != expected:
         raise ParseError(path, 1, f"expected header {','.join(expected)}, got {','.join(header)}")
 
@@ -363,7 +366,6 @@ def _check_indicator(value: str, path: str, line: int, column: str) -> str:
 
 
 _COUNTS_COLUMNS = tuple(zip(COUNTS_HEADER, (_check_ident, _check_ident, *[_check_int] * 6)))
-_KEY_COLUMNS = _COUNTS_COLUMNS[:4]
 _DATASET_COLUMNS = tuple(zip(DATASETS_HEADER, (_check_ident, *[_check_int] * 3)))
 _REPORT_COLUMNS = tuple(
     zip(REPORT_HEADER, (_check_indicator, *[_check_ident] * 2, *[_check_float] * 2, _check_int))
@@ -404,11 +406,11 @@ def _body_rows(
     return rows
 
 
-def _objectives_header(header: tuple[str, ...], path: str) -> int:
-    """The number of objectives of a valid objectives header."""
-    dim = len(header) - 4
-    _check_header(header, (*KEY_HEADER, *(f"obj_{i}" for i in range(1, max(dim, 1) + 1))), path)
-    return dim
+def _record_columns(counts: bool, dim: int) -> tuple[tuple[str, Callable], ...]:
+    """The (column name, check) pairs of a counts file or a dim-objective file."""
+    if counts:
+        return _COUNTS_COLUMNS
+    return (*_COUNTS_COLUMNS[:4], *((f"obj_{i}", _check_float) for i in range(1, dim + 1)))
 
 
 def _objectives_pattern(dim: int) -> bytes:
@@ -451,13 +453,20 @@ def _ident_column(
 
     The fields are copied left-aligned into a zero-padded (n, width) array
     and factorized with ``np.unique`` on its rows as ``S`` strings. A column
-    whose widest field would make that array larger than the body goes to
-    the line parser instead.
+    whose widest field would make that array larger than the body is
+    factorized from the fields' own bytes instead.
     """
     widths = ends - starts
     longest = int(widths.max())
-    if widths.min() < 1 or len(widths) * longest > buf.size:
+    if widths.min() < 1:
         return None
+    if len(widths) * longest > buf.size:
+        data = buf.data
+        fields = [data[a:b].tobytes() for a, b in zip(starts.tolist(), ends.tolist())]
+        names, codes = _factorize(fields)
+        if not all(_IDENT_BYTES.take(np.frombuffer(name, np.uint8)).all() for name in names):
+            return None
+        return tuple(name.decode("ascii") for name in names), codes
     window = np.zeros((len(widths), longest), np.uint8)
     for k in range(longest):
         column = buf.take(starts + k, mode="clip")
@@ -527,7 +536,7 @@ def _field_columns(body: bytes, n_fields: int, n_read: int) -> list | None:
     return columns
 
 
-def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> RecordTable | None:
+def _scan_body(body: bytes, payload_kind: str, dim: int) -> RecordTable | None:
     """The whole body checked at once and read into columns.
 
     Returns None when any check fails; the line-by-line parse then names the
@@ -557,7 +566,6 @@ def _scan_body(body: bytes, payload_kind: str, dim: int, flip: np.ndarray) -> Re
         )
         if not np.isfinite(values).all():
             return None
-        values[:, flip] = -values[:, flip]
     table = RecordTable(dataset_names, method_names, dataset, method, fold, solution_id, values)
     return None if table._has_duplicate_keys() else table
 
@@ -567,27 +575,20 @@ def _counts_row(values: list) -> list:
     return values
 
 
-def _parse_lines(
-    body: bytes, path: str, payload_kind: str, dim: int, flip: np.ndarray
-) -> RecordTable:
+def _parse_lines(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:
     """The body parsed one line at a time; raises ParseError at the first bad line."""
     counts = payload_kind == "counts"
-    objectives = ((f"obj_{i}", _check_float) for i in range(1, dim + 1))
-    columns = _COUNTS_COLUMNS if counts else (*_KEY_COLUMNS, *objectives)
+    columns = _record_columns(counts, dim)
     rows = _body_rows(body, path, columns, 4, "record key", _counts_row if counts else list)
     values = np.array([row[4:] for row in rows], dtype=np.int64 if counts else np.float64)
-    values = values.reshape(len(rows), dim)
-    values[:, flip] = -values[:, flip]
-    return _table(*([row[i] for row in rows] for i in range(4)), values)
+    return _table(*([row[i] for row in rows] for i in range(4)), values.reshape(len(rows), dim))
 
 
-def _body_table(
-    body: bytes, path: str, payload_kind: str, dim: int, flip: np.ndarray
-) -> RecordTable:
+def _body_table(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:
     """The body read by ``_scan_body``, or by ``_parse_lines`` to name the
     first bad line when the whole-body check fails."""
-    table = _scan_body(body, payload_kind, dim, flip)
-    return _parse_lines(body, path, payload_kind, dim, flip) if table is None else table
+    table = _scan_body(body, payload_kind, dim)
+    return _parse_lines(body, path, payload_kind, dim) if table is None else table
 
 
 def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> RecordTable:
@@ -597,24 +598,27 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
     counts, 'objectives' rows carry raw criterion values. Duplicate
     (dataset, method, fold, solution_id) keys are rejected. Objective
     columns named in negate are sign-flipped on load, turning minimization
-    criteria into the maximization orientation used everywhere else. The
-    table is a sequence of ExperimentRecord values in file order.
+    criteria into the maximization orientation used everywhere else; they are
+    negated once the whole body has been read. The table is a sequence of
+    ExperimentRecord values in file order.
     """
-    if payload_kind not in ("counts", "objectives"):
-        raise ValueError(f"payload_kind must be 'counts' or 'objectives', got {payload_kind!r}")
-    if negate and payload_kind != "objectives":
+    if payload_kind not in PAYLOAD_KINDS:
+        raise ValueError(f"payload_kind must be one of {PAYLOAD_KINDS}, got {payload_kind!r}")
+    counts = payload_kind == "counts"
+    if negate and counts:
         raise ValueError("negate applies only to the objectives payload")
     header, body = _read_file(path)
-    if payload_kind == "counts":
-        _check_header(header, COUNTS_HEADER, path)
-        dim = 4
-    else:
-        dim = _objectives_header(header, path)
-        unknown = set(negate) - {f"obj_{i}" for i in range(1, dim + 1)}
-        if unknown:
-            raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
-    flip = np.array([f"obj_{i}" in set(negate) for i in range(1, dim + 1)])
-    return _body_table(body, path, payload_kind, dim, flip)
+    dim = 4 if counts else max(len(header) - 4, 1)
+    columns = _record_columns(counts, dim)
+    _check_header(header, columns, path)
+    objectives = [name for name, _ in columns[4:]]
+    unknown = set(negate) - set(objectives)
+    if unknown:
+        raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
+    table = _body_table(body, path, payload_kind, dim)
+    flip = [i for i, name in enumerate(objectives) if name in negate]
+    table.values[:, flip] = -table.values[:, flip]
+    return table
 
 
 def emit_records(
@@ -630,29 +634,37 @@ def emit_records(
     """
     if records:
         payload_kind = "counts" if isinstance(records[0].payload, ConfusionMatrix) else "objectives"
-    elif payload_kind not in ("counts", "objectives"):
+    elif payload_kind not in PAYLOAD_KINDS:
         raise ValueError("emitting an empty record list requires an explicit payload_kind")
     counts = payload_kind == "counts"
     if any(isinstance(rec.payload, ConfusionMatrix) != counts for rec in records):
         raise ValueError("cannot mix confusion counts and objective payloads in one file")
     dim = 4 if counts else records[0].payload.dim if records else 1
-    header = COUNTS_HEADER if counts else (*KEY_HEADER, *(f"obj_{i}" for i in range(1, dim + 1)))
-    lines = []
+    rows = []
     for rec in records:
         m = rec.payload
-        values = ",".join(map(repr, (m.tp, m.fn, m.fp, m.tn) if counts else m.coords))
-        lines.append(f"{rec.dataset},{rec.method},{rec.fold},{rec.solution_id},{values}\n")
-    body = "".join(lines)
-    if _body_table(body.encode(), path, payload_kind, dim, np.zeros(dim, np.bool_)) != records:
+        values = (m.tp, m.fn, m.fp, m.tn) if counts else m.coords
+        rows.append((*map(str, rec.key), *map(repr, values)))
+    text = _table_text([name for name, _ in _record_columns(counts, dim)], rows, "csv")
+    if _body_table(text.partition("\n")[2].encode(), path, payload_kind, dim) != records:
         raise ValueError(f"{path}: records would read back changed: a field's type or a line break")
-    atomic_write_text(path, ",".join(header) + "\n" + body)
+    atomic_write_text(path, text)
 
 
 def parse_datasets(path: str) -> list[DatasetInfo]:
     """Parse a dataset characteristics file."""
     header, body = _read_file(path)
-    _check_header(header, DATASETS_HEADER, path)
+    _check_header(header, _DATASET_COLUMNS, path)
     return _body_rows(body, path, _DATASET_COLUMNS, 1, "dataset", lambda row: DatasetInfo(*row))
+
+
+def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) -> str:
+    """The header and rows of text fields as csv lines or as a markdown table."""
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in (header, *rows))
+    lines = ["| " + " | ".join(row) + " |" for row in (header, *rows)]
+    lines.insert(1, "|" + " --- |" * len(header))
+    return "\n".join(lines) + "\n"
 
 
 def render_dataset_table(infos: Sequence[DatasetInfo], fmt: str) -> str:
@@ -661,16 +673,11 @@ def render_dataset_table(infos: Sequence[DatasetInfo], fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}; expected one of {REPORT_FORMATS}")
     if not infos:
         raise ValueError("no datasets to render")
-    header = ("name", "n_features", "n_samples", "n_minority", "ir")
     rows = [
         (d.name, str(d.n_features), str(d.n_samples), str(d.n_minority), f"{imbalance_ratio(d):.2f}")
         for d in infos
     ]
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
-    lines += ["| " + " | ".join(r) + " |" for r in rows]
-    return "\n".join(lines) + "\n"
+    return _table_text((*DATASETS_HEADER, "ir"), rows, fmt)
 
 
 @dataclass(frozen=True)
@@ -704,10 +711,6 @@ class ComparisonReport:
 
     def datasets(self, indicator: str) -> list[str]:
         return sorted({key[2] for key in self.cells if key[0] == indicator})
-
-    @property
-    def fold_count(self) -> int:
-        return max(cell.fold_count for cell in self.cells.values())
 
 
 def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
@@ -860,32 +863,25 @@ def _markdown_blocks(report: ComparisonReport) -> str:
         scale = 1000.0 if indicator == "HV" else 1.0
         title = "HV (×10³)" if indicator == "HV" else indicator
         datasets = report.datasets(indicator)
-        lines = [f"## {title}", ""]
-        lines.append("| reference | " + " | ".join(datasets) + " |")
-        lines.append("|" + " --- |" * (len(datasets) + 1))
-        for method in report.reference_methods(indicator):
-            cells = []
-            for dataset in datasets:
-                cell = report.cells.get((indicator, method, dataset))
-                if cell is None:
-                    cells.append("-")
-                else:
-                    cells.append(f"{cell.mean * scale:.2f} ({cell.std * scale:.2f})")
-            lines.append(f"| {method} | " + " | ".join(cells) + " |")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+        text = {
+            key[1:]: f"{cell.mean * scale:.2f} ({cell.std * scale:.2f})"
+            for key, cell in report.cells.items()
+            if key[0] == indicator
+        }
+        rows = [
+            (method, *(text.get((method, dataset), "-") for dataset in datasets))
+            for method in report.reference_methods(indicator)
+        ]
+        table = _table_text(("reference", *datasets), rows, "markdown")
+        blocks.append(f"## {title}\n\n{table}")
+    return "\n".join(blocks)
 
 
 def _report_csv(report: ComparisonReport) -> str:
-    lines = [",".join(REPORT_HEADER)]
     order = {name: i for i, name in enumerate(INDICATOR_NAMES)}
-    for (indicator, method, dataset), cell in sorted(
-        report.cells.items(), key=lambda item: (order[item[0][0]], item[0][1], item[0][2])
-    ):
-        lines.append(
-            f"{indicator},{method},{dataset},{cell.mean!r},{cell.std!r},{cell.fold_count}"
-        )
-    return "\n".join(lines) + "\n"
+    cells = sorted(report.cells.items(), key=lambda item: (order[item[0][0]], *item[0][1:]))
+    rows = [(*key, repr(c.mean), repr(c.std), str(c.fold_count)) for key, c in cells]
+    return _table_text(REPORT_HEADER, rows, "csv")
 
 
 def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
@@ -907,7 +903,7 @@ def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
 def read_report_csv(path: str) -> ComparisonReport:
     """Load a report previously written in the csv format."""
     header, body = _read_file(path)
-    _check_header(header, REPORT_HEADER, path)
+    _check_header(header, _REPORT_COLUMNS, path)
     rows = _body_rows(
         body, path, _REPORT_COLUMNS, 3, "report row",
         lambda row: (tuple(row[:3]), ReportCell(*row[3:])),

@@ -89,11 +89,9 @@ def _valid_body(draw, payload_kind: str, dim: int) -> bytes:
     return ("\n".join(lines) + ending).encode()
 
 
-def _schema(payload_kind: str, dim: int, negate: tuple[str, ...] = ()):
-    """(dim, flip) arguments of the body readers for a schema."""
-    if payload_kind == "counts":
-        return 4, np.zeros(4, dtype=bool)
-    return dim, np.array([f"obj_{i}" in negate for i in range(1, dim + 1)])
+def _dim(payload_kind: str, dim: int) -> int:
+    """The dim argument of the body readers for a schema."""
+    return 4 if payload_kind == "counts" else dim
 
 
 def _assert_same_table(a: RecordTable, b: RecordTable) -> None:
@@ -111,9 +109,9 @@ def _header(payload_kind: str, dim: int) -> bytes:
     return f"dataset,method,fold,solution_id,{objectives}".encode()
 
 
-def _line_error(body: bytes, path: str, payload_kind: str, dim: int, flip) -> ParseError:
+def _line_error(body: bytes, path: str, payload_kind: str, dim: int) -> ParseError:
     with pytest.raises(ParseError) as err:
-        _parse_lines(body, path, payload_kind, dim, flip)
+        _parse_lines(body, path, payload_kind, dim)
     return err.value
 
 
@@ -125,16 +123,16 @@ class TestFastAndLocatingParse:
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
     def test_valid_body_gives_the_same_table(self, payload_kind, dim, negate, data):
-        dim, flip = _schema(payload_kind, dim, negate)
+        dim = _dim(payload_kind, dim)
         body = data.draw(_valid_body(payload_kind, dim))
-        fast = _scan_body(body, payload_kind, dim, flip)
+        fast = _scan_body(body, payload_kind, dim)
         assert fast is not None
-        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim, flip))
+        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim))
 
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())
     def test_one_corrupted_line_fails_there(self, payload_kind, dim, negate, data):
-        dim, flip = _schema(payload_kind, dim, negate)
+        dim = _dim(payload_kind, dim)
         lines = data.draw(_valid_body(payload_kind, dim)).rstrip(b"\n").split(b"\n")
         assume(lines != [b""])
         k = data.draw(st.integers(0, len(lines) - 1))
@@ -168,34 +166,90 @@ class TestFastAndLocatingParse:
         lines[k] = b",".join(corruptions[kind]())
         body = b"\n".join(lines) + b"\n"
 
-        assert _scan_body(body, payload_kind, dim, flip) is None
+        assert _scan_body(body, payload_kind, dim) is None
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.csv")
             with open(path, "wb") as handle:
                 handle.write(_header(payload_kind, dim) + b"\n" + body)
             with pytest.raises(ParseError) as err:
                 parse_records(path, payload_kind, negate)
-            expected = _line_error(body, path, payload_kind, dim, flip)
+            expected = _line_error(body, path, payload_kind, dim)
         assert err.value.line == expected.line == k + 2  # the header is line 1
         assert str(err.value) == str(expected)
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_both_readers_accept_the_same_language(self, payload_kind, dim, negate, data):
-        dim, flip = _schema(payload_kind, dim, negate)
+        dim = _dim(payload_kind, dim)
         token = st.sampled_from(
             ["ds1", "m", "0", "1", "7", "-1", "0.5", "1e3", "", "+1", "1_0", "inf", "a b", "x\r"]
         )
         line = st.lists(token, min_size=dim + 3, max_size=dim + 5).map(",".join)
         body = "\n".join(data.draw(st.lists(line, max_size=4))).encode()
         try:
-            slow = _parse_lines(body, "f.csv", payload_kind, dim, flip)
+            slow = _parse_lines(body, "f.csv", payload_kind, dim)
         except ParseError:
             slow = None
-        fast = _scan_body(body, payload_kind, dim, flip)
+        fast = _scan_body(body, payload_kind, dim)
         assert (fast is None) == (slow is None)
         if fast is not None:
             _assert_same_table(fast, slow)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_negate_equals_negating_the_parsed_columns(data):
+    dim = data.draw(st.integers(1, 4))
+    body = data.draw(_valid_body("objectives", dim))
+    negate = data.draw(st.sets(st.sampled_from([f"obj_{i}" for i in range(1, dim + 1)])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        with open(path, "wb") as handle:
+            handle.write(_header("objectives", dim) + b"\n" + body)
+        negated = parse_records(path, "objectives", tuple(negate))
+        table = parse_records(path, "objectives")
+    sign = [-1.0 if f"obj_{i}" in negate else 1.0 for i in range(1, dim + 1)]
+    expected = RecordTable(
+        table.dataset_names, table.method_names, table.dataset, table.method, table.fold,
+        table.solution_id, table.values * sign,
+    )
+    _assert_same_table(negated, expected)  # by bytes, so 0.0 must turn into -0.0
+
+
+@pytest.mark.parametrize("payload_kind,dim", [("counts", 4), ("objectives", 2)])
+@pytest.mark.parametrize("column", [0, 1])
+class TestOneLongIdentifier:
+    """One name so long that a window of every field at its width would
+    outgrow the body: the column is still read by ``_scan_body``."""
+
+    def _body(self, payload_kind: str, column: int, name: str) -> bytes:
+        values = "1,2,3,4" if payload_kind == "counts" else "0.5,-1e3"
+        lines = [[f"d{k % 7}", f"m{k % 3}", "0", str(k), values] for k in range(50)]
+        lines[17][column] = name
+        body = "".join(",".join(line) + "\n" for line in lines).encode()
+        assert 50 * len(name.encode()) > len(body)
+        return body
+
+    def test_read_as_columns_into_the_line_readers_table(self, payload_kind, dim, column):
+        body = self._body(payload_kind, column, "x" * 100)
+        fast = _scan_body(body, payload_kind, dim)
+        assert fast is not None
+        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim))
+        names = fast.dataset_names if column == 0 else fast.method_names
+        assert "x" * 100 in names
+
+    @pytest.mark.parametrize("name", ["a b" + "x" * 100, "x" * 100 + "é"])
+    def test_bad_long_name_fails_at_its_line(self, tmp_path, payload_kind, dim, column, name):
+        body = self._body(payload_kind, column, name)
+        assert _scan_body(body, payload_kind, dim) is None
+        path = tmp_path / "f.csv"
+        path.write_bytes(_header(payload_kind, dim) + b"\n" + body)
+        with pytest.raises(ParseError) as err:
+            parse_records(str(path), payload_kind)
+        expected = _line_error(body, str(path), payload_kind, dim)
+        assert err.value.line == expected.line == 19  # body line 18 after the header
+        assert str(err.value) == str(expected)
+        assert "invalid identifier" in str(err.value)
 
 
 class TestCountsFieldEdges:
@@ -220,11 +274,10 @@ class TestCountsFieldEdges:
     )
     def test_bad_line_rejected_by_both_readers(self, tmp_path, bad):
         body = "d,m,0,0,1,2,3,4\n" + bad + "\n"
-        dim, flip = _schema("counts", 4)
-        assert _scan_body(body.encode(), "counts", dim, flip) is None
+        assert _scan_body(body.encode(), "counts", 4) is None
         with pytest.raises(ParseError) as err:
             self._parse(tmp_path, body)
-        expected = _line_error(body.encode(), err.value.path, "counts", dim, flip)
+        expected = _line_error(body.encode(), err.value.path, "counts", 4)
         assert err.value.line == expected.line == 3
         assert str(err.value) == str(expected)
 
@@ -279,7 +332,7 @@ class TestObjectivesChunkEdges:
         body = "".join(self.LINE.format(k) for k in range(1, self.ROWS + 1)).encode()
         path = tmp_path / "objectives.csv"
         path.write_bytes(_header("objectives", 3) + b"\n" + body[:-1])  # no final LF
-        assert _scan_body(body, "objectives", *_schema("objectives", 3)) is not None
+        assert _scan_body(body, "objectives", 3) is not None
         table = parse_records(str(path), "objectives")
         assert table.solution_id.tolist() == list(range(1, self.ROWS + 1))
 

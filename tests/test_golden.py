@@ -25,6 +25,7 @@ import pytest
 
 from pareto_judge._svg import BOTTOM, LEFT, RIGHT, TOP
 from pareto_judge.cli import run
+from pareto_judge.ingest_report import emit_records, parse_records
 
 DATASETS = ("dsA", "dsB", "dsC")
 FOLDS = 3
@@ -101,6 +102,19 @@ def _objectives_2d_files(directory) -> tuple[str, str]:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     return paths
+
+
+def _datasets_file(directory) -> str:
+    rng = np.random.default_rng(5)
+    lines = ["name,n_features,n_samples,n_minority"]
+    for i in range(6):
+        n_samples = int(rng.integers(20, 5000))
+        n_minority = int(rng.integers(1, n_samples // 2 + 1))
+        lines.append(f"ds{i}_{'ab'[i % 2]},{rng.integers(1, 300)},{n_samples},{n_minority}")
+    path = os.path.join(directory, "datasets.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
 
 
 MAKERS = {
@@ -238,3 +252,34 @@ def test_negated_region_plot_draws_every_point_inside_the_frame(tmp_path, mode):
                 # the frame lies inside the 800x600 document
                 assert LEFT <= float(cx) <= RIGHT
                 assert TOP <= float(cy) <= BOTTOM
+
+
+# tables written other than by one command on the generated results files;
+# taken before every written table was laid out by one function
+LAYOUT_GOLDEN = {
+    "datasets-csv": "9df9e73d20d08c656b526846899149004156a7fd031e87ef9e46bf285290ac29",
+    "datasets-markdown": "857eec5c4a188728ae162947b50e01acc38f6b533bef6987be1878ac5db5fa46",
+    "report-markdown": "21184471757d3c6fbc091061a1ce83bf7c9503b2cf70a2f0a18bfb9429828c85",
+    "emit-counts": "f52e105366dbc5ca972381e64376690c5cf82ab8d3f17e054396fc88ea0e1bb6",
+    "emit-objectives-3d": "e7961349dd1497c585d381d3a5b6f242d505eb74e06f0ba5dde5df357a04863f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_GOLDEN))
+def test_table_layout_digest(tmp_path, name):
+    out = str(tmp_path / "out")
+    if name.startswith("datasets-"):
+        fmt = name.removeprefix("datasets-")
+        datasets = _datasets_file(str(tmp_path))
+        assert run(["datasets", "--in", datasets, "--format", fmt, "--out", out]) == 0
+    elif name == "report-markdown":
+        front, refs = _counts_files(str(tmp_path))
+        report = str(tmp_path / "report.csv")
+        assert run(["compare", "--front", front, "--refs", refs, *ALL, "--out", report]) == 0
+        assert run(["report", "--in", report, "--format", "markdown", "--out", out]) == 0
+    elif name == "emit-counts":
+        emit_records(parse_records(_counts_files(str(tmp_path))[0], "counts"), out)
+    else:
+        front = _objectives_files(str(tmp_path))[0]
+        emit_records(parse_records(front, "objectives", ("obj_3",)), out)
+    assert _digest(out) == LAYOUT_GOLDEN[name]

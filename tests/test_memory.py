@@ -3,7 +3,8 @@
 A results file is read whole, so the parse and the indicator evaluation are
 bounded relative to its size: at most 12 times the file, each measured with
 ``tracemalloc`` (which also sees numpy's buffers) on a 40,000-row counts
-front, and the parse also on a 40,000-row file of three objectives.
+front, and the parse also on a 40,000-row file of three objectives and on
+the counts front with one 100-byte dataset name.
 """
 
 from __future__ import annotations
@@ -58,6 +59,17 @@ def objectives_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def long_name_file(counts_files, tmp_path_factory):
+    """The counts front with one row's dataset named by 100 bytes."""
+    with open(counts_files[0], encoding="utf-8") as handle:
+        header, first, rest = handle.read().split("\n", 2)
+    path = str(tmp_path_factory.mktemp("memory") / "long.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{header}\n{'x' * 100}{first[first.index(','):]}\n{rest}")
+    return path
+
+
 def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
@@ -87,4 +99,12 @@ def test_objectives_parse_peak_within_twelve_times_the_file(objectives_file):
     size = os.path.getsize(objectives_file)
     assert len(parse_records(objectives_file, "objectives")) == 40_000
     peak = _traced_peak(parse_records, objectives_file, "objectives")
+    assert peak <= PEAK_PER_FILE_BYTE * size, f"{peak / size:.1f} x the file size"
+
+
+def test_parse_of_one_long_name_peak_within_twelve_times_the_file(long_name_file):
+    size = os.path.getsize(long_name_file)
+    table = parse_records(long_name_file, "counts")
+    assert len(table) == 40_000 and "x" * 100 in table.dataset_names
+    peak = _traced_peak(parse_records, long_name_file, "counts")
     assert peak <= PEAK_PER_FILE_BYTE * size, f"{peak / size:.1f} x the file size"
