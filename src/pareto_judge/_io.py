@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:
-        # name the requested path, not the random temp name
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            # name the requested path, not the random temp name
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

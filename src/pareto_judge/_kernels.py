@@ -1,9 +1,11 @@
 """Vectorized numpy kernels for box-union counts and the non-dominated mask.
 
-Every kernel returns exact integer counts (or a boolean mask), so results do
-not depend on how the work is chunked. Chunks of rows are sized so that each
-broadcast comparison array holds at most ``_ELEMENTS`` elements; 2-D inputs
-need no broadcast, as a sort and a running maximum answer them.
+Both kernels answer one covering query: which query rows does some point
+exceed in every coordinate, strictly for dominance and non-strictly for
+boxes. Each returns exact integer counts (or a boolean mask), so results do
+not depend on how the work is chunked. 2-D inputs take a sort and a running
+maximum; other dimensions compare chunks of rows, each broadcast comparison
+array holding at most ``_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
@@ -13,55 +15,41 @@ import numpy as np
 _ELEMENTS = 1 << 20
 
 
+def _covered(queries: np.ndarray, points: np.ndarray, strict: bool) -> np.ndarray:
+    """Mask of query rows q for which some row p of points has p > q in
+    every coordinate (``strict``), or p >= q. The arrays are finite, of
+    shapes (n, M) and (k, M).
+
+    Two coordinates take a staircase lookup (Kung, Luccio and Preparata
+    1975): in order of descending x, the best y among the points whose x
+    exceeds (or reaches) q's decides whether q is covered.
+    """
+    exceeds = np.greater if strict else np.greater_equal
+    if points.shape[1] == 2:
+        negx = -points[:, 0]
+        order = np.argsort(negx)
+        best = np.concatenate(([-np.inf], np.maximum.accumulate(points[order, 1])))
+        side = "left" if strict else "right"
+        ahead = np.searchsorted(negx[order], -queries[:, 0], side=side)
+        return exceeds(best[ahead], queries[:, 1])
+    covered = np.empty(queries.shape[0], dtype=np.bool_)
+    step = max(1, _ELEMENTS // max(1, points.size))  # query rows per chunk
+    for start in range(0, queries.shape[0], step):
+        block = queries[start : start + step]
+        hits = exceeds(points[None, :, :], block[:, None, :]).all(axis=2).any(axis=1)
+        covered[start : start + step] = hits
+    return covered
+
+
 def count_in_box_union(samples: np.ndarray, points: np.ndarray) -> int:
     """Count samples covered by at least one point's box.
 
     A sample ``s`` is covered when some row ``p`` of ``points`` satisfies
     ``s <= p`` in every coordinate; the arrays are (n, M) and (k, M).
     """
-    if points.shape[0] == 0:
-        return 0
-    if points.shape[1] == 2:
-        # staircase lookup: the first point with x >= s_x, and the best y
-        # from there on, decide whether some box reaches s
-        order = np.argsort(points[:, 0])
-        xs = points[order, 0]
-        reach = np.maximum.accumulate(points[order, 1][::-1])[::-1]
-        first = np.searchsorted(xs, samples[:, 0], side="left")
-        inside = first < xs.size
-        return int((samples[inside, 1] <= reach[first[inside]]).sum())
-    total = 0
-    step = max(1, _ELEMENTS // max(1, points.size))  # samples per chunk
-    for start in range(0, samples.shape[0], step):
-        chunk = samples[start : start + step]
-        covered = (chunk[:, None, :] <= points[None, :, :]).all(axis=2).any(axis=1)
-        total += int(covered.sum())
-    return total
+    return int(_covered(samples, points, strict=False).sum())
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
-    """Mask of points not strictly dominated by any other point (all coords greater).
-
-    Two objectives take an O(n log n) sweep (Kung, Luccio and Preparata
-    1975): in (-x, -y) order, a point is dominated exactly when the best y
-    among points of strictly larger x exceeds its own. Other dimensions
-    compare every pair.
-    """
-    n = points.shape[0]
-    if points.shape[1] == 2:
-        order = np.lexsort((-points[:, 1], -points[:, 0]))
-        xs, ys = points[order, 0], points[order, 1]
-        # each point's first index among the points of equal x
-        first = np.searchsorted(-xs, -xs, side="left")
-        best = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[first]
-        keep = np.empty(n, dtype=np.bool_)
-        keep[order] = ~(best > ys)
-        return keep
-    keep = np.ones(n, dtype=np.bool_)
-    step = max(1, _ELEMENTS // max(1, points.size))  # points per chunk
-    for start in range(0, n, step):
-        block = points[start : start + step]
-        dominated = (points[None, :, :] > block[:, None, :]).all(axis=2).any(axis=1)
-        keep[start : start + step] = ~dominated
-    return keep
-
+    """Mask of points not strictly dominated by any other point (all coords greater)."""
+    return ~_covered(points, points, strict=True)

@@ -254,37 +254,33 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
     cx, cy = doc.x_px(rx), doc.y_px(ry)
     xy = np.column_stack((doc.x_px(front[:, 0]), doc.y_px(front[:, 1])))
     above = (front > ref).all(axis=1).tolist()
-    below = (front < ref).all(axis=1).tolist()
+    legend = [(f"front ({n} points)", "#08519c", False), ("reference", "#000000", False)]
     if mode == "hypervolume":
         for (x, y), shaded in zip(xy.tolist(), above):
             if shaded:
                 doc.rect(cx, y, x - cx, cy - y, HV_FILL)
+        fills = ["#08519c"] * n
+        hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
+        legend.append((f"HV = {hv:.4f}", HV_FILL, False))
     else:
         top, right = doc.y_px(y_range[1]), doc.x_px(x_range[1])
         left, bottom = doc.x_px(x_range[0]), doc.y_px(y_range[0])
         doc.rect(cx, top, right - cx, cy - top, DOMINATING_FILL, opacity=0.15)
         doc.rect(left, cy, cx - left, bottom - cy, DOMINATED_FILL, opacity=0.15)
-    doc.draw_frame(x_ticks, y_ticks)
-    if mode == "dominance":
+        below = (front < ref).all(axis=1).tolist()
         fills = [
             DOMINATING_FILL if a else DOMINATED_FILL if b else NEUTRAL_FILL
             for a, b in zip(above, below)
         ]
-    else:
-        fills = ["#08519c"] * n
-    doc.circles(xy, fills)
-    # reference marker: a black cross
-    doc.line(cx - 5, cy - 5, cx + 5, cy + 5, "#000000", 2.0)
-    doc.line(cx - 5, cy + 5, cx + 5, cy - 5, "#000000", 2.0)
-    legend = [(f"front ({n} points)", "#08519c", False), ("reference", "#000000", False)]
-    if mode == "hypervolume":
-        hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
-        legend.append((f"HV = {hv:.4f}", HV_FILL, False))
-    else:
         values = _block_indicators(front[None], ref[None, None], ["SDR", "NDR"])
         sdr, ndr = values["SDR"].item(), values["NDR"].item()
         legend.append((f"dominating (SDR = {sdr:.2f})", DOMINATING_FILL, False))
         legend.append((f"dominated (NDR = {ndr:.2f})", DOMINATED_FILL, False))
+    doc.draw_frame(x_ticks, y_ticks)
+    doc.circles(xy, fills)
+    # reference marker: a black cross
+    doc.line(cx - 5, cy - 5, cx + 5, cy + 5, "#000000", 2.0)
+    doc.line(cx - 5, cy + 5, cx + 5, cy - 5, "#000000", 2.0)
     doc.draw_legend(legend)
     atomic_write_text(out, doc.tostring())
 

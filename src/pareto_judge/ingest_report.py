@@ -604,6 +604,8 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
     """
     if payload_kind not in PAYLOAD_KINDS:
         raise ValueError(f"payload_kind must be one of {PAYLOAD_KINDS}, got {payload_kind!r}")
+    if isinstance(negate, str):
+        raise ValueError(f"negate takes a sequence of column names, not the string {negate!r}")
     counts = payload_kind == "counts"
     if negate and counts:
         raise ValueError("negate applies only to the objectives payload")

@@ -104,6 +104,20 @@ class TestExitCodes:
             assert capsys.readouterr().err == expected
         assert not (workdir / "missing").exists()
 
+    def test_output_onto_a_directory_names_that_path(self, workdir, capsys):
+        # the rename fails; the error names --out, never the random temp name
+        (workdir / "outdir").mkdir()
+        args = ["metrics", "--in", str(workdir / "front.csv"), "--out", str(workdir / "outdir")]
+        errors = []
+        for _ in range(2):
+            assert run(args) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].endswith(f"'{workdir / 'outdir'}'\n")
+        assert ".tmp-" not in errors[0]
+        assert [name for name in os.listdir(workdir) if name.startswith(".tmp-")] == []
+        assert os.listdir(workdir / "outdir") == []
+
     def test_parse_error_reports_file_and_line(self, workdir, capsys):
         (workdir / "front.csv").write_text(
             "dataset,method,fold,solution_id,tp,fn,fp,tn\nds1,moo,0,0,-2,1,1,1\n",

@@ -153,6 +153,14 @@ class TestParseRecords:
         with pytest.raises(ValueError, match="obj_9"):
             parse_records(path, "objectives", negate=("obj_9",))
 
+    def test_negation_rejects_a_bare_string(self, tmp_path):
+        # a string is a sequence of one-letter names; it must not be read so
+        path = _write(
+            tmp_path / "obj.csv", "dataset,method,fold,solution_id,obj_1,obj_2\nds,b,0,0,0.1,0.2\n"
+        )
+        with pytest.raises(ValueError, match="not the string 'obj_2'"):
+            parse_records(path, "objectives", "obj_2")
+
     def test_table_is_a_sequence_of_records(self, tmp_path):
         path = _write(
             tmp_path / "c.csv",

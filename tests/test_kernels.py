@@ -4,6 +4,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,14 +44,16 @@ class TestOracleAgreement:
     @given(data=st.data())
     def test_count_in_box_union_2d_on_point_coordinates(self, data):
         # samples built from the points' own coordinates sit exactly on box
-        # edges and corners, and share x with several points at once
-        xs = data.draw(st.lists(_coord, min_size=1, max_size=4))
+        # edges and corners, and share x with several points at once; -0.0
+        # must cover and be covered as 0.0 does, although the sweep negates x
+        edge = _coord | st.just(-0.0)
+        xs = data.draw(st.lists(edge, min_size=1, max_size=4))
         points = np.asarray(
-            data.draw(st.lists(st.tuples(st.sampled_from(xs), _coord), min_size=1, max_size=12)),
+            data.draw(st.lists(st.tuples(st.sampled_from(xs), edge), min_size=1, max_size=12)),
             dtype=np.float64,
         )
-        grid_x = sorted(set(points[:, 0].tolist()) | {0.0, 1.0})
-        grid_y = sorted(set(points[:, 1].tolist()) | {0.0, 1.0})
+        grid_x = points[:, 0].tolist() + [-0.0, 0.0, 1.0]
+        grid_y = points[:, 1].tolist() + [-0.0, 0.0, 1.0]
         samples = np.asarray(
             data.draw(
                 st.lists(
@@ -87,6 +90,13 @@ class TestBackendSelection:
     def test_empty_point_set_covers_nothing(self):
         samples = np.random.default_rng(0).random((100, 2))
         assert _kernels.count_in_box_union(samples, np.empty((0, 2))) == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_queries(self, dim):
+        points = np.random.default_rng(dim).random((5, dim))
+        mask = _kernels.nondominated_mask(np.empty((0, dim)))
+        assert mask.dtype == np.bool_ and mask.shape == (0,)
+        assert _kernels.count_in_box_union(np.empty((0, dim)), points) == 0
 
     def test_broadcasts_stay_within_the_element_budget(self):
         # unchunked, 5 000 points compared pairwise would hold 75M booleans,
