@@ -18,6 +18,7 @@ from .fbeta_analysis import (
     BetaGrid,
     ISOCURVE_METRICS,
     REGION_MODES,
+    check_region_operands,
     fbeta_curves,
     fbeta_envelope,
     render_fbeta_plot,
@@ -179,8 +180,10 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
         points = front_points[block.front_rows]
         if args.filter_front:
             points = front_rows(points)
+        ref = ref_points[block.ref_rows[block.methods.index(method)]]
+        check_region_operands(points, ref, args.mode)
         path = os.path.join(args.out, f"{block.dataset}_region-{args.mode}.svg")
-        plots.append((path, points, ref_points[block.ref_rows[block.methods.index(method)]]))
+        plots.append((path, points, ref))
     os.makedirs(args.out, exist_ok=True)
     for path, points, ref in plots:
         render_region_plot(points, ref, args.mode, path)

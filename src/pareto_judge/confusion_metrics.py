@@ -81,9 +81,13 @@ class MetricValue:
 
 
 def _squared(beta: float) -> float:
+    """beta * beta, for a finite positive beta whose square is finite."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be a finite positive real, got {beta!r}")
-    return beta * beta
+    square = beta * beta
+    if square == math.inf:
+        raise ValueError(f"beta {beta!r} is too large: its square overflows")
+    return square
 
 
 def _metrics(tp, fn, fp, tn, b2, sqrt, minimum) -> tuple[list, list]:
@@ -109,7 +113,7 @@ def _metrics(tp, fn, fp, tn, b2, sqrt, minimum) -> tuple[list, list]:
 def metric_table(counts: np.ndarray, betas: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Every metric of each (tp, fn, fp, tn) row, as (n, 5 + len(betas)) values and
     flags: TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta, which must be
-    finite and positive."""
+    finite and positive, with a finite square."""
     b2 = np.array([_squared(float(b)) for b in betas], dtype=np.float64)[:, None]
     # built one row per metric (F-beta one row per beta), returned transposed
     values, defined = _metrics(*counts.T, b2, np.sqrt, np.minimum)
@@ -150,7 +154,8 @@ def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
     """Weighted harmonic mean of precision and recall.
 
     beta expresses how much more recall matters than precision; beta = 1
-    weighs them equally. Rejects beta <= 0 or non-finite beta.
+    weighs them equally. Rejects beta <= 0, a non-finite beta and one whose
+    square overflows (above about 1.34e154).
     """
     return _metric(m, 5, _squared(float(beta)))
 
@@ -173,15 +178,20 @@ def _check_row(row: Sequence[int]) -> None:
         raise ValueError(f"counts sum to {total}, above the limit 2**53")
 
 
+def _bad_count_rows(counts: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, 4) integer array that fail ``_check_row``."""
+    # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
+    bad = ((counts < 0) | (counts > COUNTS_LIMIT)).any(axis=1)
+    totals = counts.sum(axis=1)
+    return bad | (totals > COUNTS_LIMIT) | (totals == 0)
+
+
 def check_counts(counts: np.ndarray) -> None:
     """Raise ValueError unless counts is an (n, 4) integer array whose rows
     each pass ``_check_row``; the message names the first bad row."""
     if counts.dtype.kind not in "iu" or counts.shape[1:] != (4,):
         raise ValueError(f"counts must be an (n, 4) int array, got {counts.dtype} {counts.shape}")
-    # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
-    bad = ((counts < 0) | (counts > COUNTS_LIMIT)).any(axis=1)
-    totals = counts.sum(axis=1)
-    bad |= (totals > COUNTS_LIMIT) | (totals == 0)
+    bad = _bad_count_rows(counts)
     if bad.any():
         _check_row(counts[bad.argmax()].tolist())
 

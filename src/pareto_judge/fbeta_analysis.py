@@ -17,7 +17,14 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from .confusion_metrics import ConfusionMatrix, _metrics, check_counts, counts_array, metric_table
+from .confusion_metrics import (
+    ConfusionMatrix,
+    _metrics,
+    _squared,
+    check_counts,
+    counts_array,
+    metric_table,
+)
 from .indicators import _block_indicators
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "isocurve_y",
     "render_fbeta_plot",
     "render_region_plot",
+    "check_region_operands",
     "render_isocurves",
     "HV_FILL",
     "DOMINATING_FILL",
@@ -59,8 +67,7 @@ class BetaGrid:
         if not betas:
             raise ValueError("beta grid must not be empty")
         for b in betas:
-            if not math.isfinite(b) or b <= 0.0:
-                raise ValueError(f"beta values must be finite and positive, got {b!r}")
+            _squared(b)  # finite and positive, with a finite square
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta grid must be strictly increasing")
         object.__setattr__(self, "betas", betas)
@@ -127,7 +134,7 @@ def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> l
 
 def fbeta_curve(m: ConfusionMatrix, grid: BetaGrid, label: str = "") -> FbetaCurve:
     """Pointwise F-beta of one confusion matrix along the grid."""
-    b2 = np.square(grid.betas)
+    b2 = np.array([_squared(b) for b in grid.betas])
     values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2, math.sqrt, np.minimum)
     return FbetaCurve(label, grid.betas, tuple(values[5].tolist()), tuple(defined[5].tolist()))
 
@@ -224,28 +231,48 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
     atomic_write_text(out, doc.tostring())
 
 
-def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
-    """An (n, 2) front vs a length-2 reference row, on axes from ``_covering_axis``.
+# the largest coordinate magnitude a region plot draws: ``_covering_axis``
+# divides the coordinates by its first tick step, 0.25
+_REGION_LIMIT = sys.float_info.max * 0.25
 
-    hypervolume mode shades the union of boxes between the front and the
-    reference; dominance mode shades the strictly-dominating and
-    strictly-dominated regions and colors front points by their class.
-    """
-    front = np.asarray(front, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
+
+def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> None:
+    """Raise ValueError unless a region plot can draw the float arrays: an
+    (n, 2) front with n >= 1, a length-2 reference, every coordinate finite
+    and at most ``_REGION_LIMIT`` in magnitude, and a known mode."""
     if front.ndim != 2 or front.shape[1] != 2:
         raise ValueError(f"region plot requires 2 objectives, got a front of shape {front.shape}")
     if ref.shape != (2,):
         raise ValueError(
             f"region plot requires 2 objectives, got a reference of shape {ref.shape}"
         )
-    n = len(front)
-    if not n:
+    if not len(front):
         raise ValueError("region plot needs at least one front point")
     if not (np.isfinite(front).all() and np.isfinite(ref).all()):
         raise ValueError("region plot coordinates must be finite")
+    coords = np.append(front, ref)
+    too_large = np.abs(coords) > _REGION_LIMIT
+    if too_large.any():
+        raise ValueError(
+            f"region plot coordinate {coords[too_large.argmax()].item()!r} is too large to draw: "
+            f"axes reach at most {_REGION_LIMIT:.4g} either side of 0"
+        )
     if mode not in REGION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {REGION_MODES}")
+
+
+def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
+    """An (n, 2) front vs a length-2 reference row, on axes from ``_covering_axis``.
+
+    The operands must pass ``check_region_operands``. hypervolume mode
+    shades the union of boxes between the front and the reference; dominance
+    mode shades the strictly-dominating and strictly-dominated regions and
+    colors front points by their class.
+    """
+    front = np.asarray(front, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    check_region_operands(front, ref, mode)
+    n = len(front)
     (x_range, x_ticks), (y_range, y_ticks) = (
         _covering_axis(np.append(front[:, i], ref[i])) for i in range(2)
     )

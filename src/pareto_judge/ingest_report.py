@@ -13,17 +13,19 @@ four counts of a row sum to at most 2**53; number fields match
 ``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?`` and must be finite.
 
 Every file is read whole (``_read_file``), and one row reader
-(``_body_rows``) checks the lines of all four schemas, each given as its
-(column name, check) pairs; ``_record_columns`` gives those of results
-files. Counts and objectives bodies are first checked whole and read
-straight into numpy columns (``_scan_body``): a counts body as one byte
-array, by its comma and LF positions and each column's byte class, even
-with one very long name; an objectives body by one regular expression over
-LF-aligned chunks of about 64 KiB, then ``loadtxt``. The row reader
-(``_parse_lines``) reads only a body that fails a check, to name its first
-bad ``file:line``. ``parse_records`` negates the ``negate`` columns of the
-table read. ``emit_records`` checks its lines the same way before writing,
-and ``_table_text`` lays out every table written, as csv or markdown.
+(``_body_rows``) holds the line checks of all four schemas, each given as
+its (column name, check) pairs; ``_record_columns`` gives those of results
+files. It reads the datasets and report files line by line. Counts and
+objectives bodies are read once into numpy columns (``_body_table``): the
+comma and LF positions give each line's field count and each field's bytes,
+and each column reader returns a mask of the fields that fail its grammar
+(identifier and integer bytes, and numbers through a byte automaton); then
+the counts row rule, finite objectives (read by ``loadtxt``) and repeated
+keys flag rows too. The line checks then run on the first flagged line
+alone, so an error costs about one read and names its ``file:line``.
+``parse_records`` negates the ``negate`` columns of the table read.
+``emit_records`` checks its lines the same way before writing, and
+``_table_text`` lays out every table written, as csv or markdown.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import io
 import itertools
 import math
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,8 +43,8 @@ import numpy as np
 from ._io import atomic_write_text
 from .confusion_metrics import (
     ConfusionMatrix,
+    _bad_count_rows,
     _check_row,
-    check_counts,
     counts_array,
     metric_table,
     objective_point_of,
@@ -81,12 +83,9 @@ POOLED_REFERENCE_LABEL = "pooled"
 PAYLOAD_KINDS = ("counts", "objectives")
 REPORT_FORMATS = ("csv", "markdown")
 
-_IDENT = r"[A-Za-z0-9_-]+"
-_UINT = r"[0-9]+"
-_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_IDENT_RE = re.compile(_IDENT + r"\Z")
-_UINT_RE = re.compile(_UINT + r"\Z")
-_NUMBER_RE = re.compile(_NUMBER + r"\Z")
+_IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_UINT_RE = re.compile(r"[0-9]+\Z")
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\Z")
 # rejected forms that still get a specific message
 _NEGATIVE_RE = re.compile(r"-[0-9]+\Z")
 _NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
@@ -223,11 +222,6 @@ class RecordTable(Sequence):
         keys = [getattr(self, name) for name in columns]
         order = np.lexsort([self.solution_id, *keys[::-1]])
         return np.split(order, _run_starts([key[order] for key in keys])[1:])
-
-    def _has_duplicate_keys(self) -> bool:
-        keys = [self.dataset, self.method, self.fold, self.solution_id]
-        order = np.lexsort(keys[::-1])
-        return len(self) > 0 and len(_run_starts([key[order] for key in keys])) < len(self)
 
     def __len__(self) -> int:
         return len(self.fold)
@@ -374,22 +368,22 @@ _REPORT_COLUMNS = tuple(
 
 def _body_rows(
     body: bytes, path: str, columns: Sequence[tuple[str, Callable]], key_width: int, what: str,
-    make_row: Callable[[list], object],
+    make_row: Callable[[list], object], line: int = 2, seen: Iterable[tuple] = (),
 ) -> list:
-    """``make_row(values)`` of every line of the body, its values checked by
-    the (column name, check) pairs of the schema; raises ParseError at the
-    first bad line.
+    """``make_row(values)`` of every line of the body, numbered from ``line``,
+    its values checked by the (column name, check) pairs of the schema; raises
+    ParseError at the first bad line.
 
     A line's first key_width columns are checked first, then its key against
-    the earlier lines (a repeat is a duplicate ``what``), then its other
-    columns. A ValueError from make_row is an error of that line.
+    ``seen`` and the earlier lines (a repeat is a duplicate ``what``), then
+    its other columns. A ValueError from make_row is an error of that line.
     """
     lines = body.split(b"\n")
     if lines[-1] == b"":
         lines.pop()
     rows = []
-    seen: set[tuple] = set()
-    for line, raw in enumerate(lines, start=2):
+    seen = set(seen)
+    for line, raw in enumerate(lines, start=line):
         fields = _split_line(raw, path, line)
         if len(fields) != len(columns):
             raise ParseError(path, line, f"expected {len(columns)} fields, got {len(fields)}")
@@ -413,28 +407,9 @@ def _record_columns(counts: bool, dim: int) -> tuple[tuple[str, Callable], ...]:
     return (*_COUNTS_COLUMNS[:4], *((f"obj_{i}", _check_float) for i in range(1, dim + 1)))
 
 
-def _objectives_pattern(dim: int) -> bytes:
-    """Every data line of the objectives schema, as one pattern over a run of
-    whole lines: the last line may lack its LF, and no line may be empty."""
-    row = ",".join([_IDENT, _IDENT, _UINT, _UINT] + [_NUMBER] * dim)
-    return f"(?:{row}\n)*(?:{row})?".encode()
-
-
-# bytes per objectives match; the matcher keeps about 2 kB of state per line
-# it repeats over, so matching whole bodies took 30 times the file
-_MATCH_CHUNK = 1 << 16
-
-
-def _lines_match(pattern: re.Pattern, body: bytes) -> bool:
-    """Whether the pattern fully matches every chunk of whole lines of the body,
-    each chunk ending at the first LF from ``_MATCH_CHUNK`` bytes on."""
-    start = 0
-    while start < len(body):
-        end = body.find(b"\n", start + _MATCH_CHUNK - 1) + 1 or len(body)
-        if not pattern.fullmatch(body, start, end):
-            return False
-        start = end
-    return True
+def _counts_row(values: list) -> list:
+    _check_row(values[4:])
+    return values
 
 
 _COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
@@ -442,14 +417,44 @@ _COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
 _IDENT_BYTES = np.zeros(256, dtype=np.bool_)
 _IDENT_BYTES[list(b"-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")] = True
 _UINT_DIGITS = 19  # the most decimal digits that always fit uint64
+_ACCEPT, _REJECT = 8, 9  # the last states of the number automaton
+
+
+def _number_moves() -> np.ndarray:
+    """The number grammar as an automaton over the bytes of a field and the
+    separator after it: state s reads byte b into state ``moves[s + b]``.
+    States are multiples of 256, so a move is one add and one lookup; the
+    accepting and rejecting states keep whatever bytes follow."""
+    digits = b"0123456789"
+    grammar = {  # state: (bytes, next state) pairs; every other move rejects
+        0: ((b"-", 1), (digits, 2)),  # start
+        1: ((digits, 2),),  # after the sign
+        2: ((digits, 2), (b".", 3), (b"eE", 5), (b",\n", 8)),  # integer digits
+        3: ((digits, 4),),  # after the point
+        4: ((digits, 4), (b"eE", 5), (b",\n", 8)),  # fraction digits
+        5: ((b"-+", 6), (digits, 7)),  # after the exponent mark
+        6: ((digits, 7),),  # after the exponent sign
+        7: ((digits, 7), (b",\n", 8)),  # exponent digits
+    }
+    moves = np.full((_REJECT + 1, 256), _REJECT, np.intp)
+    moves[_ACCEPT] = _ACCEPT
+    for state, edges in grammar.items():
+        for chars, target in edges:
+            moves[state, list(chars)] = target
+    return (moves * 256).ravel()
+
+
+_NUMBER_MOVES = _number_moves()
+_NUMBER_RUN = 64  # bytes read per field between drops of the finished fields
 
 
 def _ident_column(
     buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """Sorted distinct identifiers of the fields ``buf[starts:ends]`` and each
-    field's index into them, or None if a field is empty or holds a byte
-    outside ``[A-Za-z0-9_-]``.
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Sorted distinct fields ``buf[starts:ends]``, each field's index into
+    them, and the mask of the fields that are empty or hold a byte outside
+    ``[A-Za-z0-9_-]``. Names are decoded byte for character, which is ASCII
+    for every field the mask passes.
 
     The fields are copied left-aligned into a zero-padded (n, width) array
     and factorized with ``np.unique`` on its rows as ``S`` strings. A column
@@ -457,36 +462,41 @@ def _ident_column(
     factorized from the fields' own bytes instead.
     """
     widths = ends - starts
-    longest = int(widths.max())
-    if widths.min() < 1:
-        return None
+    longest = max(int(widths.max(initial=0)), 1)
     if len(widths) * longest > buf.size:
         data = buf.data
         fields = [data[a:b].tobytes() for a, b in zip(starts.tolist(), ends.tolist())]
         names, codes = _factorize(fields)
-        if not all(_IDENT_BYTES.take(np.frombuffer(name, np.uint8)).all() for name in names):
-            return None
-        return tuple(name.decode("ascii") for name in names), codes
-    window = np.zeros((len(widths), longest), np.uint8)
-    for k in range(longest):
-        column = buf.take(starts + k, mode="clip")
-        column[widths <= k] = 0
-        window[:, k] = column
-    # the zero padding is no identifier byte, so every field byte is one
-    # exactly when the identifier bytes number the summed widths
-    if np.count_nonzero(_IDENT_BYTES.take(window)) != widths.sum():
-        return None
-    # return_index makes np.unique argsort with its stable sort, which runs two
-    # to three times faster than the default quicksort on a column of few names
-    names, _, codes = np.unique(
-        window.view(f"S{longest}").ravel(), return_index=True, return_inverse=True
-    )
-    return tuple(name.decode("ascii") for name in names.tolist()), codes
+        bad_names = [not _IDENT_BYTES.take(np.frombuffer(name, np.uint8)).all() for name in names]
+        bad = np.array(bad_names, np.bool_)[codes] | (widths < 1)
+    else:
+        window = np.zeros((len(widths), longest), np.uint8)
+        for k in range(longest):
+            column = buf.take(starts + k, mode="clip")
+            column[widths <= k] = 0
+            window[:, k] = column
+        # the zero padding is no identifier byte, so a field is one exactly
+        # when its row holds its width of identifier bytes, and every field
+        # is when the whole window holds the summed widths
+        ident = _IDENT_BYTES.take(window)
+        whole = np.count_nonzero(ident) == widths.sum()
+        held = widths if whole else np.count_nonzero(ident, axis=1)
+        bad = (held != widths) | (widths < 1)
+        # return_index makes np.unique argsort with its stable sort, which runs two
+        # to three times faster than the default quicksort on a column of few names
+        names, _, codes = np.unique(
+            window.view(f"S{longest}").ravel(), return_index=True, return_inverse=True
+        )
+        names = names.tolist()
+    return tuple(name.decode("latin-1") for name in names), codes, bad
 
 
-def _uint_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """int64 values of the digit fields ``buf[starts:ends]``, or None if a field
-    is empty, holds a byte other than ``0-9`` or is 2**63 or more.
+def _uint_column(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64 values of the digit fields ``buf[starts:ends]``, and the mask of
+    the fields that are empty, hold a byte other than ``0-9`` or are 2**63
+    or more.
 
     Digits are accumulated from right-aligned windows, most significant
     first; 19 digits always fit uint64, so the bound is checked after. A
@@ -494,101 +504,128 @@ def _uint_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     which are checked field by field.
     """
     widths = ends - starts
-    if widths.min() < 1:
-        return None
+    bad = widths < 1
     for row in np.flatnonzero(widths > _UINT_DIGITS).tolist():
-        if (buf[starts[row] : ends[row] - _UINT_DIGITS] != _ZERO).any():
-            return None
+        bad[row] = (buf[starts[row] : ends[row] - _UINT_DIGITS] != _ZERO).any()
     widths = np.minimum(widths, _UINT_DIGITS)
     value = np.zeros(len(ends), np.uint64)
-    for k in range(int(widths.max()), 0, -1):
+    for k in range(int(widths.max(initial=0)), 0, -1):
         digit = buf.take(ends - k, mode="clip") - np.uint8(_ZERO)
         digit[widths < k] = 0
-        if digit.max() > 9:  # any other byte wraps around to above 9
-            return None
+        bad |= digit > 9  # any other byte wraps around to above 9
         value = value * 10 + digit
-    return None if (value >= INT_LIMIT).any() else value.astype(np.int64)
+    return value.astype(np.int64), bad | (value >= INT_LIMIT)
 
 
-def _field_columns(body: bytes, n_fields: int, n_read: int) -> list | None:
-    """The first n_read columns of an LF-terminated body of n_fields-field lines.
+def _number_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The mask of the fields ``buf[starts:ends]`` that fail the number grammar.
 
-    Columns 0 and 1 come as ``_ident_column`` results and the others as
-    ``_uint_column`` results. Returns None if a line has another number of
-    fields or a field read fails its column's grammar.
+    Every field moves the automaton of ``_NUMBER_MOVES`` one byte per step,
+    from its first byte through the separator at ``ends``. The fields still
+    unread are kept every ``_NUMBER_RUN`` steps, so one wide field costs its
+    own bytes, not its width times the rows.
     """
-    buf = np.frombuffer(body, np.uint8)
-    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
-    if len(seps) % n_fields:
-        return None
-    seps = seps.reshape(-1, n_fields)
-    if not (buf[seps] == [_COMMA] * (n_fields - 1) + [_LF]).all():
-        return None
-    line_starts = np.zeros(len(seps), np.int64)
-    line_starts[1:] = seps[:-1, -1] + 1
-    columns = []
-    for j in range(n_read):
-        read = _ident_column if j < 2 else _uint_column
-        column = read(buf, seps[:, j - 1] + 1 if j else line_starts, seps[:, j])
-        if column is None:
-            return None
-        columns.append(column)
-    return columns
+    state = np.zeros(len(starts), np.intp)
+    rows = np.arange(len(starts))
+    run = min(int((ends - starts).max(initial=0)) + 1, _NUMBER_RUN)
+    offset = 0
+    while len(rows):
+        at, moved = starts[rows] + offset, state[rows]
+        for k in range(run):
+            moved = _NUMBER_MOVES.take(moved + buf.take(at + k, mode="clip"))
+        state[rows] = moved
+        offset += run
+        rows = rows[ends[rows] >= starts[rows] + offset]
+    return state != _ACCEPT * 256
 
 
-def _scan_body(body: bytes, payload_kind: str, dim: int) -> RecordTable | None:
-    """The whole body checked at once and read into columns.
-
-    Returns None when any check fails; the line-by-line parse then names the
-    first bad line. Accepts exactly what ``_parse_lines`` accepts.
-    """
-    counts = payload_kind == "counts"
-    if not counts and not _lines_match(re.compile(_objectives_pattern(dim)), body):
-        return None
-    if not body:
-        return _table((), (), (), (), np.zeros((0, dim), np.int64 if counts else np.float64))
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    n_fields = 4 + dim
-    columns = _field_columns(body, n_fields, n_fields if counts else 4)
-    if columns is None:
-        return None
-    (dataset_names, dataset), (method_names, method), fold, solution_id, *payload = columns
-    if counts:
-        values = np.stack(payload, axis=1)
-        try:
-            check_counts(values)
-        except ValueError:
-            return None
-    else:
-        values = np.loadtxt(
-            io.BytesIO(body), delimiter=",", usecols=range(4, n_fields), ndmin=2, comments=None
-        )
-        if not np.isfinite(values).all():
-            return None
-    table = RecordTable(dataset_names, method_names, dataset, method, fold, solution_id, values)
-    return None if table._has_duplicate_keys() else table
+def _fields(seps: np.ndarray, line_starts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(starts, ends) of the fields of each column, as contiguous arrays, from
+    the (n, n_fields) separator positions of n lines and their starts."""
+    ends = line_starts - 1
+    for j in range(seps.shape[1]):
+        starts, ends = ends + 1, seps[:, j].copy()
+        yield starts, ends
 
 
-def _counts_row(values: list) -> list:
-    _check_row(values[4:])
-    return values
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True of the mask, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _parse_lines(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:
-    """The body parsed one line at a time; raises ParseError at the first bad line."""
-    counts = payload_kind == "counts"
-    columns = _record_columns(counts, dim)
-    rows = _body_rows(body, path, columns, 4, "record key", _counts_row if counts else list)
-    values = np.array([row[4:] for row in rows], dtype=np.int64 if counts else np.float64)
-    return _table(*([row[i] for row in rows] for i in range(4)), values.reshape(len(rows), dim))
+def _first_repeat(keys: Sequence[np.ndarray]) -> int:
+    """The lowest row index whose key columns repeat an earlier row's, or the row count."""
+    order = np.lexsort(keys[::-1])  # stable, so each run of equal keys starts at its first row
+    starts = _run_starts([key[order] for key in keys])
+    if len(starts) == len(order):
+        return len(order)
+    repeats = np.ones(len(order), np.bool_)
+    repeats[starts] = False
+    return int(order[repeats].min())
 
 
 def _body_table(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:
-    """The body read by ``_scan_body``, or by ``_parse_lines`` to name the
-    first bad line when the whole-body check fails."""
-    table = _scan_body(body, payload_kind, dim)
-    return _parse_lines(body, path, payload_kind, dim) if table is None else table
+    """The body read into columns; raises ParseError at its first bad line.
+
+    A line is bad when its separators give another field count, when a
+    field fails its column's mask, when its counts fail the row rule or its
+    objectives are not finite, or when its key repeats an earlier line's.
+    The line checks of ``_body_rows`` then run on the first bad line alone,
+    with the keys of the lines before it, so they raise its ParseError.
+    """
+    counts = payload_kind == "counts"
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    n_fields = 4 + dim
+    buf = np.frombuffer(body, np.uint8)
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+    lfs = np.flatnonzero(buf[seps] == _LF)  # each line's LF, as an index into seps
+    line_starts = np.append(0, seps[lfs] + 1)
+    wrong = np.flatnonzero(np.diff(lfs, prepend=-1) != n_fields)
+    n = int(wrong[0]) if len(wrong) else len(lfs)  # the lines before one of another field count
+    fields = _fields(seps[: n * n_fields].reshape(n, n_fields), line_starts[:n])
+    del seps  # held by fields alone, so freed once every column is read
+    (dataset_names, dataset, bad), (method_names, method, bad_method) = (
+        _ident_column(buf, *next(fields)) for _ in range(2)
+    )
+    (fold, bad_fold), (solution_id, bad_id) = (_uint_column(buf, *next(fields)) for _ in range(2))
+    bad = bad | bad_method | bad_fold | bad_id
+    if counts:
+        values, masks = zip(*(_uint_column(buf, *field) for field in fields))
+        values = np.stack(values, axis=1)
+        first = _first(np.logical_or.reduce([bad, *masks, _bad_count_rows(values)]))
+    else:  # the number fields column after column, through one run of the automaton
+        starts, ends = map(np.concatenate, zip(*fields))
+        first = _first(bad | _number_column(buf, starts, ends).reshape(dim, n).any(0))
+        # the lines before the first bad field hold numbers only; one that
+        # overflows reads as infinite
+        values = np.zeros((0, dim))
+        if first:
+            values = np.loadtxt(
+                io.BytesIO(body[: line_starts[first]]),
+                delimiter=",", usecols=range(4, n_fields), ndmin=2, comments=None,
+            )
+        first = _first(~np.isfinite(values).all(axis=1))
+    keys = [dataset, method, fold, solution_id]
+    first = min(first, _first_repeat([key[:first] for key in keys]))
+    if first < len(lfs):
+        # of the earlier keys, the bad line can repeat only one equal to its
+        # key columns; a line of another field count fails before its key
+        same = np.zeros(first, np.bool_)
+        if first < n:
+            same = np.logical_and.reduce([key[:first] == key[first] for key in keys])
+        seen = zip(
+            map(dataset_names.__getitem__, dataset[:first][same].tolist()),
+            map(method_names.__getitem__, method[:first][same].tolist()),
+            fold[:first][same].tolist(),
+            solution_id[:first][same].tolist(),
+        )
+        _body_rows(
+            body[line_starts[first] : line_starts[first + 1]], path, _record_columns(counts, dim),
+            4, "record key", _counts_row if counts else list, first + 2, seen,
+        )
+        raise AssertionError(f"{path}:{first + 2}: line passed the checks that flagged it")
+    return RecordTable(dataset_names, method_names, dataset, method, fold, solution_id, values)
 
 
 def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> RecordTable:
@@ -725,6 +762,14 @@ def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
     return [name for name in INDICATOR_NAMES if name in requested]
 
 
+def _not_finite(key: tuple[str, str, str], what: str) -> ValueError:
+    indicator, reference, dataset = key
+    return ValueError(
+        f"indicator {indicator} against reference {reference!r} on dataset {dataset!r} "
+        f"is not finite: {what}"
+    )
+
+
 def _fold_stats(
     series: dict[tuple[str, str, str], list[float]],
 ) -> dict[tuple[str, str, str], ReportCell]:
@@ -732,6 +777,7 @@ def _fold_stats(
 
     Keys with the same fold count are stacked into one C-contiguous array, so
     each row is reduced by numpy's pairwise sum exactly as a 1-D array is.
+    Raises ValueError naming a key whose mean or std overflows.
     """
     by_count: dict[int, list[tuple[str, str, str]]] = {}
     for key, values in series.items():
@@ -739,8 +785,11 @@ def _fold_stats(
     cells: dict[tuple[str, str, str], ReportCell] = {}
     for count, keys in by_count.items():
         table = np.array([series[key] for key in keys], dtype=np.float64)
-        stats = zip(keys, table.mean(axis=1).tolist(), table.std(axis=1).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = zip(keys, table.mean(axis=1).tolist(), table.std(axis=1).tolist())
         for key, mean, std in stats:
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise _not_finite(key, f"its fold mean is {mean!r} and std {std!r}")
             cells[key] = ReportCell(mean=mean, std=std, fold_count=count)
     return {key: cells[key] for key in series}
 
@@ -844,7 +893,9 @@ def aggregate(
             chunk = members[start : start + step]
             stack = np.stack([fronts[i] for i in chunk])
             ref_stack = ref_points[[blocks[i].ref_rows for i in chunk]]
-            values = _block_indicators(stack, ref_stack, ordered)
+            # an indicator that overflows is reported below, by its cell
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = _block_indicators(stack, ref_stack, ordered)
             for name, block_values in values.items():
                 for i, row in zip(chunk, block_values.tolist()):
                     results[i][name] = row
@@ -855,7 +906,10 @@ def aggregate(
         for name, block_values in values.items():
             labels = [POOLED_REFERENCE_LABEL] if name == "GD" else block.methods
             for label, value in zip(labels, block_values):
-                series.setdefault((name, label, block.dataset), []).append(value)
+                key = (name, label, block.dataset)
+                if not math.isfinite(value):
+                    raise _not_finite(key, f"{value!r} on fold {block.fold}")
+                series.setdefault(key, []).append(value)
     return ComparisonReport(moo_method=moo_method, cells=_fold_stats(series))
 
 

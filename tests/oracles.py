@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from pareto_judge.ingest_report import RecordTable, _body_rows, _counts_row, _record_columns, _table
+
 
 def brute_force_front(coords: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     """All-pairs non-dominated filter with duplicate collapsing.
@@ -132,3 +134,18 @@ def loop_metrics(tp: int, fn: int, fp: int, tn: int, betas=()) -> list[tuple[flo
         den = b2 * p + t
         values.append((min((b2 + 1.0) * p * t / den, 1.0), True) if den else (0.0, False))
     return values
+
+
+def parse_lines(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:
+    """A results body parsed one line at a time; raises ParseError at the first bad line.
+
+    Not independent of the package: this is how counts and objectives
+    bodies were read before the column reader, every line through the line
+    checks that now run only on its first bad line, kept so that the column
+    reader's table and error can be checked against it.
+    """
+    counts = payload_kind == "counts"
+    columns = _record_columns(counts, dim)
+    rows = _body_rows(body, path, columns, 4, "record key", _counts_row if counts else list)
+    values = np.array([row[4:] for row in rows], dtype=np.int64 if counts else np.float64)
+    return _table(*([row[i] for row in rows] for i in range(4)), values.reshape(len(rows), dim))

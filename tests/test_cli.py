@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_judge.cli import run
+from pareto_judge.ingest_report import aggregate, parse_records, read_report_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -198,6 +199,25 @@ class TestCompare:
         line = (workdir / "neg.csv").read_text(encoding="utf-8").splitlines()[1]
         assert line.startswith("SDR,base,ds1,1.0,")
 
+    def test_indicator_that_is_not_finite_exits_one_naming_its_cell(self, workdir, capsys):
+        (workdir / "front.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\n"
+            "ds1,moo,0,0,1e200,0.5\nds1,moo,0,1,0.2,0.9\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nds1,ref,0,0,-1e200,0.3\n",
+            encoding="utf-8",
+        )
+        args = _compare_args(workdir, extra=["--payload", "objectives", "--indicators", "ed,gd,hv"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Warning" not in err
+        assert "indicator ED against reference 'ref' on dataset 'ds1' is not finite: inf" in err
+        assert not (workdir / "report.csv").exists()
+
 
 OBJ_REFS_CSV = """dataset,method,fold,solution_id,obj_1,obj_2
 ds1,base,0,0,0.6,0.6
@@ -239,6 +259,60 @@ class TestFuzzedFrontFile:
         assert status in (0, 1)
         if status == 1:
             assert front in err.getvalue()
+
+
+_OBJECTIVE = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def _objectives_files(draw) -> tuple[str, str]:
+    """A front of one method and references of one solution each per (dataset,
+    fold), with 2 or 3 objectives in 1 to 3 folds and magnitudes up to 1e300."""
+    dim = draw(st.integers(2, 3))
+    header = "dataset,method,fold,solution_id," + ",".join(f"obj_{i}" for i in range(1, dim + 1))
+    front, refs = [header], [header]
+    point = st.lists(_OBJECTIVE, min_size=dim, max_size=dim).map(lambda p: ",".join(map(repr, p)))
+    for dataset in draw(st.sampled_from([("ds1",), ("ds1", "ds2")])):
+        for fold in range(draw(st.integers(1, 3))):
+            for sid in range(draw(st.integers(1, 3))):
+                front.append(f"{dataset},moo,{fold},{sid},{draw(point)}")
+            for method in draw(st.sampled_from([("ref",), ("base", "ref")])):
+                refs.append(f"{dataset},{method},{fold},0,{draw(point)}")
+    return "\n".join(front) + "\n", "\n".join(refs) + "\n"
+
+
+class TestReportRoundTrip:
+    @settings(deadline=None, max_examples=60)
+    @given(files=_objectives_files())
+    def test_compare_names_a_cell_or_writes_a_report_that_reads_back(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            names = ("front.csv", "refs.csv", "rep.csv", "again.csv")
+            front, refs, out, again = (os.path.join(tmp, name) for name in names)
+            for path, text in zip((front, refs), files):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            args = ["compare", "--front", front, "--refs", refs, "--payload", "objectives"]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+                status = run([*args, "--indicators", "ed,gd,hv,sdr,ndr", "--out", out])
+            if status == 1:
+                cell = r"indicator \w+ against reference '\w+' on dataset '\w+' is not finite"
+                assert re.search(cell, err.getvalue())
+                assert not os.path.exists(out)
+                return
+            assert status == 0 and not err.getvalue()
+            expected = aggregate(
+                parse_records(front, "objectives"), parse_records(refs, "objectives"),
+                ("ED", "GD", "HV", "SDR", "NDR"),
+            )
+            assert read_report_csv(out).cells == expected.cells
+            assert run(["report", "--in", out, "--format", "csv", "--out", again]) == 0
+            with open(out, "rb") as first, open(again, "rb") as second:
+                assert first.read() == second.read()
 
 
 class TestReportSubcommand:
@@ -416,6 +490,57 @@ class TestFigureSubcommands:
             assert run(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and "Warning" not in err
+        assert not (workdir / "plots").exists()
+
+    def test_fbeta_plot_names_a_beta_whose_square_overflows(self, workdir, capsys):
+        args = [
+            "fbeta-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--fold",
+            "0",
+            "--beta-max",
+            "1e300",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta ") and "is too large: its square overflows" in err
+        assert "Warning" not in err
+        assert not (workdir / "plots").exists()
+
+    def test_region_plot_names_a_coordinate_too_large_to_draw(self, workdir, capsys):
+        (workdir / "front2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\n"
+            "ds1,moo,0,0,0.2,1e308\nds1,moo,0,1,0.8,0.3\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nds1,base,0,0,0.5,0.5\n",
+            encoding="utf-8",
+        )
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front2d.csv"),
+            "--refs",
+            str(workdir / "refs2d.csv"),
+            "--payload",
+            "objectives",
+            "--mode",
+            "dominance",
+            "--fold",
+            "0",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        assert "region plot coordinate 1e+308 is too large to draw" in capsys.readouterr().err
         assert not (workdir / "plots").exists()
 
     def test_region_plot_names_a_reference_of_the_wrong_dimension(self, workdir, capsys):

@@ -1,13 +1,13 @@
 """The columnar batch path against the per-record library API it replaces.
 
-The CLI reads counts and objectives files with one whole-body check
-(``_scan_body``) and evaluates indicators and F-beta sweeps on arrays. These
-properties require it to accept exactly what the line-by-line parse
-(``_parse_lines``) accepts, to fail at the same line with the same message,
-and to give values equal bit for bit to per-cell fold statistics, to the
-loop oracles of ``oracles.py`` for the metrics and, for the indicators, to a
-per-cell ``evaluate_indicator`` loop, brute-force dominance counts and the
-loop oracles.
+The CLI reads counts and objectives bodies into columns (``_body_table``)
+and evaluates indicators and F-beta sweeps on arrays. These properties
+require the reader to accept exactly what a parse of every line
+(``oracles.parse_lines``) accepts, to fail at the same line with the same
+message, and to give values equal bit for bit to per-cell fold statistics,
+to the loop oracles of ``oracles.py`` for the metrics and, for the
+indicators, to a per-cell ``evaluate_indicator`` loop, brute-force
+dominance counts and the loop oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_generational_distance, loop_hypervolume, loop_metrics
+from oracles import loop_generational_distance, loop_hypervolume, loop_metrics, parse_lines
 from pareto_judge import ingest_report
 from pareto_judge.cli import run
 from pareto_judge.confusion_metrics import ConfusionMatrix
@@ -31,10 +31,9 @@ from pareto_judge.ingest_report import (
     ExperimentRecord,
     ParseError,
     RecordTable,
-    _MATCH_CHUNK,
+    _NUMBER_RUN,
+    _body_table,
     _fold_stats,
-    _parse_lines,
-    _scan_body,
     aggregate,
     parse_records,
 )
@@ -111,9 +110,36 @@ def _header(payload_kind: str, dim: int) -> bytes:
 
 def _line_error(body: bytes, path: str, payload_kind: str, dim: int) -> ParseError:
     with pytest.raises(ParseError) as err:
-        _parse_lines(body, path, payload_kind, dim)
+        parse_lines(body, path, payload_kind, dim)
     return err.value
 
+
+def _read(read, body: bytes, payload_kind: str, dim: int) -> RecordTable | str:
+    """The table a body reader gives, or the text of its ParseError."""
+    try:
+        return read(body, "f.csv", payload_kind, dim)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _assert_same_reading(body: bytes, payload_kind: str, dim: int) -> None:
+    """The column reader gives the line reader's table or its ParseError text."""
+    table = _read(_body_table, body, payload_kind, dim)
+    expected = _read(parse_lines, body, payload_kind, dim)
+    if isinstance(expected, str):
+        assert table == expected
+    else:
+        _assert_same_table(table, expected)
+
+
+# field texts, most of them invalid in every column: bad UTF-8, a CR, a
+# quote, an empty field, a non-identifier byte, a negative integer, a word,
+# 2**63, a wide field of leading zeros, numbers without digits on a side of
+# the point, a trailing byte and a non-finite number
+_CORRUPT_FIELDS = [
+    b"\xff", b"1\r", b'"a"', b"", b"a b", b"-4", b"x", str(2**63).encode(), b"0" * 30 + b"7",
+    b".5", b"5.", b"1e5x", b"inf", b"1e999",
+]
 
 _SCHEMAS = [("counts", 4, ()), ("objectives", 1, ()), ("objectives", 3, ("obj_2",))]
 
@@ -125,9 +151,10 @@ class TestFastAndLocatingParse:
     def test_valid_body_gives_the_same_table(self, payload_kind, dim, negate, data):
         dim = _dim(payload_kind, dim)
         body = data.draw(_valid_body(payload_kind, dim))
-        fast = _scan_body(body, payload_kind, dim)
-        assert fast is not None
-        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim))
+        _assert_same_table(
+            _body_table(body, "f.csv", payload_kind, dim),
+            parse_lines(body, "f.csv", payload_kind, dim),
+        )
 
     @settings(deadline=None, max_examples=30)
     @given(data=st.data())
@@ -166,7 +193,6 @@ class TestFastAndLocatingParse:
         lines[k] = b",".join(corruptions[kind]())
         body = b"\n".join(lines) + b"\n"
 
-        assert _scan_body(body, payload_kind, dim) is None
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.csv")
             with open(path, "wb") as handle:
@@ -179,6 +205,33 @@ class TestFastAndLocatingParse:
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
+    def test_corrupted_body_reads_as_the_line_reader_reads_it(
+        self, payload_kind, dim, negate, data
+    ):
+        dim = _dim(payload_kind, dim)
+        body = data.draw(_valid_body(payload_kind, dim))
+        lines = [line.split(b",") for line in body.rstrip(b"\n").split(b"\n")]
+        assume(lines != [[b""]])
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            kinds = ["field", "field", "count"] + ["duplicate"] * (k > 0)
+            kinds += ["zero", "sum"] if payload_kind == "counts" else []
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "field":
+                j = data.draw(st.integers(0, len(lines[k]) - 1))
+                lines[k][j] = data.draw(st.sampled_from(_CORRUPT_FIELDS))
+            elif kind == "count":
+                lines[k] = lines[k][:-1] if data.draw(st.booleans()) else [*lines[k], b"1"]
+            elif kind == "duplicate":
+                lines[k][:4] = lines[data.draw(st.integers(0, k - 1))][:4]
+            else:
+                half = str(2**52).encode()
+                lines[k][4:] = [b"0"] * 4 if kind == "zero" else [half, half, b"1", b"0"]
+        ending = b"\n" if data.draw(st.booleans()) else b""
+        _assert_same_reading(b"\n".join(map(b",".join, lines)) + ending, payload_kind, dim)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
     def test_both_readers_accept_the_same_language(self, payload_kind, dim, negate, data):
         dim = _dim(payload_kind, dim)
         token = st.sampled_from(
@@ -186,14 +239,7 @@ class TestFastAndLocatingParse:
         )
         line = st.lists(token, min_size=dim + 3, max_size=dim + 5).map(",".join)
         body = "\n".join(data.draw(st.lists(line, max_size=4))).encode()
-        try:
-            slow = _parse_lines(body, "f.csv", payload_kind, dim)
-        except ParseError:
-            slow = None
-        fast = _scan_body(body, payload_kind, dim)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            _assert_same_table(fast, slow)
+        _assert_same_reading(body, payload_kind, dim)
 
 
 @settings(deadline=None, max_examples=40)
@@ -220,7 +266,7 @@ def test_negate_equals_negating_the_parsed_columns(data):
 @pytest.mark.parametrize("column", [0, 1])
 class TestOneLongIdentifier:
     """One name so long that a window of every field at its width would
-    outgrow the body: the column is still read by ``_scan_body``."""
+    outgrow the body: the column is still read by ``_body_table``."""
 
     def _body(self, payload_kind: str, column: int, name: str) -> bytes:
         values = "1,2,3,4" if payload_kind == "counts" else "0.5,-1e3"
@@ -232,16 +278,14 @@ class TestOneLongIdentifier:
 
     def test_read_as_columns_into_the_line_readers_table(self, payload_kind, dim, column):
         body = self._body(payload_kind, column, "x" * 100)
-        fast = _scan_body(body, payload_kind, dim)
-        assert fast is not None
-        _assert_same_table(fast, _parse_lines(body, "f.csv", payload_kind, dim))
-        names = fast.dataset_names if column == 0 else fast.method_names
+        table = _body_table(body, "f.csv", payload_kind, dim)
+        _assert_same_table(table, parse_lines(body, "f.csv", payload_kind, dim))
+        names = table.dataset_names if column == 0 else table.method_names
         assert "x" * 100 in names
 
     @pytest.mark.parametrize("name", ["a b" + "x" * 100, "x" * 100 + "é"])
     def test_bad_long_name_fails_at_its_line(self, tmp_path, payload_kind, dim, column, name):
         body = self._body(payload_kind, column, name)
-        assert _scan_body(body, payload_kind, dim) is None
         path = tmp_path / "f.csv"
         path.write_bytes(_header(payload_kind, dim) + b"\n" + body)
         with pytest.raises(ParseError) as err:
@@ -274,7 +318,6 @@ class TestCountsFieldEdges:
     )
     def test_bad_line_rejected_by_both_readers(self, tmp_path, bad):
         body = "d,m,0,0,1,2,3,4\n" + bad + "\n"
-        assert _scan_body(body.encode(), "counts", 4) is None
         with pytest.raises(ParseError) as err:
             self._parse(tmp_path, body)
         expected = _line_error(body.encode(), err.value.path, "counts", 4)
@@ -301,15 +344,17 @@ class TestCountsFieldEdges:
         assert self._parse(tmp_path, body).values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 
-class TestObjectivesChunkEdges:
-    """Bad objectives lines on either side of the boundaries of the body match."""
+class TestObjectivesLongBody:
+    """Bad objectives lines at the start, the middle and the end of a body of
+    about 200 KiB."""
 
     LINE = "dsA,moo,0,{:06d},0.250,0.750,0.500\n"
-    # loadtxt reads ".2500", so only the match can refuse it; same width
+    # loadtxt reads ".2500", so only the number grammar can refuse it; same width
     BAD = "dsA,moo,0,{:06d},.2500,0.750,0.500\n"
     WIDTH = len(LINE.format(0))
-    # the 1-based body line holding the first LF of the first chunk
-    LAST = -(-_MATCH_CHUNK // WIDTH)
+    BLOCK = 1 << 16
+    # the 1-based body line holding the first LF from BLOCK bytes on
+    LAST = -(-BLOCK // WIDTH)
     ROWS = 3 * LAST + 5
 
     @pytest.mark.parametrize(
@@ -320,7 +365,7 @@ class TestObjectivesChunkEdges:
             (self.BAD if k == bad_line else self.LINE).format(k) for k in range(1, self.ROWS + 1)
         ]
         body = "".join(lines).encode()
-        assert len(body) > 3 * _MATCH_CHUNK
+        assert len(body) > 3 * self.BLOCK
         path = tmp_path / "objectives.csv"
         path.write_bytes(_header("objectives", 3) + b"\n" + body)
         with pytest.raises(ParseError) as err:
@@ -328,13 +373,82 @@ class TestObjectivesChunkEdges:
         assert err.value.line == bad_line + 1  # the header is line 1
         assert "column obj_1" in str(err.value)
 
-    def test_valid_body_across_chunks_reads_every_line(self, tmp_path):
+    def test_valid_long_body_reads_every_line(self, tmp_path):
         body = "".join(self.LINE.format(k) for k in range(1, self.ROWS + 1)).encode()
         path = tmp_path / "objectives.csv"
         path.write_bytes(_header("objectives", 3) + b"\n" + body[:-1])  # no final LF
-        assert _scan_body(body, "objectives", 3) is not None
         table = parse_records(str(path), "objectives")
         assert table.solution_id.tolist() == list(range(1, self.ROWS + 1))
+
+
+class TestLineChecksOnTheBadLineAlone:
+    """The line checks read the header and, on an error, the first bad line
+    and no other, whatever its place in the body."""
+
+    def _lines_checked(self, tmp_path, monkeypatch, body: str) -> tuple[list[int], str | None]:
+        path = tmp_path / "counts.csv"
+        path.write_text(",".join(COUNTS_HEADER) + "\n" + body, encoding="utf-8")
+        checked, split_line = [], ingest_report._split_line
+
+        def counting(raw: bytes, path: str, line: int) -> tuple[str, ...]:
+            checked.append(line)
+            return split_line(raw, path, line)
+
+        monkeypatch.setattr(ingest_report, "_split_line", counting)
+        try:
+            parse_records(str(path), "counts")
+        except ParseError as exc:
+            return checked, str(exc).split(": ", 1)[1]
+        return checked, None
+
+    def _body(self, rows: int = 2000) -> list[str]:
+        return [f"d{k % 3},m{k % 2},{k % 5},{k},1,2,3,4\n" for k in range(rows)]
+
+    def test_valid_body_checks_only_the_header(self, tmp_path, monkeypatch):
+        assert self._lines_checked(tmp_path, monkeypatch, "".join(self._body())) == ([1], None)
+
+    @pytest.mark.parametrize(
+        "row,line,message",
+        [
+            (1999, "d1,m1,4,1999,1,2,3,-4", "column tn: must be non-negative, got -4"),
+            (1000, "d1,m0,0,1000,x,2,3,4", "column tp: expected an integer, got 'x'"),
+            (1500, "d0,m0,0,0,1,2,3", "expected 8 fields, got 7"),
+            # the key of row 0, so the duplicate is found before the bad tp
+            (700, "d0,m0,0,0,x,2,3,4", "duplicate record key ('d0', 'm0', 0, 0)"),
+        ],
+    )
+    def test_error_checks_the_bad_line_alone(self, tmp_path, monkeypatch, row, line, message):
+        body = self._body()
+        body[row] = line + "\n"
+        body[row + 1 :] = ["a bad line\n"] * (len(body) - row - 1)
+        checked, error = self._lines_checked(tmp_path, monkeypatch, "".join(body))
+        assert checked == [1, row + 2] and error == message
+
+
+@pytest.mark.parametrize(
+    "width", [_NUMBER_RUN - 2, _NUMBER_RUN - 1, _NUMBER_RUN, _NUMBER_RUN + 1, 3 * _NUMBER_RUN + 5]
+)
+class TestWideNumbers:
+    """A number field read across several runs of ``_NUMBER_RUN`` bytes of
+    the automaton, among narrow fields of the same column."""
+
+    def _body(self, wide: str) -> bytes:
+        lines = [f"d,m,0,{k},0.5,{wide if k == 3 else '-1e3'}\n" for k in range(6)]
+        return "".join(lines).encode()
+
+    def test_valid_wide_number_is_read(self, width):
+        wide = "0." + "1" * (width - 2)
+        table = _body_table(self._body(wide), "f.csv", "objectives", 2)
+        assert table.values[3, 1] == float(wide) and table.values[4, 1] == -1e3
+
+    @pytest.mark.parametrize("position", [2, -1])
+    def test_bad_byte_fails_at_its_line(self, width, position):
+        chars = list("0." + "1" * (width - 2))
+        chars[position] = "x"
+        body = self._body("".join(chars))
+        with pytest.raises(ParseError, match=r"f\.csv:5: column obj_2: expected a number"):
+            _body_table(body, "f.csv", "objectives", 2)
+        _assert_same_reading(body, "objectives", 2)
 
 
 def _reference_cells(front_records, reference_records, names, filter_front):

@@ -159,6 +159,14 @@ class TestAggregatedMetrics:
         with pytest.raises(ValueError, match="beta"):
             fbeta(ConfusionMatrix(1, 1, 1, 1), beta)
 
+    def test_fbeta_names_a_beta_whose_square_overflows(self):
+        m = ConfusionMatrix(4, 6, 1, 9)  # TPR = 0.4
+        with pytest.raises(ValueError) as err:
+            fbeta(m, 1.4e154)
+        assert str(err.value) == "beta 1.4e+154 is too large: its square overflows"
+        # the largest betas weigh recall alone
+        assert fbeta(m, 1.3e154).value == pytest.approx(0.4)
+
 
 # four counts summing to at most 2**53, from tiny to the largest allowed
 _counts = st.lists(

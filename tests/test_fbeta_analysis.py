@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ class TestBetaGrid:
             BetaGrid.log_spaced(0.1, 10.0, 1)
         with pytest.raises(ValueError, match="lo < hi"):
             BetaGrid.log_spaced(2.0, 1.0, 10)
+
+    def test_grid_names_a_beta_whose_square_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            with pytest.raises(ValueError) as err:
+                BetaGrid((1.0, 1e200))
+        assert str(err.value) == "beta 1e+200 is too large: its square overflows"
+
+    def test_curve_at_the_largest_beta_equals_the_scalar_metric(self):
+        m = ConfusionMatrix(4, 6, 1, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = fbeta_curve(m, BetaGrid((1.0, 1.3e154)))
+        assert curve.values == (fbeta(m, 1.0).value, fbeta(m, 1.3e154).value)
 
 
 class TestFbetaCurve:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,37 @@ class TestAggregate:
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
         with pytest.raises(ValueError, match="unknown indicators"):
             aggregate(front, refs, ("IGD",))
+
+    def test_value_that_is_not_finite_names_its_cell(self):
+        front = [
+            _obj_record("ds1", "moo", 0, 0, (1e200, 0.5)),
+            _obj_record("ds1", "moo", 0, 1, (0.2, 0.9)),
+        ]
+        refs = [_obj_record("ds1", "ref", 0, 0, (-1e200, 0.3))]
+        text = "indicator ED against reference 'ref' on dataset 'ds1' is not finite: inf on fold 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would raise here
+            with pytest.raises(ValueError) as err:
+                aggregate(front, refs, ("ED", "GD", "HV", "SDR", "NDR"))
+        assert str(err.value) == text
+
+    def test_fold_std_that_overflows_names_its_cell(self):
+        # HV is 1e160 on fold 0 and 1 on fold 1: both finite, but the
+        # deviations from their mean square to above the float range
+        front = [
+            _obj_record("ds1", "moo", 0, 0, (1e80, 1e80)),
+            _obj_record("ds1", "moo", 1, 0, (1.0, 1.0)),
+        ]
+        refs = [_obj_record("ds1", "ref", fold, 0, (0.0, 0.0)) for fold in (0, 1)]
+        text = (
+            "indicator HV against reference 'ref' on dataset 'ds1' is not finite: "
+            "its fold mean is 5e+159 and std inf"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                aggregate(front, refs, ("ED", "HV"))
+        assert str(err.value) == text
 
     def test_mixed_payload_kinds_accepted(self):
         # counts and raw objectives may meet as long as the dimensions agree

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +229,20 @@ class TestRegionAxes:
         x, y, centres = self._axes(tmp_path, [[0.3, -0.9], [1.1, -0.2]], [-0.1, 0.5])
         assert x == ["-0.25", "0", "0.25", "0.5", "0.75", "1", "1.25"]
         assert y == ["-1", "-0.75", "-0.5", "-0.25", "0", "0.25", "0.5", "0.75", "1"]
+        for cx, cy in centres:
+            assert LEFT <= cx <= RIGHT and TOP <= cy <= BOTTOM
+
+    @pytest.mark.parametrize("coordinate", [1e308, -4.5e307])
+    def test_coordinate_too_large_for_the_axes_is_named(self, tmp_path, coordinate):
+        with pytest.raises(ValueError) as err:
+            self._axes(tmp_path, [[0.5, coordinate]], [0.5, 0.5])
+        assert f"coordinate {coordinate!r} is too large to draw" in str(err.value)
+        assert not (tmp_path / "region.svg").exists()
+
+    def test_largest_coordinates_span_the_frame(self, tmp_path):
+        limit = sys.float_info.max / 4
+        x, y, centres = self._axes(tmp_path, [[-limit, limit], [limit, -limit]], [0.0, 0.0])
+        assert len(x) <= 17 and len(y) <= 17
         for cx, cy in centres:
             assert LEFT <= cx <= RIGHT and TOP <= cy <= BOTTOM
 
