@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
+from ._kernels import _strictly_above
 from .confusion_metrics import (
     ConfusionMatrix,
     _metrics,
@@ -239,7 +240,8 @@ _REGION_LIMIT = sys.float_info.max * 0.25
 def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> None:
     """Raise ValueError unless a region plot can draw the float arrays: an
     (n, 2) front with n >= 1, a length-2 reference, every coordinate finite
-    and at most ``_REGION_LIMIT`` in magnitude, and a known mode."""
+    and at most ``_REGION_LIMIT`` in magnitude, a known mode, and in
+    hypervolume mode a finite HV for the legend."""
     if front.ndim != 2 or front.shape[1] != 2:
         raise ValueError(f"region plot requires 2 objectives, got a front of shape {front.shape}")
     if ref.shape != (2,):
@@ -259,6 +261,16 @@ def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> None
         )
     if mode not in REGION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {REGION_MODES}")
+    if mode == "hypervolume":
+        _region_hv(front, ref)
+
+
+def _region_hv(front: np.ndarray, ref: np.ndarray) -> float:
+    """HV of the (n, 2) front against the length-2 ref; ValueError unless it is finite."""
+    hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
+    if not math.isfinite(hv):
+        raise ValueError(f"indicator HV is not finite: {hv!r}; the coordinates overflow")
+    return hv
 
 
 def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) -> None:
@@ -280,21 +292,21 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
     rx, ry = ref.tolist()
     cx, cy = doc.x_px(rx), doc.y_px(ry)
     xy = np.column_stack((doc.x_px(front[:, 0]), doc.y_px(front[:, 1])))
-    above = (front > ref).all(axis=1).tolist()
+    above = _strictly_above(front, ref[None])[0].tolist()
     legend = [(f"front ({n} points)", "#08519c", False), ("reference", "#000000", False)]
     if mode == "hypervolume":
         for (x, y), shaded in zip(xy.tolist(), above):
             if shaded:
                 doc.rect(cx, y, x - cx, cy - y, HV_FILL)
         fills = ["#08519c"] * n
-        hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
+        hv = _region_hv(front, ref)
         legend.append((f"HV = {hv:.4f}", HV_FILL, False))
     else:
         top, right = doc.y_px(y_range[1]), doc.x_px(x_range[1])
         left, bottom = doc.x_px(x_range[0]), doc.y_px(y_range[0])
         doc.rect(cx, top, right - cx, cy - top, DOMINATING_FILL, opacity=0.15)
         doc.rect(left, cy, cx - left, bottom - cy, DOMINATED_FILL, opacity=0.15)
-        below = (front < ref).all(axis=1).tolist()
+        below = _strictly_above(ref[None], front)[:, 0].tolist()
         fills = [
             DOMINATING_FILL if a else DOMINATED_FILL if b else NEUTRAL_FILL
             for a, b in zip(above, below)

@@ -8,11 +8,12 @@ left to the report layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import _strictly_above, nondominated_mask
 from .objective_space import ObjectivePoint, SolutionSet
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "generational_distance",
     "euclidean_distance",
     "hypervolume",
-    "hypervolume_mc",
     "sdr",
     "ndr",
     "evaluate_indicator",
@@ -46,11 +46,6 @@ class IndicatorResult:
             raise ValueError(f"indicator value must be non-negative, got {self.value}")
         if self.name in ("SDR", "NDR") and self.value > 1.0:
             raise ValueError(f"{self.name} must lie in [0, 1], got {self.value}")
-
-
-def _check_dims(front: SolutionSet, dim: int) -> None:
-    if front.dim != dim:
-        raise ValueError(f"dimension mismatch: front has {front.dim}, reference has {dim}")
 
 
 def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -80,15 +75,6 @@ def _sweep_order(points: np.ndarray) -> np.ndarray:
     A stack of (..., n, 2) point sets is ordered set by set.
     """
     return np.lexsort((-points[..., 1], -points[..., 0]), axis=-1)
-
-
-def _strictly_above(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """(..., r, n) mask of points[..., j, :] > refs[..., k, :] in every coordinate.
-
-    points and refs are (n, M) and (r, M) arrays, or stacks of them.
-    """
-    columns = [points[..., None, :, i] > refs[..., :, None, i] for i in range(points.shape[-1])]
-    return np.logical_and.reduce(columns)
 
 
 def _staircase_areas(xy: np.ndarray, mask: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -123,8 +109,8 @@ def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     if points.shape[1] == 2:
         xy, refs = points[_sweep_order(points)], ref[None, :]
         return float(_staircase_areas(xy, _strictly_above(xy, refs), refs)[0])
-    eff = points[(points > ref).all(axis=1)]
-    eff = eff[_kernels.nondominated_mask(eff)]
+    eff = points[_strictly_above(points, ref[None])[0]]
+    eff = eff[nondominated_mask(eff)]
     eff = eff[np.argsort(-eff[:, -1], kind="stable")]
     floors = np.append(eff[1:, -1], ref[-1])
     volume = 0.0
@@ -135,6 +121,7 @@ def _exact_hv(points: np.ndarray, ref: np.ndarray) -> float:
     return volume
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block_indicators(
     fronts: np.ndarray, refs: np.ndarray, names: list[str]
 ) -> dict[str, np.ndarray]:
@@ -148,7 +135,8 @@ def _block_indicators(
     coordinates, each reference's distances are sorted as one C-contiguous
     row, so the mean sums them in the same pairwise order for any stack and
     any front point order, and the 2-D staircase sweeps each block in its
-    own order.
+    own order. A value that overflows float64 comes back inf, without a
+    warning, for the caller to name.
     """
     n = fronts.shape[1]
     values: dict[str, np.ndarray] = {}
@@ -185,20 +173,26 @@ def _block_indicators(
     return values
 
 
-def _value(name: str, front: SolutionSet, refs: np.ndarray) -> float:
-    """The named indicator of one front against the (r, M) refs."""
-    _check_dims(front, refs.shape[1])
-    return float(_block_indicators(front.as_array()[None], refs[None], [name])[name][0, 0])
+def _value(name: str, front: np.ndarray, refs: np.ndarray) -> float:
+    """The named indicator of the (n, M) front against the (r, M) refs; ValueError unless finite."""
+    if front.shape[1] != refs.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: front has {front.shape[1]}, reference has {refs.shape[1]}"
+        )
+    value = float(_block_indicators(front[None], refs[None], [name])[name][0, 0])
+    if not math.isfinite(value):
+        raise ValueError(f"indicator {name} is not finite: {value!r}; the coordinates overflow")
+    return value
 
 
 def generational_distance(front: SolutionSet, refs: SolutionSet) -> float:
     """Mean distance from each front point to its nearest reference point."""
-    return _value("GD", front, refs.as_array())
+    return _value("GD", front.as_array(), refs.as_array())
 
 
 def euclidean_distance(front: SolutionSet, ref: ObjectivePoint) -> float:
     """Mean distance between the front points and a single reference point."""
-    return _value("ED", front, ref.as_array()[None])
+    return _value("ED", front.as_array(), ref.as_array()[None])
 
 
 def hypervolume(front: SolutionSet, ref: ObjectivePoint) -> float:
@@ -208,37 +202,12 @@ def hypervolume(front: SolutionSet, ref: ObjectivePoint) -> float:
     coordinates where p does not exceed ref clip the box to zero volume. The
     value is the exact measure of the box union in every dimension.
     """
-    return _value("HV", front, ref.as_array()[None])
-
-
-def hypervolume_mc(
-    front: SolutionSet, ref: ObjectivePoint, samples: int, seed: int
-) -> float:
-    """Monte Carlo estimate of the box-union measure, deterministic per seed.
-
-    Uniform samples are drawn over the box spanning from ref to the
-    coordinatewise maximum of the front; a degenerate box yields 0.
-    """
-    _check_dims(front, ref.dim)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    points = front.as_array()
-    ref_arr = ref.as_array()
-    hi = points.max(axis=0)
-    extent = hi - ref_arr
-    if (extent <= 0.0).any():
-        return 0.0
-    effective = points[(points > ref_arr).all(axis=1)]
-    rng = np.random.default_rng(seed)
-    draws = ref_arr + rng.random((samples, ref.dim)) * extent
-    covered = _kernels.count_in_box_union(draws, effective)
-    box_volume = float(np.prod(extent))
-    return box_volume * covered / samples
+    return _value("HV", front.as_array(), ref.as_array()[None])
 
 
 def sdr(front: SolutionSet, ref: ObjectivePoint) -> float:
     """Fraction of front points that strictly dominate the reference point."""
-    return _value("SDR", front, ref.as_array()[None])
+    return _value("SDR", front.as_array(), ref.as_array()[None])
 
 
 def ndr(front: SolutionSet, ref: ObjectivePoint) -> float:
@@ -247,7 +216,7 @@ def ndr(front: SolutionSet, ref: ObjectivePoint) -> float:
     Ties count as non-dominated: only strict domination by the reference
     removes a point from the numerator.
     """
-    return _value("NDR", front, ref.as_array()[None])
+    return _value("NDR", front.as_array(), ref.as_array()[None])
 
 
 def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> IndicatorResult:
@@ -261,5 +230,5 @@ def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> Indi
         raise ValueError(f"unknown indicator {name!r}; expected one of {INDICATOR_NAMES}")
     if key != "GD" and len(refs) != 1:
         raise ValueError(f"{key} needs exactly one reference point, got {len(refs)}")
-    value = _value(key, front, refs.as_array())
+    value = _value(key, front.as_array(), refs.as_array())
     return IndicatorResult(key, value, front_size=len(front), reference_size=len(refs))

@@ -822,18 +822,17 @@ def pair_blocks(front: RecordTable, refs: RecordTable) -> tuple[str, list[Paired
     dims = {front.dim, refs.dim}
     if len(dims) != 1:
         raise ValueError(f"front and reference records mix dimensionalities: {sorted(dims)}")
-    # reference rows by (dataset, fold, method); lexsort keeps equal keys in file order
-    order = np.lexsort((refs.method, refs.fold, refs.dataset))
-    dataset, fold, method = refs.dataset[order], refs.fold[order], refs.method[order]
-    same = (dataset[1:] == dataset[:-1]) & (fold[1:] == fold[:-1]) & (method[1:] == method[:-1])
-    if same.any():
-        row = order[1:][same].min()  # the first row that repeats an earlier row's key
+    row = _first_repeat([refs.dataset, refs.fold, refs.method])
+    if row < len(refs):
         raise ValueError(
             f"reference method {refs.method_names[refs.method[row]]!r} has multiple solutions "
             f"for dataset {refs.dataset_names[refs.dataset[row]]!r} fold {refs.fold[row]}"
         )
+    # reference rows by (dataset, fold), each block's rows in method order
+    order = np.lexsort((refs.method, refs.fold, refs.dataset))
+    starts = _run_starts([refs.dataset[order], refs.fold[order]])
     references: dict[tuple[str, int], tuple[list[str], list[int]]] = {}
-    for rows in np.split(order, _run_starts([dataset, fold])[1:]) if len(order) else ():
+    for rows in np.split(order, starts[1:]) if len(order) else ():
         key = (refs.dataset_names[refs.dataset[rows[0]]], int(refs.fold[rows[0]]))
         methods = [refs.method_names[m] for m in refs.method[rows].tolist()]
         references[key] = (methods, rows.tolist())
@@ -893,9 +892,8 @@ def aggregate(
             chunk = members[start : start + step]
             stack = np.stack([fronts[i] for i in chunk])
             ref_stack = ref_points[[blocks[i].ref_rows for i in chunk]]
-            # an indicator that overflows is reported below, by its cell
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = _block_indicators(stack, ref_stack, ordered)
+            # an indicator that overflows comes back inf and is named below, by its cell
+            values = _block_indicators(stack, ref_stack, ordered)
             for name, block_values in values.items():
                 for i, row in zip(chunk, block_values.tolist()):
                     results[i][name] = row

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's computation paths: dominance is an
-explicit all-pairs check, box-union membership is a per-sample loop over the
-boxes, and hypervolume is a grid rasterization of the box union, so agreement
-with the package is meaningful evidence.
+explicit all-pairs check, hypervolume is a grid rasterization of the box
+union, and the Monte Carlo hypervolume estimate tests its seeded draws box
+by box with column comparisons, so agreement with the package is meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -62,11 +63,32 @@ def grid_hypervolume(coords, ref, resolution: int = 2000) -> float:
     return float(covered.sum()) * float(np.prod(extent / resolution))
 
 
-def brute_force_box_union_count(samples, points) -> int:
-    """Count samples s for which some point p has s <= p in every coordinate."""
-    return sum(
-        any(all(si <= pi for si, pi in zip(s, p)) for p in points) for s in samples
-    )
+def monte_carlo_hypervolume(coords, ref, samples: int, seed: int) -> float:
+    """Monte Carlo estimate of the union of boxes spanning [ref, p], deterministic per seed.
+
+    ``samples`` uniform draws from ``default_rng(seed)`` cover the box from
+    ref to the coordinatewise maximum of the points; a degenerate box gives
+    0. Only points strictly above ref span a box, and a box inside another
+    is dropped; each draw is then tested box by box, one coordinate column
+    at a time. The estimate is the box volume times the covered fraction.
+    """
+    pts = np.asarray(coords, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    extent = pts.max(axis=0) - ref
+    if (extent <= 0.0).any():
+        return 0.0
+    corners = sorted({tuple(p) for p in pts.tolist() if all(c > r for c, r in zip(p, ref))})
+    outer = [
+        p for p in corners if not any(q != p and all(a >= b for a, b in zip(q, p)) for q in corners)
+    ]
+    draws = ref + np.random.default_rng(seed).random((samples, ref.size)) * extent
+    covered = np.zeros(samples, dtype=bool)
+    for corner in outer:
+        inside = draws[:, 0] <= corner[0]
+        for i in range(1, ref.size):
+            inside &= draws[:, i] <= corner[i]
+        covered |= inside
+    return float(np.prod(extent)) * int(covered.sum()) / samples
 
 
 def loop_hypervolume(points: np.ndarray, ref: np.ndarray) -> float:

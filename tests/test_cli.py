@@ -543,6 +543,34 @@ class TestFigureSubcommands:
         assert "region plot coordinate 1e+308 is too large to draw" in capsys.readouterr().err
         assert not (workdir / "plots").exists()
 
+    def test_region_plot_hypervolume_that_overflows_exits_1(self, workdir, capsys):
+        (workdir / "front2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nds1,moo,0,0,1e200,1e200\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs2d.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nds1,base,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front2d.csv"),
+            "--refs",
+            str(workdir / "refs2d.csv"),
+            "--payload",
+            "objectives",
+            "--mode",
+            "hypervolume",
+            "--fold",
+            "0",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        assert "indicator HV is not finite: inf" in capsys.readouterr().err
+        assert not (workdir / "plots").exists()
+
     def test_region_plot_names_a_reference_of_the_wrong_dimension(self, workdir, capsys):
         (workdir / "front2d.csv").write_text(
             "dataset,method,fold,solution_id,obj_1,obj_2\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pareto_judge
-from oracles import grid_hypervolume, loop_hypervolume
+from oracles import grid_hypervolume, loop_hypervolume, monte_carlo_hypervolume
 from pareto_judge.indicators import (
     IndicatorResult,
     _exact_hv,
@@ -18,7 +18,6 @@ from pareto_judge.indicators import (
     euclidean_distance,
     generational_distance,
     hypervolume,
-    hypervolume_mc,
     ndr,
     sdr,
 )
@@ -240,7 +239,7 @@ class TestHypervolumeExactHigherDims:
         ref = ObjectivePoint(ref)
         exact = hypervolume(front, ref)
         n = 20_000
-        estimate = hypervolume_mc(front, ref, samples=n, seed=0)
+        estimate = monte_carlo_hypervolume(coords, ref.coords, samples=n, seed=0)
         box = float(np.prod(np.maximum(np.asarray(coords).max(axis=0) - ref.as_array(), 0.0)))
         if box == 0.0:
             assert estimate == 0.0 == exact
@@ -266,20 +265,21 @@ class TestSlabsMatchTheLoop:
 
 
 class TestHypervolumeMonteCarlo:
+    """The exact hypervolume against the seeded Monte Carlo oracle."""
+
     def test_full_bounding_box(self):
-        value = hypervolume_mc(_front((1, 1)), _point(0, 0), samples=100_000, seed=0)
+        value = monte_carlo_hypervolume([(1, 1)], (0, 0), samples=100_000, seed=0)
         assert value == pytest.approx(1.0, abs=3e-3)
 
     def test_agrees_with_exact_sweep(self):
         rng = np.random.default_rng(71)
         for seed in range(15):
             coords = rng.random((int(rng.integers(1, 21)), 2))
-            ref = ObjectivePoint(tuple(rng.random(2)))
-            front = SolutionSet.from_coords("f", coords)
-            exact = hypervolume(front, ref)
+            ref = rng.random(2)
+            exact = hypervolume(SolutionSet.from_coords("f", coords), ObjectivePoint(tuple(ref)))
             n = 200_000
-            estimate = hypervolume_mc(front, ref, samples=n, seed=seed)
-            box = float(np.prod(np.maximum(coords.max(axis=0) - ref.as_array(), 0.0)))
+            estimate = monte_carlo_hypervolume(coords, ref, samples=n, seed=seed)
+            box = float(np.prod(np.maximum(coords.max(axis=0) - ref, 0.0)))
             if box == 0.0:
                 assert estimate == 0.0 == exact
                 continue
@@ -288,19 +288,41 @@ class TestHypervolumeMonteCarlo:
             assert abs(estimate - exact) <= tolerance
 
     def test_deterministic_per_seed(self):
-        front = _front((0.4, 0.9), (0.9, 0.4), (0.7, 0.7))
-        ref = _point(0.1, 0.1)
-        a = hypervolume_mc(front, ref, samples=50_000, seed=123)
-        b = hypervolume_mc(front, ref, samples=50_000, seed=123)
+        coords, ref = [(0.4, 0.9), (0.9, 0.4), (0.7, 0.7)], (0.1, 0.1)
+        a = monte_carlo_hypervolume(coords, ref, samples=50_000, seed=123)
+        b = monte_carlo_hypervolume(coords, ref, samples=50_000, seed=123)
         assert a == b
-        assert hypervolume_mc(front, ref, samples=50_000, seed=124) != a
+        assert monte_carlo_hypervolume(coords, ref, samples=50_000, seed=124) != a
 
     def test_degenerate_bounding_box(self):
-        assert hypervolume_mc(_front((0.5, 0.9)), _point(0.5, 0.0), samples=1000, seed=0) == 0.0
+        estimate = monte_carlo_hypervolume([(0.5, 0.9)], (0.5, 0.0), samples=1000, seed=0)
+        assert estimate == 0.0 == hypervolume(_front((0.5, 0.9)), _point(0.5, 0.0))
 
-    def test_rejects_no_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            hypervolume_mc(_front((1, 1)), _point(0, 0), samples=0, seed=0)
+
+class TestNonFiniteValues:
+    """An indicator whose arithmetic overflows is an error, not inf, and numpy prints nothing."""
+
+    @pytest.mark.parametrize(
+        "name, function, coords, ref",
+        [
+            ("HV", hypervolume, [(1e200, 1e200)], (0.0, 0.0)),
+            ("HV", hypervolume, [(1e200, 1e200, 1e200)], (0.0, 0.0, 0.0)),
+            ("ED", euclidean_distance, [(1e300, 1e300)], (-1e300, -1e300)),
+        ],
+        ids=("HV-2d", "HV-3d", "ED"),
+    )
+    def test_overflow_names_the_indicator(self, name, function, coords, ref):
+        with pytest.raises(ValueError, match=f"indicator {name} is not finite: inf"):
+            function(SolutionSet.from_coords("f", coords), ObjectivePoint(ref))
+
+    @pytest.mark.parametrize("name", ("ED", "GD", "HV"))
+    def test_evaluate_indicator_raises_instead_of_returning_inf(self, name):
+        with pytest.raises(ValueError, match=f"indicator {name} is not finite"):
+            evaluate_indicator(name, _front((1e300, 1e300)), _refs((-1e300, -1e300)))
+
+    def test_large_finite_values_pass(self):
+        assert hypervolume(_front((2.0**500, 2.0**500)), _point(0.0, 0.0)) == 2.0**1000
+        assert sdr(_front((1e300, 1e300)), _point(-1e300, -1e300)) == 1.0
 
 
 class TestDominanceRatios:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_box_union_count, brute_force_front
+from oracles import brute_force_front
 from pareto_judge import _kernels
 from pareto_judge.objective_space import front_rows
 
 # Coordinates from a coarse grid produce ties and duplicates; free floats in
 # the same range produce the general case.
-_coord = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), st.floats(0.0, 1.0))
+_lattice = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+_coord = st.one_of(_lattice, st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -29,46 +30,6 @@ def _point_arrays(draw, *, min_size: int = 0, max_size: int = 40):
 
 class TestOracleAgreement:
     @settings(deadline=None)
-    @given(data=st.data())
-    def test_count_in_box_union(self, data):
-        points, dim = data.draw(_point_arrays(max_size=12))
-        samples = np.asarray(
-            data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=60)),
-            dtype=np.float64,
-        )
-        assert _kernels.count_in_box_union(samples, points) == brute_force_box_union_count(
-            samples.tolist(), points.tolist()
-        )
-
-    @settings(deadline=None)
-    @given(data=st.data())
-    def test_count_in_box_union_2d_on_point_coordinates(self, data):
-        # samples built from the points' own coordinates sit exactly on box
-        # edges and corners, and share x with several points at once; -0.0
-        # must cover and be covered as 0.0 does, although the sweep negates x
-        edge = _coord | st.just(-0.0)
-        xs = data.draw(st.lists(edge, min_size=1, max_size=4))
-        points = np.asarray(
-            data.draw(st.lists(st.tuples(st.sampled_from(xs), edge), min_size=1, max_size=12)),
-            dtype=np.float64,
-        )
-        grid_x = points[:, 0].tolist() + [-0.0, 0.0, 1.0]
-        grid_y = points[:, 1].tolist() + [-0.0, 0.0, 1.0]
-        samples = np.asarray(
-            data.draw(
-                st.lists(
-                    st.tuples(st.sampled_from(grid_x), st.sampled_from(grid_y)),
-                    min_size=1,
-                    max_size=60,
-                )
-            ),
-            dtype=np.float64,
-        )
-        assert _kernels.count_in_box_union(samples, points) == brute_force_box_union_count(
-            samples.tolist(), points.tolist()
-        )
-
-    @settings(deadline=None)
     @given(_point_arrays(min_size=1))
     def test_nondominated_mask(self, drawn):
         points, _ = drawn
@@ -77,46 +38,47 @@ class TestOracleAgreement:
         assert _kernels.nondominated_mask(points).tolist() == [c in front for c in coords]
 
 
+class TestChunkedFront:
+    """The M >= 3 mask, chunked, against the all-pairs oracle, compared with ==."""
+
+    @pytest.mark.parametrize("dim", (3, 4, 5))
+    @pytest.mark.parametrize("coord", (_lattice, _coord), ids=("lattice", "free"))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_mask_equals_brute_force_across_chunks(self, dim, coord, data):
+        # a budget of a few rows per chunk puts ties and duplicates in
+        # different chunks from the points they tie with
+        rows = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=40))
+        copies = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+        points = np.asarray(rows + [rows[i] for i in copies], dtype=np.float64)
+        rows_per_chunk = data.draw(st.integers(1, 7))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_ELEMENTS", rows_per_chunk * points.size)
+            mask = _kernels.nondominated_mask(points)
+        coords = [tuple(p) for p in points.tolist()]
+        front = set(brute_force_front(coords))
+        assert mask.tolist() == [c in front for c in coords]
+
+
 class TestBackendSelection:
     """Edge cases of the numpy kernels: chunk boundaries and empty inputs."""
 
-    def test_numpy_chunking_handles_large_inputs(self):
-        rng = np.random.default_rng(113)
-        samples = rng.random((150_000, 2))
-        points = np.asarray([[0.5, 0.5]])
-        count = _kernels.count_in_box_union(samples, points)
-        assert count == int((samples <= 0.5).all(axis=1).sum())
-
-    def test_empty_point_set_covers_nothing(self):
-        samples = np.random.default_rng(0).random((100, 2))
-        assert _kernels.count_in_box_union(samples, np.empty((0, 2))) == 0
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_queries(self, dim):
-        points = np.random.default_rng(dim).random((5, dim))
         mask = _kernels.nondominated_mask(np.empty((0, dim)))
         assert mask.dtype == np.bool_ and mask.shape == (0,)
-        assert _kernels.count_in_box_union(np.empty((0, dim)), points) == 0
 
     def test_broadcasts_stay_within_the_element_budget(self):
-        # unchunked, 5 000 points compared pairwise would hold 75M booleans,
-        # and 70 000 samples against 200 boxes 42M
-        rng = np.random.default_rng(114)
-        points, boxes = rng.random((5000, 3)), rng.random((200, 3))
-        samples = rng.random((70_000, 3))
+        # unchunked, 5 000 points compared pairwise would hold 75M booleans
+        points = np.random.default_rng(114).random((5000, 3))
         tracemalloc.start()
         try:
             mask = _kernels.nondominated_mask(points)
-            count = _kernels.count_in_box_union(samples, boxes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert mask.tolist() == [not (points > p).all(axis=1).any() for p in points]
-        covered = np.zeros(len(samples), dtype=np.bool_)
-        for box in boxes:
-            covered |= (samples <= box).all(axis=1)
-        assert count == int(covered.sum())
 
 
 # signed zeros compare equal, so they must land in one equal-x group

@@ -135,6 +135,21 @@ class TestAggregate:
         with pytest.raises(ValueError, match="multiple solutions"):
             aggregate(front, refs, ("ED",))
 
+    def test_first_repeated_reference_in_the_file_is_named(self):
+        # both datasets repeat a key; ds2 sorts later but repeats first in the file
+        front = [_obj_record(ds, "moo", 0, 0, (0.5, 0.5)) for ds in ("ds1", "ds2")]
+        refs = [
+            _obj_record("ds2", "ref", 0, 0, (0.5, 0.5)),
+            _obj_record("ds1", "ref", 0, 0, (0.5, 0.5)),
+            _obj_record("ds2", "ref", 0, 1, (0.6, 0.6)),
+            _obj_record("ds1", "ref", 0, 1, (0.6, 0.6)),
+        ]
+        with pytest.raises(ValueError) as err:
+            aggregate(front, refs, ("ED",))
+        assert str(err.value) == (
+            "reference method 'ref' has multiple solutions for dataset 'ds2' fold 0"
+        )
+
     def test_dimension_mix_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]

@@ -13,6 +13,7 @@ from pareto_judge.fbeta_analysis import (
     DOMINATED_FILL,
     DOMINATING_FILL,
     HV_FILL,
+    check_region_operands,
     default_beta_grid,
     fbeta_curve,
     fbeta_envelope,
@@ -168,6 +169,20 @@ class TestRegionPlot:
                     assert f"(NDR = {(n - dominated) / n:.2f})" in svg
                 else:
                     assert f"HV = {loop_hypervolume(coords, ref.as_array()):.4f}" in svg
+
+    def test_hypervolume_that_overflows_is_an_error(self, tmp_path):
+        # drawable coordinates whose HV is inf: the legend cannot show it,
+        # while dominance mode draws the same operands
+        front, ref = np.array([[1e200, 1e200]]), np.zeros(2)
+        out = tmp_path / "hv.svg"
+        with pytest.raises(ValueError, match="indicator HV is not finite: inf"):
+            check_region_operands(front, ref, "hypervolume")
+        with pytest.raises(ValueError, match="indicator HV is not finite: inf"):
+            render_region_plot(front, ref, "hypervolume", str(out))
+        assert not out.exists()
+        check_region_operands(front, ref, "dominance")
+        render_region_plot(front, ref, "dominance", str(out))
+        assert "(SDR = 1.00)" in _read(out)
 
     def test_byte_identical_reruns(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.4, 0.9), (0.9, 0.4), (0.7, 0.7)])
