@@ -5,8 +5,9 @@ rates, so precision stays consistent with the recall/specificity pair and
 the class sizes. A zero denominator never raises: the metric takes the
 convention value 0 and its ``defined`` flag drops to False, so degenerate
 folds cannot abort a batch evaluation. Every metric comes from one formula,
-on an array's count columns in ``metric_table`` and on one matrix's ints in
-the scalar functions, which are bit-equal to ``metric_table``.
+on an array's count columns in ``metric_table``, which the F-beta curves and
+envelopes sweep, and on one matrix's ints in the scalar functions, which are
+bit-equal to ``metric_table``.
 """
 
 from __future__ import annotations
@@ -90,13 +91,14 @@ def _squared(beta: float) -> float:
     return square
 
 
-def _metrics(tp, fn, fp, tn, b2, sqrt, minimum) -> tuple[list, list]:
+def _metrics(tp, fn, fp, tn, b2) -> tuple[list, list]:
     """TPR, TNR, PPV, BAC, G-mean and F-beta at the squared beta b2, and their
-    defined flags, of Python int counts or int columns, through operators both
-    share: counts sum to at most 2**53, so ``int / int`` gives the bits of
-    numpy's convert-then-divide. A rate is 0, undefined, where its denominator
-    is 0; BAC and G-mean are defined where TPR and TNR are, F-beta where
-    ``b2 * PPV + TPR`` is not 0."""
+    defined flags, of Python int counts or int columns, through Python or
+    numpy operators picked by the counts' type: counts sum to at most 2**53,
+    so ``int / int`` gives the bits of numpy's convert-then-divide. A rate is
+    0, undefined, where its denominator is 0; BAC and G-mean are defined where
+    TPR and TNR are, F-beta where ``b2 * PPV + TPR`` is not 0."""
+    sqrt, minimum = (math.sqrt, min) if type(tp) is int else (np.sqrt, np.minimum)
     # where a denominator is 0 so is its numerator, so dividing by 1 there
     # gives the convention value 0: a rate's numerator is one of the counts
     # its denominator sums, and F-beta's has the factor TPR
@@ -116,12 +118,12 @@ def metric_table(counts: np.ndarray, betas: Sequence[float] = ()) -> tuple[np.nd
     finite and positive, with a finite square."""
     b2 = np.array([_squared(float(b)) for b in betas], dtype=np.float64)[:, None]
     # built one row per metric (F-beta one row per beta), returned transposed
-    values, defined = _metrics(*counts.T, b2, np.sqrt, np.minimum)
+    values, defined = _metrics(*counts.T, b2)
     return np.vstack(values).T, np.vstack(defined).T
 
 
 def _metric(m: ConfusionMatrix, index: int, b2: float = 1.0) -> MetricValue:
-    values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2, math.sqrt, min)
+    values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2)
     return MetricValue(values[index], defined[index])
 
 

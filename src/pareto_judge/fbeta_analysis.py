@@ -20,7 +20,6 @@ from ._io import atomic_write_text
 from ._kernels import _strictly_above
 from .confusion_metrics import (
     ConfusionMatrix,
-    _metrics,
     _squared,
     check_counts,
     counts_array,
@@ -75,14 +74,18 @@ class BetaGrid:
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "BetaGrid":
-        """count points spaced uniformly in log(beta) between lo and hi."""
+        """count points spaced uniformly in log(beta) between lo and hi, whose
+        log10 must differ."""
         if count < 2:
             raise ValueError(f"grid needs at least 2 points, got {count}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"grid bounds must be finite, got lo={lo!r} hi={hi!r}")
         if not (0.0 < lo < hi):
             raise ValueError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
-        exponents = np.linspace(math.log10(lo), math.log10(hi), count)
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        if log_lo == log_hi:
+            raise ValueError(f"grid bounds lo={lo!r} hi={hi!r} have the same log10: {log_lo!r}")
+        exponents = np.linspace(log_lo, log_hi, count)
         betas = 10.0 ** exponents
         betas[0] = lo
         betas[-1] = hi
@@ -134,10 +137,8 @@ def fbeta_curves(counts: np.ndarray, grid: BetaGrid, labels: Sequence[str]) -> l
 
 
 def fbeta_curve(m: ConfusionMatrix, grid: BetaGrid, label: str = "") -> FbetaCurve:
-    """Pointwise F-beta of one confusion matrix along the grid."""
-    b2 = np.array([_squared(b) for b in grid.betas])
-    values, defined = _metrics(m.tp, m.fn, m.fp, m.tn, b2, math.sqrt, np.minimum)
-    return FbetaCurve(label, grid.betas, tuple(values[5].tolist()), tuple(defined[5].tolist()))
+    """Pointwise F-beta of one confusion matrix along the grid: a one-row sweep."""
+    return fbeta_curves(counts_array([m]), grid, [label])[0]
 
 
 def fbeta_envelope(
@@ -206,7 +207,8 @@ def _covering_axis(values: np.ndarray) -> tuple[tuple[float, float], list[tuple[
 
 
 def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: str) -> None:
-    """Curves over log10(beta), envelopes dashed, with a method legend."""
+    """Curves over log10(beta), envelopes dashed, with a method legend; the
+    grid's first and last log10(beta) must differ."""
     if not curves:
         raise ValueError("nothing to plot: curve list is empty")
     betas = curves[0].betas
@@ -214,6 +216,8 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
         if c.betas != betas:
             raise ValueError("all curves must share one beta grid")
     lo, hi = math.log10(betas[0]), math.log10(betas[-1])
+    if lo == hi:
+        raise ValueError(f"the beta axis has no width: the first and last log10(beta) are {lo!r}")
     doc = _svg.SvgDoc((lo, hi), (0.0, 1.0), "beta (log scale)", "F_beta")
     decade_ticks = [
         (float(e), f"{10.0 ** e:g}")
@@ -237,11 +241,12 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
 _REGION_LIMIT = sys.float_info.max * 0.25
 
 
-def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> None:
+def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> float | None:
     """Raise ValueError unless a region plot can draw the float arrays: an
     (n, 2) front with n >= 1, a length-2 reference, every coordinate finite
     and at most ``_REGION_LIMIT`` in magnitude, a known mode, and in
-    hypervolume mode a finite HV for the legend."""
+    hypervolume mode a finite HV for the legend. Returns that HV in
+    hypervolume mode and None in dominance mode."""
     if front.ndim != 2 or front.shape[1] != 2:
         raise ValueError(f"region plot requires 2 objectives, got a front of shape {front.shape}")
     if ref.shape != (2,):
@@ -261,12 +266,8 @@ def check_region_operands(front: np.ndarray, ref: np.ndarray, mode: str) -> None
         )
     if mode not in REGION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {REGION_MODES}")
-    if mode == "hypervolume":
-        _region_hv(front, ref)
-
-
-def _region_hv(front: np.ndarray, ref: np.ndarray) -> float:
-    """HV of the (n, 2) front against the length-2 ref; ValueError unless it is finite."""
+    if mode == "dominance":
+        return None
     hv = _block_indicators(front[None], ref[None, None], ["HV"])["HV"].item()
     if not math.isfinite(hv):
         raise ValueError(f"indicator HV is not finite: {hv!r}; the coordinates overflow")
@@ -283,7 +284,7 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
     """
     front = np.asarray(front, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
-    check_region_operands(front, ref, mode)
+    hv = check_region_operands(front, ref, mode)
     n = len(front)
     (x_range, x_ticks), (y_range, y_ticks) = (
         _covering_axis(np.append(front[:, i], ref[i])) for i in range(2)
@@ -299,7 +300,6 @@ def render_region_plot(front: np.ndarray, ref: np.ndarray, mode: str, out: str) 
             if shaded:
                 doc.rect(cx, y, x - cx, cy - y, HV_FILL)
         fills = ["#08519c"] * n
-        hv = _region_hv(front, ref)
         legend.append((f"HV = {hv:.4f}", HV_FILL, False))
     else:
         top, right = doc.y_px(y_range[1]), doc.x_px(x_range[1])

@@ -911,6 +911,15 @@ def aggregate(
     return ComparisonReport(moo_method=moo_method, cells=_fold_stats(series))
 
 
+def _markdown_cell(key: tuple[str, str, str], cell: ReportCell, scale: float) -> str:
+    """'mean (std)' of the cell scaled; ValueError naming the cell if the scaling overflows."""
+    mean, std = cell.mean * scale, cell.std * scale
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        what = f"its mean {cell.mean!r} and std {cell.std!r} overflow scaled by {scale:g}"
+        raise _not_finite(key, what)
+    return f"{mean:.2f} ({std:.2f})"
+
+
 def _markdown_blocks(report: ComparisonReport) -> str:
     blocks: list[str] = []
     for indicator in report.indicators():
@@ -918,7 +927,7 @@ def _markdown_blocks(report: ComparisonReport) -> str:
         title = "HV (×10³)" if indicator == "HV" else indicator
         datasets = report.datasets(indicator)
         text = {
-            key[1:]: f"{cell.mean * scale:.2f} ({cell.std * scale:.2f})"
+            key[1:]: _markdown_cell(key, cell, scale)
             for key, cell in report.cells.items()
             if key[0] == indicator
         }
@@ -944,7 +953,8 @@ def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
     The csv format carries raw full-precision values in the report schema.
     The markdown format emits one block per indicator with reference methods
     as rows, datasets as columns, and 'mean (std)' cells rounded to two
-    decimals; HV cells are presented scaled by 10^3.
+    decimals; HV cells are presented scaled by 10^3, and a cell that the
+    scaling overflows raises ValueError before anything is written.
     """
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {REPORT_FORMATS}")

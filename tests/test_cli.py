@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pareto_judge import fbeta_analysis
 from pareto_judge.cli import run
 from pareto_judge.ingest_report import aggregate, parse_records, read_report_csv
 
@@ -218,6 +219,26 @@ class TestCompare:
         assert "indicator ED against reference 'ref' on dataset 'ds1' is not finite: inf" in err
         assert not (workdir / "report.csv").exists()
 
+    def test_markdown_hv_that_overflows_the_scaling_exits_one(self, workdir, capsys):
+        # HV is 4e306: finite in the csv format, past the float range times 10^3
+        (workdir / "front.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nd,moo,0,0,1e153,1e153\n",
+            encoding="utf-8",
+        )
+        (workdir / "refs.csv").write_text(
+            "dataset,method,fold,solution_id,obj_1,obj_2\nd,ref,0,0,-1e153,-1e153\n",
+            encoding="utf-8",
+        )
+        extra = ["--payload", "objectives", "--indicators", "hv"]
+        assert run(_compare_args(workdir, "report.md", [*extra, "--format", "markdown"])) == 1
+        assert capsys.readouterr().err == (
+            "error: indicator HV against reference 'ref' on dataset 'd' is not finite: "
+            "its mean 4e+306 and std 0.0 overflow scaled by 1000\n"
+        )
+        assert not (workdir / "report.md").exists()
+        assert run(_compare_args(workdir, "report.csv", [*extra, "--format", "csv"])) == 0
+        assert "HV,ref,d,4e+306,0.0,1" in (workdir / "report.csv").read_text(encoding="utf-8")
+
 
 OBJ_REFS_CSV = """dataset,method,fold,solution_id,obj_1,obj_2
 ds1,base,0,0,0.6,0.6
@@ -322,6 +343,19 @@ class TestReportSubcommand:
         args = ["report", "--in", str(workdir / "report.csv"), "--out", str(out)]
         assert run(args) == 0
         assert "## HV (×10³)" in out.read_text(encoding="utf-8")
+
+    def test_markdown_hv_that_overflows_the_scaling_exits_one(self, workdir, capsys):
+        (workdir / "report.csv").write_text(
+            "indicator,reference_method,dataset,mean,std,fold_count\nHV,r,d,1e307,2e306,3\n",
+            encoding="utf-8",
+        )
+        out = workdir / "tables.md"
+        assert run(["report", "--in", str(workdir / "report.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: indicator HV against reference 'r' on dataset 'd' is not finite: "
+            "its mean 1e+307 and std 2e+306 overflow scaled by 1000\n"
+        )
+        assert not out.exists()
 
 
 class TestMetricsSubcommand:
@@ -513,6 +547,60 @@ class TestFigureSubcommands:
         assert err.startswith("error: beta ") and "is too large: its square overflows" in err
         assert "Warning" not in err
         assert not (workdir / "plots").exists()
+
+    @pytest.mark.parametrize("count", ["2", "3"])
+    def test_fbeta_plot_rejects_bounds_with_one_log10(self, workdir, capsys, count):
+        args = [
+            "fbeta-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--fold",
+            "0",
+            "--beta-min",
+            "1e10",
+            "--beta-max",
+            "10000000000.000002",
+            "--beta-count",
+            count,
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            "error: grid bounds lo=10000000000.0 hi=10000000000.000002 have the same log10: 10.0\n"
+        )
+        assert not (workdir / "plots").exists()
+
+    def test_region_plot_hypervolume_evaluates_hv_once_to_check_and_once_to_draw(
+        self, workdir, monkeypatch
+    ):
+        names = []
+        block_indicators = fbeta_analysis._block_indicators
+
+        def counting(fronts, refs, indicators):
+            names.append(list(indicators))
+            return block_indicators(fronts, refs, indicators)
+
+        monkeypatch.setattr(fbeta_analysis, "_block_indicators", counting)
+        args = [
+            "region-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--mode",
+            "hypervolume",
+            "--ref-method",
+            "base",
+            "--fold",
+            "0",
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 0
+        assert names == [["HV"], ["HV"]]
 
     def test_region_plot_names_a_coordinate_too_large_to_draw(self, workdir, capsys):
         (workdir / "front2d.csv").write_text(

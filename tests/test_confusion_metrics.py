@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pareto_judge
 from oracles import loop_metrics
 from pareto_judge.confusion_metrics import (
     ConfusionMatrix,
@@ -241,6 +244,39 @@ class TestScalarEqualsTable:
         assert [_bits(metric) for metric in scalar] == table
         assert [type(metric.defined) for metric in scalar] == [bool] * 6
         assert [c.hex() for c in objective_point_of(m).coords] == [v for v, _ in table[:2]]
+
+
+class TestOneFormula:
+    """``_metrics`` is the one formula; its operators follow the input type."""
+
+    def test_scalars_stay_python_floats_and_the_table_float64(self):
+        matrices = [ConfusionMatrix(17, 3, 9, 71), ConfusionMatrix(0, 4, 0, 6)]
+        for m in matrices:
+            scalar = [tpr(m), tnr(m), ppv(m), bac(m), gmean(m), fbeta(m, 0.5), fbeta(m, 2.0)]
+            assert [type(metric.value) for metric in scalar] == [float] * 7
+            assert [type(c) for c in objective_point_of(m).coords] == [float] * 2
+        values, defined = metric_table(counts_array(matrices), (0.5, 2.0))
+        assert (values.dtype, values.shape) == (np.float64, (2, 7))
+        assert (defined.dtype, defined.shape) == (np.bool_, (2, 7))
+
+    def test_no_other_module_names_the_formula(self):
+        # the F-beta curves reach it through metric_table, not a third way
+        names = []
+        for path in sorted(Path(pareto_judge.__file__).parent.glob("*.py")):
+            if path.name == "confusion_metrics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.alias):
+                    found = node.name
+                elif isinstance(node, ast.Name):
+                    found = node.id
+                elif isinstance(node, ast.Attribute):
+                    found = node.attr
+                else:
+                    continue
+                if found == "_metrics":
+                    names.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+        assert names == []
 
 
 def _one_row_file(directory, row) -> str:

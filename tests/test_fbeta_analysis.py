@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestBetaGrid:
             BetaGrid.log_spaced(0.1, 10.0, 1)
         with pytest.raises(ValueError, match="lo < hi"):
             BetaGrid.log_spaced(2.0, 1.0, 10)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_bounds_with_one_log10_rejected(self, count):
+        # distinct bounds whose log axis has no width
+        lo, hi = 1e10, 10000000000.000002
+        assert lo < hi and math.log10(lo) == math.log10(hi)
+        with pytest.raises(ValueError) as err:
+            BetaGrid.log_spaced(lo, hi, count)
+        assert str(err.value) == (
+            "grid bounds lo=10000000000.0 hi=10000000000.000002 have the same log10: 10.0"
+        )
 
     def test_grid_names_a_beta_whose_square_overflows(self):
         with warnings.catch_warnings():

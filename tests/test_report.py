@@ -253,6 +253,28 @@ class TestRenderReport:
         assert "## HV (×10³)" in text
         assert "| base | 0.46 (0.00) |" in text
 
+    @pytest.mark.parametrize("mean, std", [(1e307, 2e306), (1.0, 1e306)])
+    def test_markdown_hv_that_the_scaling_overflows_names_its_cell(self, tmp_path, mean, std):
+        report = ComparisonReport(moo_method="", cells={("HV", "r", "d"): ReportCell(mean, std, 3)})
+        out = tmp_path / "r.md"
+        with pytest.raises(ValueError) as err:
+            render_report(report, "markdown", str(out))
+        assert str(err.value) == (
+            "indicator HV against reference 'r' on dataset 'd' is not finite: "
+            f"its mean {mean!r} and std {std!r} overflow scaled by 1000"
+        )
+        assert not out.exists()
+        render_report(report, "csv", str(out))  # the unscaled values are finite
+
+    def test_markdown_hv_near_the_float_limit_renders(self, tmp_path):
+        report = ComparisonReport(
+            moo_method="", cells={("HV", "r", "d"): ReportCell(1e305, 1e305, 3)}
+        )
+        out = tmp_path / "r.md"
+        render_report(report, "markdown", str(out))
+        scaled = f"{1e305 * 1000.0:.2f}"
+        assert f"| r | {scaled} ({scaled}) |" in out.read_text(encoding="utf-8")
+
     def test_csv_schema_and_roundtrip(self, tmp_path):
         front, refs = _fixture_records()
         report = aggregate(front, refs, ("ED", "HV", "SDR", "NDR", "GD"))

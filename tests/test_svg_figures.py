@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import loop_hypervolume
+from pareto_judge import fbeta_analysis
 from pareto_judge._svg import BOTTOM, FRAME_HEIGHT, FRAME_WIDTH, LEFT, RIGHT, TOP
 from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.fbeta_analysis import (
     DOMINATED_FILL,
     DOMINATING_FILL,
     HV_FILL,
+    BetaGrid,
     check_region_operands,
     default_beta_grid,
     fbeta_curve,
@@ -84,6 +86,19 @@ class TestFbetaPlot:
         render_fbeta_plot([fbeta_curve(ConfusionMatrix(8, 2, 2, 8), grid, "m"), envelope], str(out))
         svg = _read(out)
         assert svg.count("stroke-dasharray") >= 1
+
+    @pytest.mark.parametrize(
+        "betas, log10", [((1.0,), "0.0"), ((1e10, 10000000000.000002), "10.0")]
+    )
+    def test_grid_without_log_width_rejected(self, tmp_path, betas, log10):
+        curve = fbeta_curve(ConfusionMatrix(4, 6, 1, 9), BetaGrid(betas))
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError) as err:
+            render_fbeta_plot([curve], str(out))
+        assert str(err.value) == (
+            f"the beta axis has no width: the first and last log10(beta) are {log10}"
+        )
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         curves = [fbeta_curve(ConfusionMatrix(17, 3, 9, 71), default_beta_grid(), label="m")]
@@ -183,6 +198,29 @@ class TestRegionPlot:
         check_region_operands(front, ref, "dominance")
         render_region_plot(front, ref, "dominance", str(out))
         assert "(SDR = 1.00)" in _read(out)
+
+    def test_check_returns_the_legend_hv_in_hypervolume_mode_only(self):
+        front = SolutionSet.from_coords("f", [(0.4, 0.9), (0.9, 0.4), (0.7, 0.7)])
+        ref = ObjectivePoint((0.6, 0.6))
+        hv = check_region_operands(front.as_array(), ref.as_array(), "hypervolume")
+        assert hv == hypervolume(front, ref)
+        assert check_region_operands(front.as_array(), ref.as_array(), "dominance") is None
+
+    @pytest.mark.parametrize(
+        "mode, expected", [("hypervolume", [["HV"]]), ("dominance", [["SDR", "NDR"]])]
+    )
+    def test_each_indicator_is_evaluated_once(self, tmp_path, monkeypatch, mode, expected):
+        names = []
+        block_indicators = fbeta_analysis._block_indicators
+
+        def counting(fronts, refs, indicators):
+            names.append(list(indicators))
+            return block_indicators(fronts, refs, indicators)
+
+        monkeypatch.setattr(fbeta_analysis, "_block_indicators", counting)
+        front, ref = np.array([[0.4, 0.9], [0.9, 0.4], [0.7, 0.7]]), np.array([0.6, 0.6])
+        render_region_plot(front, ref, mode, str(tmp_path / "r.svg"))
+        assert names == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.4, 0.9), (0.9, 0.4), (0.7, 0.7)])
