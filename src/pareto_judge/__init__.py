@@ -1,96 +1,79 @@
 """Evaluation toolkit for comparing single-solution classifiers against
-multi-objective solution fronts on imbalanced data."""
+multi-objective solution fronts on imbalanced data.
 
-from .confusion_metrics import (
-    ConfusionMatrix,
-    MetricValue,
-    bac,
-    fbeta,
-    gmean,
-    objective_point_of,
-    ppv,
-    tnr,
-    tpr,
-)
-from .fbeta_analysis import (
-    BetaGrid,
-    FbetaCurve,
-    default_beta_grid,
-    fbeta_curve,
-    fbeta_envelope,
-    render_fbeta_plot,
-    render_isocurves,
-    render_region_plot,
-)
-from .indicators import (
-    IndicatorResult,
-    evaluate_indicator,
-    euclidean_distance,
-    generational_distance,
-    hypervolume,
-    ndr,
-    sdr,
-)
-from .ingest_report import (
-    ComparisonReport,
-    DatasetInfo,
-    ExperimentRecord,
-    ParseError,
-    RecordTable,
-    ReportCell,
-    aggregate,
-    emit_records,
-    imbalance_ratio,
-    parse_datasets,
-    parse_records,
-    read_report_csv,
-    render_report,
-)
-from .objective_space import ObjectivePoint, SolutionSet, pareto_front, strictly_dominates
+Each exported name is loaded from its defining module on first use (PEP 562),
+so ``import pareto_judge`` imports no submodule and no numpy.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfusionMatrix",
-    "MetricValue",
-    "tpr",
-    "tnr",
-    "ppv",
-    "bac",
-    "gmean",
-    "fbeta",
-    "objective_point_of",
-    "ObjectivePoint",
-    "SolutionSet",
-    "strictly_dominates",
-    "pareto_front",
-    "IndicatorResult",
-    "generational_distance",
-    "euclidean_distance",
-    "hypervolume",
-    "sdr",
-    "ndr",
-    "evaluate_indicator",
-    "BetaGrid",
-    "FbetaCurve",
-    "default_beta_grid",
-    "fbeta_curve",
-    "fbeta_envelope",
-    "render_fbeta_plot",
-    "render_region_plot",
-    "render_isocurves",
-    "ExperimentRecord",
-    "RecordTable",
-    "DatasetInfo",
-    "ReportCell",
-    "ComparisonReport",
-    "ParseError",
-    "parse_records",
-    "emit_records",
-    "parse_datasets",
-    "imbalance_ratio",
-    "aggregate",
-    "render_report",
-    "read_report_csv",
-    "__version__",
-]
+# each defining module and the names it exports, in the order of __all__
+_EXPORTS = {
+    "confusion_metrics": (
+        "ConfusionMatrix",
+        "MetricValue",
+        "tpr",
+        "tnr",
+        "ppv",
+        "bac",
+        "gmean",
+        "fbeta",
+        "objective_point_of",
+    ),
+    "objective_space": ("ObjectivePoint", "SolutionSet", "strictly_dominates", "pareto_front"),
+    "indicators": (
+        "IndicatorResult",
+        "generational_distance",
+        "euclidean_distance",
+        "hypervolume",
+        "sdr",
+        "ndr",
+        "evaluate_indicator",
+    ),
+    "fbeta_analysis": (
+        "BetaGrid",
+        "FbetaCurve",
+        "default_beta_grid",
+        "fbeta_curve",
+        "fbeta_envelope",
+        "render_fbeta_plot",
+        "render_region_plot",
+        "render_isocurves",
+    ),
+    "ingest_report": (
+        "ExperimentRecord",
+        "RecordTable",
+        "DatasetInfo",
+        "ReportCell",
+        "ComparisonReport",
+        "ParseError",
+        "parse_records",
+        "emit_records",
+        "parse_datasets",
+        "imbalance_ratio",
+        "aggregate",
+        "render_report",
+        "read_report_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    """An export or an exporting submodule, imported on first use and kept."""
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -164,7 +164,8 @@ def fbeta(m: ConfusionMatrix, beta: float) -> MetricValue:
 
 def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     """The (sensitivity, specificity) pair as a 2-D maximization point."""
-    return ObjectivePoint((tpr(m).value, tnr(m).value))
+    values, _ = _metrics(m.tp, m.fn, m.fp, m.tn, 1.0)
+    return ObjectivePoint((values[0], values[1]))
 
 
 def _check_row(row: Sequence[int]) -> None:

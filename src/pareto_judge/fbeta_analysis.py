@@ -75,7 +75,7 @@ class BetaGrid:
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "BetaGrid":
         """count points spaced uniformly in log(beta) between lo and hi, whose
-        log10 must differ."""
+        log10 must differ by enough for count strictly increasing betas."""
         if count < 2:
             raise ValueError(f"grid needs at least 2 points, got {count}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -89,6 +89,10 @@ class BetaGrid:
         betas = 10.0 ** exponents
         betas[0] = lo
         betas[-1] = hi
+        if not (np.diff(betas) > 0.0).all():
+            raise ValueError(
+                f"grid bounds lo={lo!r} hi={hi!r} lie too close for {count} strictly increasing betas"
+            )
         return cls(tuple(float(b) for b in betas))
 
     def __len__(self) -> int:

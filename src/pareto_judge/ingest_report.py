@@ -212,17 +212,6 @@ class RecordTable(Sequence):
             self.values[rows],
         )
 
-    def groups(self, *columns: str) -> list[np.ndarray]:
-        """Row indices of each distinct value of the named columns, in key order.
-
-        Within a group rows are ordered by solution_id, ties in file order.
-        """
-        if not len(self):
-            return []
-        keys = [getattr(self, name) for name in columns]
-        order = np.lexsort([self.solution_id, *keys[::-1]])
-        return np.split(order, _run_starts([key[order] for key in keys])[1:])
-
     def __len__(self) -> int:
         return len(self.fold)
 
@@ -809,6 +798,17 @@ class PairedBlock(NamedTuple):
     ref_rows: list[int]  # the one row of each method
 
 
+def _blocks(table: RecordTable, within: np.ndarray) -> dict[tuple[str, int], np.ndarray]:
+    """Row indices of each (dataset, fold) of the table, in key order, each
+    block's rows ordered by the ``within`` column, ties in file order."""
+    order = np.lexsort((within, table.fold, table.dataset))
+    starts = _run_starts([table.dataset[order], table.fold[order]])
+    return {
+        (table.dataset_names[table.dataset[rows[0]]], int(table.fold[rows[0]])): rows
+        for rows in (np.split(order, starts[1:]) if len(order) else ())
+    }
+
+
 def pair_blocks(front: RecordTable, refs: RecordTable) -> tuple[str, list[PairedBlock]]:
     """The front's method and its (dataset, fold) blocks, in key order, with their references.
 
@@ -828,22 +828,16 @@ def pair_blocks(front: RecordTable, refs: RecordTable) -> tuple[str, list[Paired
             f"reference method {refs.method_names[refs.method[row]]!r} has multiple solutions "
             f"for dataset {refs.dataset_names[refs.dataset[row]]!r} fold {refs.fold[row]}"
         )
-    # reference rows by (dataset, fold), each block's rows in method order
-    order = np.lexsort((refs.method, refs.fold, refs.dataset))
-    starts = _run_starts([refs.dataset[order], refs.fold[order]])
-    references: dict[tuple[str, int], tuple[list[str], list[int]]] = {}
-    for rows in np.split(order, starts[1:]) if len(order) else ():
-        key = (refs.dataset_names[refs.dataset[rows[0]]], int(refs.fold[rows[0]]))
-        methods = [refs.method_names[m] for m in refs.method[rows].tolist()]
-        references[key] = (methods, rows.tolist())
-    fronts = {
-        (front.dataset_names[front.dataset[rows[0]]], int(front.fold[rows[0]])): rows
-        for rows in front.groups("dataset", "fold")
-    }
+    fronts = _blocks(front, front.solution_id)
+    references = _blocks(refs, refs.method)
     if set(fronts) != set(references):
         missing = sorted(set(fronts) ^ set(references))
         raise ValueError(f"front and reference files cover different (dataset, fold) pairs: {missing}")
-    blocks = [PairedBlock(*key, rows, *references[key]) for key, rows in fronts.items()]
+    blocks = []
+    for key, rows in fronts.items():
+        ref_rows = references[key]
+        methods = [refs.method_names[m] for m in refs.method[ref_rows].tolist()]
+        blocks.append(PairedBlock(*key, rows, methods, ref_rows.tolist()))
     return front.method_names[0], blocks
 
 

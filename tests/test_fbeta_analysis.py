@@ -57,6 +57,17 @@ class TestBetaGrid:
             "grid bounds lo=10000000000.0 hi=10000000000.000002 have the same log10: 10.0"
         )
 
+    def test_bounds_too_close_for_the_count_rejected(self):
+        # distinct log10, but the interior betas round onto the bounds
+        lo, hi = 1e10, 10000000000.000021
+        assert math.log10(lo) < math.log10(hi)
+        with pytest.raises(ValueError) as err:
+            BetaGrid.log_spaced(lo, hi, 3)
+        assert str(err.value) == (
+            "grid bounds lo=10000000000.0 hi=10000000000.000021 lie too close for 3 strictly "
+            "increasing betas"
+        )
+
     def test_grid_names_a_beta_whose_square_overflows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would raise here

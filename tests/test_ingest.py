@@ -177,7 +177,6 @@ class TestParseRecords:
         fold_one = table.take(table.fold == 1)
         assert fold_one == [records[0], records[2]]
         assert (fold_one.dataset_names, fold_one.method_names) == (("ds", "zz"), ("b",))
-        assert [rows.tolist() for rows in table.groups("dataset", "method")] == [[1], [2], [0]]
 
     def test_negation_rejected_for_counts(self, tmp_path):
         path = _write(

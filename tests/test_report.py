@@ -10,8 +10,10 @@ from pareto_judge.indicators import euclidean_distance, hypervolume, ndr, sdr
 from pareto_judge.ingest_report import (
     ComparisonReport,
     ExperimentRecord,
+    RecordTable,
     ReportCell,
     aggregate,
+    pair_blocks,
     read_report_csv,
     render_report,
 )
@@ -149,6 +151,34 @@ class TestAggregate:
         assert str(err.value) == (
             "reference method 'ref' has multiple solutions for dataset 'ds2' fold 0"
         )
+
+    def test_pair_blocks_orders_blocks_by_key_and_rows_within_them(self):
+        # blocks by (dataset, fold); front rows by solution_id, references by method
+        front = RecordTable.from_records(
+            [
+                _obj_record("ds2", "moo", 0, 5, (0.1, 0.1)),
+                _obj_record("ds1", "moo", 1, 2, (0.2, 0.2)),
+                _obj_record("ds1", "moo", 0, 3, (0.3, 0.3)),
+                _obj_record("ds1", "moo", 1, 0, (0.4, 0.4)),
+            ]
+        )
+        refs = RecordTable.from_records(
+            [
+                _obj_record("ds1", "b", 1, 0, (0.5, 0.5)),
+                _obj_record("ds2", "a", 0, 0, (0.5, 0.5)),
+                _obj_record("ds1", "a", 1, 0, (0.5, 0.5)),
+                _obj_record("ds1", "b", 0, 0, (0.5, 0.5)),
+            ]
+        )
+        method, blocks = pair_blocks(front, refs)
+        assert method == "moo"
+        assert [
+            (b.dataset, b.fold, b.front_rows.tolist(), b.methods, b.ref_rows) for b in blocks
+        ] == [
+            ("ds1", 0, [2], ["b"], [3]),
+            ("ds1", 1, [3, 1], ["a", "b"], [2, 0]),
+            ("ds2", 0, [0], ["a"], [1]),
+        ]
 
     def test_dimension_mix_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5, 0.5))]
