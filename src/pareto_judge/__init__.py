@@ -1,79 +1,61 @@
 """Evaluation toolkit for comparing single-solution classifiers against
-multi-objective solution fronts on imbalanced data.
+multi-objective solution fronts on imbalanced data."""
 
-Each exported name is loaded from its defining module on first use (PEP 562),
-so ``import pareto_judge`` imports no submodule and no numpy.
-"""
+from types import ModuleType as _ModuleType
 
-from importlib import import_module
+# each export is named once, here, in the order of __all__
+from .confusion_metrics import (
+    ConfusionMatrix,
+    MetricValue,
+    tpr,
+    tnr,
+    ppv,
+    bac,
+    gmean,
+    fbeta,
+    objective_point_of,
+)
+from .objective_space import ObjectivePoint, SolutionSet, strictly_dominates, pareto_front
+from .indicators import (
+    IndicatorResult,
+    generational_distance,
+    euclidean_distance,
+    hypervolume,
+    sdr,
+    ndr,
+    evaluate_indicator,
+)
+from .fbeta_analysis import (
+    BetaGrid,
+    FbetaCurve,
+    default_beta_grid,
+    fbeta_curve,
+    fbeta_envelope,
+    render_fbeta_plot,
+    render_region_plot,
+    render_isocurves,
+)
+from .ingest_report import (
+    ExperimentRecord,
+    RecordTable,
+    DatasetInfo,
+    ReportCell,
+    ComparisonReport,
+    ParseError,
+    parse_records,
+    emit_records,
+    parse_datasets,
+    imbalance_ratio,
+    aggregate,
+    render_report,
+    read_report_csv,
+)
 
 __version__ = "0.1.0"
 
-# each defining module and the names it exports, in the order of __all__
-_EXPORTS = {
-    "confusion_metrics": (
-        "ConfusionMatrix",
-        "MetricValue",
-        "tpr",
-        "tnr",
-        "ppv",
-        "bac",
-        "gmean",
-        "fbeta",
-        "objective_point_of",
-    ),
-    "objective_space": ("ObjectivePoint", "SolutionSet", "strictly_dominates", "pareto_front"),
-    "indicators": (
-        "IndicatorResult",
-        "generational_distance",
-        "euclidean_distance",
-        "hypervolume",
-        "sdr",
-        "ndr",
-        "evaluate_indicator",
-    ),
-    "fbeta_analysis": (
-        "BetaGrid",
-        "FbetaCurve",
-        "default_beta_grid",
-        "fbeta_curve",
-        "fbeta_envelope",
-        "render_fbeta_plot",
-        "render_region_plot",
-        "render_isocurves",
-    ),
-    "ingest_report": (
-        "ExperimentRecord",
-        "RecordTable",
-        "DatasetInfo",
-        "ReportCell",
-        "ComparisonReport",
-        "ParseError",
-        "parse_records",
-        "emit_records",
-        "parse_datasets",
-        "imbalance_ratio",
-        "aggregate",
-        "render_report",
-        "read_report_csv",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_MODULE_OF, "__version__"]
-
-
-def __getattr__(name: str):
-    """An export or an exporting submodule, imported on first use and kept."""
-    if name in _MODULE_OF:
-        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    elif name in _EXPORTS:
-        value = import_module(f".{name}", __name__)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_EXPORTS})
+# the imported names in import order; the submodules the imports bind are not exports
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]
