@@ -7,13 +7,14 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8 with LF line endings, whatever the platform."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.write(text.encode("utf-8"))
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None:
@@ -23,8 +24,3 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
             # name the requested path, not the random temp name
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """UTF-8 with LF line endings, whatever the platform."""
-    atomic_write_bytes(path, text.encode("utf-8"))

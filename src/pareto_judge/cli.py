@@ -19,6 +19,7 @@ from .fbeta_analysis import (
     ISOCURVE_METRICS,
     REGION_MODES,
     check_region_operands,
+    default_beta_grid,
     fbeta_curves,
     fbeta_envelope,
     render_fbeta_plot,
@@ -42,18 +43,17 @@ from .objective_space import front_rows
 METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _require_file(path: str, role: str) -> None:
     if not os.path.isfile(path):
         raise ValueError(f"{role} file not found: {path}")
 
 
+def _items(raw: str | None) -> list[str]:
+    return [item.strip() for item in (raw or "").split(",") if item.strip()]
+
+
 def _parse_indicator_list(raw: str) -> list[str]:
-    names = [item.strip() for item in raw.split(",") if item.strip()]
+    names = _items(raw)
     if not names:
         raise ValueError(f"no indicators given in {raw!r}")
     unknown = sorted({name.upper() for name in names} - set(INDICATOR_NAMES))
@@ -64,7 +64,7 @@ def _parse_indicator_list(raw: str) -> list[str]:
 
 def _parse_level_list(raw: str) -> list[float]:
     try:
-        levels = [float(item) for item in raw.split(",") if item.strip()]
+        levels = [float(item) for item in _items(raw)]
     except ValueError:
         raise ValueError(f"levels must be a comma-separated list of numbers, got {raw!r}")
     if not levels:
@@ -83,10 +83,11 @@ def _load_records(path: str, payload_kind: str, role: str, fold: int | None, neg
     return subset
 
 
-def _parse_negate(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(item.strip() for item in raw.split(",") if item.strip())
+def _load_pair(args: argparse.Namespace, payload: str, negate: str | None = None):
+    """The front and reference tables of a paired command, each cut to --fold when given."""
+    columns = _items(negate)
+    front = _load_records(args.front, payload, "front", args.fold, columns)
+    return front, _load_records(args.refs, payload, "reference", args.fold, columns)
 
 
 @contextlib.contextmanager
@@ -115,10 +116,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    negate = _parse_negate(args.negate)
     indicators = _parse_indicator_list(args.indicators)
-    front = _load_records(args.front, args.payload, "front", args.fold, negate)
-    refs = _load_records(args.refs, args.payload, "reference", args.fold, negate)
+    front, refs = _load_pair(args, args.payload, args.negate)
     with _naming_both_files(args):
         report = aggregate(front, refs, indicators, filter_front=args.filter_front)
     render_report(report, args.format, args.out)
@@ -132,8 +131,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
-    front = _load_records(args.front, "counts", "front", args.fold)
-    refs = _load_records(args.refs, "counts", "reference", args.fold)
+    front, refs = _load_pair(args, "counts")
     grid = BetaGrid.log_spaced(args.beta_min, args.beta_max, args.beta_count)
     with _naming_both_files(args):
         moo_method, blocks = pair_blocks(front, refs)
@@ -150,9 +148,7 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_plot(args: argparse.Namespace) -> int:
-    negate = _parse_negate(args.negate)
-    front = _load_records(args.front, args.payload, "front", args.fold, negate)
-    refs = _load_records(args.refs, args.payload, "reference", args.fold, negate)
+    front, refs = _load_pair(args, args.payload, args.negate)
     front_points, ref_points = front.points(), refs.points()
     # checked before the output directory is made, so a failed run leaves none
     if front_points.shape[1] != 2:
@@ -221,6 +217,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="restrict to one fold" + ("" if required else " (default: all folds)"),
         )
 
+    def add_pair(p: argparse.ArgumentParser, what: str, payload: bool) -> None:
+        p.add_argument("--front", required=True, help=f"front {what} csv")
+        p.add_argument("--refs", required=True, help=f"reference {what} csv")
+        if payload:
+            p.add_argument("--payload", choices=PAYLOAD_KINDS, default="counts")
+            p.add_argument(
+                "--negate",
+                default=None,
+                help="objective columns to sign-flip on load (minimization criteria), e.g. obj_2",
+            )
+
     p = sub.add_parser("metrics", help="per-record base and aggregated metrics from counts")
     p.add_argument("--in", dest="input", required=True, help="counts csv")
     add_fold(p, required=False)
@@ -228,14 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("compare", help="aggregate front-vs-reference indicators over folds")
-    p.add_argument("--front", required=True, help="front results csv")
-    p.add_argument("--refs", required=True, help="reference results csv")
-    p.add_argument("--payload", choices=PAYLOAD_KINDS, default="counts")
-    p.add_argument(
-        "--negate",
-        default=None,
-        help="objective columns to sign-flip on load (minimization criteria), e.g. obj_2",
-    )
+    add_pair(p, "results", payload=True)
     p.add_argument(
         "--indicators",
         default="ed,hv,sdr,ndr",
@@ -254,24 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("fbeta-plot", help="preference-sweep figure per dataset")
-    p.add_argument("--front", required=True, help="front counts csv")
-    p.add_argument("--refs", required=True, help="reference counts csv")
+    add_pair(p, "counts", payload=False)
     add_fold(p, required=True)
-    p.add_argument("--beta-min", type=float, default=0.1)
-    p.add_argument("--beta-max", type=float, default=10.0)
-    p.add_argument("--beta-count", type=int, default=201)
+    betas = default_beta_grid().betas
+    p.add_argument("--beta-min", type=float, default=betas[0])
+    p.add_argument("--beta-max", type=float, default=betas[-1])
+    p.add_argument("--beta-count", type=int, default=len(betas))
     p.add_argument("--out", required=True, help="output directory for <dataset>_fbeta.svg")
     p.set_defaults(handler=_cmd_fbeta_plot)
 
     p = sub.add_parser("region-plot", help="hypervolume or dominance region figure per dataset")
-    p.add_argument("--front", required=True, help="front results csv")
-    p.add_argument("--refs", required=True, help="reference results csv")
-    p.add_argument("--payload", choices=PAYLOAD_KINDS, default="counts")
-    p.add_argument(
-        "--negate",
-        default=None,
-        help="objective columns to sign-flip on load (minimization criteria), e.g. obj_2",
-    )
+    add_pair(p, "results", payload=True)
     p.add_argument("--mode", choices=REGION_MODES, required=True)
     add_fold(p, required=True)
     p.add_argument("--ref-method", default=None, help="reference method to plot against")
@@ -304,7 +297,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -77,14 +77,10 @@ class SolutionSet:
         return np.asarray([p.coords for p in self.points], dtype=np.float64)
 
 
-def _check_same_dim(a: int, b: int) -> None:
-    if a != b:
-        raise ValueError(f"dimension mismatch: {a} vs {b}")
-
-
 def strictly_dominates(p: ObjectivePoint, r: ObjectivePoint) -> bool:
     """True when p is strictly better than r in every coordinate."""
-    _check_same_dim(p.dim, r.dim)
+    if p.dim != r.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {r.dim}")
     return all(a > b for a, b in zip(p.coords, r.coords))
 
 

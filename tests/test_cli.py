@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_judge import fbeta_analysis
+from pareto_judge import _io, cli, fbeta_analysis
 from pareto_judge.cli import run
 from pareto_judge.ingest_report import aggregate, parse_records, read_report_csv
 
@@ -85,6 +86,24 @@ class TestExitCodes:
         assert run(args) == 1
         err = capsys.readouterr().err
         assert "--indicators" in err and "IGD" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compare", "--front", "f", "--refs", "r", "--indicators", ",", "--out", "o"],
+             "no indicators given in ','"),
+            (["isocurves", "--metric", "f1", "--levels", ",", "--out", "o"],
+             "no levels given in ','"),
+        ],
+    )
+    def test_a_list_flag_of_no_items_exits_one(self, args, message, capsys):
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_fold_absent_from_the_files_exits_one(self, workdir, capsys):
+        assert run(_compare_args(workdir, extra=["--fold", "9"])) == 1
+        assert capsys.readouterr().err == "error: no front records for fold 9\n"
+        assert not (workdir / "report.csv").exists()
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -337,6 +356,16 @@ class TestReportRoundTrip:
 
 
 class TestReportSubcommand:
+    def test_unknown_indicator_in_a_saved_report_exits_one(self, workdir, capsys):
+        assert run(_compare_args(workdir)) == 0
+        saved = (workdir / "report.csv").read_text(encoding="utf-8")
+        (workdir / "bad.csv").write_text(saved.replace("\nED,", "\nIGD,", 1), encoding="utf-8")
+        out = workdir / "bad.md"
+        assert run(["report", "--in", str(workdir / "bad.csv"), "--out", str(out)]) == 1
+        expected = f"error: {workdir / 'bad.csv'}:2: column indicator: unknown indicator 'IGD'\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_rerenders_saved_csv(self, workdir):
         assert run(_compare_args(workdir)) == 0
         out = workdir / "tables.md"
@@ -396,6 +425,22 @@ class TestDatasetsSubcommand:
         text = capsys.readouterr().out
         assert "| pima | 8 | 768 | 268 | 1.87 |" in text
         assert "| poker-8-9_vs_5 | 10 | 2075 | 25 | 82.00 |" in text
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("abc,0,10,2\n", "{}:2: n_features must be positive, got 0"),
+            ("abc,3,10,0\n", "{}:2: n_minority must be positive, got 0"),
+            ("", "no datasets to render"),
+        ],
+    )
+    def test_a_table_it_cannot_render_exits_one(self, workdir, capsys, rows, message):
+        path = workdir / "bad.csv"
+        path.write_text("name,n_features,n_samples,n_minority\n" + rows, encoding="utf-8")
+        assert run(["datasets", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path)}\n"
+        assert captured.out == ""
 
     def test_csv_output_file(self, workdir):
         out = workdir / "ir.csv"
@@ -822,3 +867,89 @@ class TestNoPartialOutputs:
         assert run(_compare_args(workdir)) == 0
         leftovers = [name for name in os.listdir(workdir) if name.startswith(".tmp-")]
         assert leftovers == []
+
+    def test_an_interrupted_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_io.os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _io.atomic_write_text(str(tmp_path / "out.txt"), "text\n")
+        assert os.listdir(tmp_path) == []
+
+
+# (option strings, dest, required, default, choices) of each subcommand's flags
+PARSER_FLAGS = {
+    "metrics": [
+        (("--in",), "input", True, None, None),
+        (("--fold",), "fold", False, None, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "compare": [
+        (("--front",), "front", True, None, None),
+        (("--refs",), "refs", True, None, None),
+        (("--payload",), "payload", False, "counts", ("counts", "objectives")),
+        (("--negate",), "negate", False, None, None),
+        (("--indicators",), "indicators", False, "ed,hv,sdr,ndr", None),
+        (("--fold",), "fold", False, None, None),
+        (("--filter-front",), "filter_front", False, False, None),
+        (("--format",), "format", False, "csv", ("csv", "markdown")),
+        (("--out",), "out", True, None, None),
+    ],
+    "report": [
+        (("--in",), "input", True, None, None),
+        (("--format",), "format", False, "markdown", ("csv", "markdown")),
+        (("--out",), "out", True, None, None),
+    ],
+    "fbeta-plot": [
+        (("--front",), "front", True, None, None),
+        (("--refs",), "refs", True, None, None),
+        (("--fold",), "fold", True, None, None),
+        (("--beta-min",), "beta_min", False, 0.1, None),
+        (("--beta-max",), "beta_max", False, 10.0, None),
+        (("--beta-count",), "beta_count", False, 201, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "region-plot": [
+        (("--front",), "front", True, None, None),
+        (("--refs",), "refs", True, None, None),
+        (("--payload",), "payload", False, "counts", ("counts", "objectives")),
+        (("--negate",), "negate", False, None, None),
+        (("--mode",), "mode", True, None, ("hypervolume", "dominance")),
+        (("--fold",), "fold", True, None, None),
+        (("--ref-method",), "ref_method", False, None, None),
+        (("--filter-front",), "filter_front", False, False, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "isocurves": [
+        (("--metric",), "metric", True, None, ("gmean", "f1")),
+        (("--levels",), "levels", True, None, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "datasets": [
+        (("--in",), "input", True, None, None),
+        (("--format",), "format", False, "markdown", ("csv", "markdown")),
+        (("--out",), "out", False, None, None),
+    ],
+}
+
+
+class TestParserFlags:
+    def test_each_subcommand_declares_the_same_flags(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: [
+                (
+                    tuple(a.option_strings),
+                    a.dest,
+                    a.required,
+                    a.default,
+                    None if a.choices is None else tuple(a.choices),
+                )
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, sub in commands.choices.items()
+        }
+        assert flags == PARSER_FLAGS

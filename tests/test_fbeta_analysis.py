@@ -111,6 +111,10 @@ class TestFbetaCurve:
         with pytest.raises(ValueError, match="grid length"):
             FbetaCurve("x", (1.0, 2.0), (0.5,), (True,))
 
+    def test_value_range_validation(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            FbetaCurve("x", (1.0,), (1.5,), (True,))
+
 
 class TestFbetaEnvelope:
     def test_single_member_equals_member_curve(self):

@@ -545,6 +545,11 @@ class TestDatasets:
         text = render_dataset_table(infos, "csv")
         assert text == "name,n_features,n_samples,n_minority,ir\npima,8,768,268,1.87\n"
 
+    def test_render_table_unknown_format(self):
+        infos = [DatasetInfo("pima", 8, 768, 268)]
+        with pytest.raises(ValueError, match="^unknown format 'html'"):
+            render_dataset_table(infos, "html")
+
     def test_render_table_markdown(self):
         infos = [DatasetInfo("ecoli4", 7, 336, 20)]
         text = render_dataset_table(infos, "markdown")

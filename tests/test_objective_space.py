@@ -57,7 +57,7 @@ class TestStrictDominance:
         assert not strictly_dominates(p, p)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 1 vs 2$"):
             strictly_dominates(_point(1.0), _point(1.0, 2.0))
 
     def test_relation_properties(self):

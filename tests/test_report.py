@@ -186,6 +186,30 @@ class TestAggregate:
         with pytest.raises(ValueError, match="dimensionalities"):
             aggregate(front, refs, ("ED",))
 
+    @pytest.mark.parametrize(
+        "refs, indicators, message",
+        [
+            ([], ["ED"], "no reference records to aggregate"),
+            (
+                [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))],
+                [],
+                "at least one indicator must be requested",
+            ),
+        ],
+    )
+    def test_an_empty_argument_is_rejected(self, refs, indicators, message):
+        front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            aggregate(front, refs, indicators)
+
+    def test_records_of_two_dimensionalities_make_no_table(self):
+        records = [
+            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
+            _obj_record("ds", "moo", 0, 1, (0.5, 0.5, 0.5)),
+        ]
+        with pytest.raises(ValueError, match=r"^records mix dimensionalities: \[2, 3\]$"):
+            RecordTable.from_records(records)
+
     def test_unknown_indicator_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]

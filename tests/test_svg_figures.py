@@ -128,6 +128,13 @@ class TestRegionPlot:
         with pytest.raises(ValueError, match="at least one"):
             render_region_plot(np.empty((0, 2)), np.zeros(2), "dominance", str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("operand", ["front", "ref"])
+    def test_check_rejects_a_nan_coordinate(self, operand):
+        front, ref = np.array([[0.5, 0.5]]), np.zeros(2)
+        (front[0] if operand == "front" else ref)[1] = np.nan
+        with pytest.raises(ValueError, match="^region plot coordinates must be finite$"):
+            check_region_operands(front, ref, "dominance")
+
     def test_rejects_unknown_mode(self, tmp_path):
         front = SolutionSet.from_coords("f", [(0.5, 0.5)])
         with pytest.raises(ValueError, match="mode"):
