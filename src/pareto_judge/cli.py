@@ -28,6 +28,7 @@ from .fbeta_analysis import (
 )
 from .indicators import INDICATOR_NAMES
 from .ingest_report import (
+    DEFAULT_INDICATORS,
     PAYLOAD_KINDS,
     REPORT_FORMATS,
     aggregate,
@@ -236,10 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="aggregate front-vs-reference indicators over folds")
     add_pair(p, "results", payload=True)
+    default = ",".join(DEFAULT_INDICATORS).lower()
     p.add_argument(
         "--indicators",
-        default="ed,hv,sdr,ndr",
-        help="comma-separated subset of ed,gd,hv,sdr,ndr (default: ed,hv,sdr,ndr)",
+        default=default,
+        help=f"comma-separated subset of {','.join(INDICATOR_NAMES).lower()} (default: {default})",
     )
     add_fold(p, required=False)
     p.add_argument("--filter-front", action="store_true", help="drop dominated front points first")

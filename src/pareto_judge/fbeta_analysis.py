@@ -51,7 +51,12 @@ DOMINATED_FILL = "#d62728"
 NEUTRAL_FILL = "#7f7f7f"
 
 REGION_MODES = ("hypervolume", "dominance")
-ISOCURVE_METRICS = ("gmean", "f1")
+# isocurve metric: (axis labels, legend name, smallest x with y <= 1 at a level)
+_ISOCURVES = {
+    "gmean": (("TPR", "TNR"), "G-mean", lambda level: level * level),
+    "f1": (("precision", "recall"), "F1", lambda level: level / (2.0 - level)),
+}
+ISOCURVE_METRICS = tuple(_ISOCURVES)
 
 _ISOCURVE_SAMPLES = 257
 
@@ -186,17 +191,6 @@ def isocurve_y(metric: str, level: float, x: float | np.ndarray) -> float | np.n
     raise ValueError(f"unknown isocurve metric {metric!r}")
 
 
-def _isocurve_domain_start(metric: str, level: float) -> float:
-    # smallest x with y <= 1 on the level set
-    if metric == "gmean":
-        return level * level
-    return level / (2.0 - level)
-
-
-def _unit_ticks() -> list[tuple[float, str]]:
-    return [(v, f"{v:g}") for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
-
-
 def _covering_axis(values: np.ndarray) -> tuple[tuple[float, float], list[tuple[float, str]]]:
     """[0, 1] widened to multiples of the tick step until it covers the values,
     and a tick at every step. The step is 0.25, doubled while the axis would
@@ -222,12 +216,13 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
     lo, hi = math.log10(betas[0]), math.log10(betas[-1])
     if lo == hi:
         raise ValueError(f"the beta axis has no width: the first and last log10(beta) are {lo!r}")
-    doc = _svg.SvgDoc((lo, hi), (0.0, 1.0), "beta (log scale)", "F_beta")
+    y_range, y_ticks = _covering_axis(np.zeros(1))
+    doc = _svg.SvgDoc((lo, hi), y_range, "beta (log scale)", "F_beta")
     decade_ticks = [
         (float(e), f"{10.0 ** e:g}")
         for e in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
     ]
-    doc.draw_frame(decade_ticks, _unit_ticks())
+    doc.draw_frame(decade_ticks, y_ticks)
     # math.log10 per beta: np.log10 may differ from it in the last bit
     x = doc.x_px(np.array([math.log10(b) for b in betas]))
     ys = doc.y_px(np.array([curve.values for curve in curves]))
@@ -341,15 +336,15 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         # its pole: neither curve can be computed once level^2 is subnormal
         if level * level < sys.float_info.min:
             raise ValueError(f"level {level!r} is too small to draw: its square underflows")
-    x_label, y_label = ("TPR", "TNR") if metric == "gmean" else ("precision", "recall")
-    doc = _svg.SvgDoc((0.0, 1.0), (0.0, 1.0), x_label, y_label)
-    doc.draw_frame(_unit_ticks(), _unit_ticks())
+    (x_label, y_label), label, domain_start = _ISOCURVES[metric]
+    unit, ticks = _covering_axis(np.zeros(1))
+    doc = _svg.SvgDoc(unit, unit, x_label, y_label)
+    doc.draw_frame(ticks, ticks)
     legend = []
-    label = "G-mean" if metric == "gmean" else "F1"
     for i, level in enumerate(levels):
         level = float(level)
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
-        xs = np.linspace(_isocurve_domain_start(metric, level), 1.0, _ISOCURVE_SAMPLES)
+        xs = np.linspace(domain_start(level), 1.0, _ISOCURVE_SAMPLES)
         # y = 1 at the domain start by definition; f1 evaluated there cancels
         # in 2x - level, to zero for levels below the float epsilon
         ys = np.minimum(1.0, np.append(1.0, isocurve_y(metric, level, xs[1:])))

@@ -560,7 +560,8 @@ def _body_table(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTa
     field fails its column's mask, when its counts fail the row rule or its
     objectives are not finite, or when its key repeats an earlier line's.
     The line checks of ``_body_rows`` then run on the first bad line alone,
-    with the keys of the lines before it, so they raise its ParseError.
+    with its key as seen when a line before it holds it, so they raise its
+    ParseError.
     """
     counts = payload_kind == "counts"
     if body and not body.endswith(b"\n"):
@@ -598,17 +599,10 @@ def _body_table(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTa
     keys = [dataset, method, fold, solution_id]
     first = min(first, _first_repeat([key[:first] for key in keys]))
     if first < len(lfs):
-        # of the earlier keys, the bad line can repeat only one equal to its
-        # key columns; a line of another field count fails before its key
-        same = np.zeros(first, np.bool_)
-        if first < n:
-            same = np.logical_and.reduce([key[:first] == key[first] for key in keys])
-        seen = zip(
-            map(dataset_names.__getitem__, dataset[:first][same].tolist()),
-            map(method_names.__getitem__, method[:first][same].tolist()),
-            fold[:first][same].tolist(),
-            solution_id[:first][same].tolist(),
-        )
+        seen = []  # the earlier keys are distinct, so one can only be the line's own
+        if first < n and np.logical_and.reduce([key[:first] == key[first] for key in keys]).any():
+            d, m, f, s = (key[first].item() for key in keys)
+            seen = [(dataset_names[d], method_names[m], f, s)]
         _body_rows(
             body[line_starts[first] : line_starts[first + 1]], path, _record_columns(counts, dim),
             4, "record key", _counts_row if counts else list, first + 2, seen,
@@ -660,6 +654,7 @@ def emit_records(
     would reject raises its ParseError, naming path and line, and records it
     would not read back equal raise ValueError; either way no file is written.
     """
+    records = list(records)  # a RecordTable builds its records on each pass
     if records:
         payload_kind = "counts" if isinstance(records[0].payload, ConfusionMatrix) else "objectives"
     elif payload_kind not in PAYLOAD_KINDS:
@@ -742,6 +737,10 @@ class ComparisonReport:
 
 
 def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
+    if isinstance(indicators, str):
+        raise ValueError(
+            f"indicators takes a sequence of indicator names, not the string {indicators!r}"
+        )
     requested = {name.upper() for name in indicators}
     unknown = requested - set(INDICATOR_NAMES)
     if unknown:

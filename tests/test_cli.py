@@ -934,10 +934,77 @@ PARSER_FLAGS = {
 }
 
 
+# each subcommand's help, and the help of each of its flags in declaration order
+PARSER_HELP = {
+    "metrics": (
+        "per-record base and aggregated metrics from counts",
+        ["counts csv", "restrict to one fold (default: all folds)", "output csv path"],
+    ),
+    "compare": (
+        "aggregate front-vs-reference indicators over folds",
+        [
+            "front results csv",
+            "reference results csv",
+            None,
+            "objective columns to sign-flip on load (minimization criteria), e.g. obj_2",
+            "comma-separated subset of ed,gd,hv,sdr,ndr (default: ed,hv,sdr,ndr)",
+            "restrict to one fold (default: all folds)",
+            "drop dominated front points first",
+            None,
+            "output report path",
+        ],
+    ),
+    "report": ("render a saved csv report as a table", ["report csv", None, "output path"]),
+    "fbeta-plot": (
+        "preference-sweep figure per dataset",
+        [
+            "front counts csv",
+            "reference counts csv",
+            "restrict to one fold",
+            None,
+            None,
+            None,
+            "output directory for <dataset>_fbeta.svg",
+        ],
+    ),
+    "region-plot": (
+        "hypervolume or dominance region figure per dataset",
+        [
+            "front results csv",
+            "reference results csv",
+            None,
+            "objective columns to sign-flip on load (minimization criteria), e.g. obj_2",
+            None,
+            "restrict to one fold",
+            "reference method to plot against",
+            "drop dominated front points first",
+            "output directory for <dataset>_region-<mode>.svg",
+        ],
+    ),
+    "isocurves": (
+        "level sets of an aggregate metric",
+        [None, "comma-separated levels in (0, 1)", "output svg path"],
+    ),
+    "datasets": (
+        "dataset characteristics with imbalance ratios",
+        ["datasets csv", None, "output path (default: stdout)"],
+    ),
+}
+
+
+def _subcommands() -> argparse._SubParsersAction:
+    (commands,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands
+
+
+def _flags(sub: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+
+
 class TestParserFlags:
     def test_each_subcommand_declares_the_same_flags(self):
-        parser = cli._build_parser()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         flags = {
             name: [
                 (
@@ -947,9 +1014,16 @@ class TestParserFlags:
                     a.default,
                     None if a.choices is None else tuple(a.choices),
                 )
-                for a in sub._actions
-                if not isinstance(a, argparse._HelpAction)
+                for a in _flags(sub)
             ]
-            for name, sub in commands.choices.items()
+            for name, sub in _subcommands().choices.items()
         }
         assert flags == PARSER_FLAGS
+
+    def test_each_subcommand_and_flag_keeps_its_help(self):
+        commands = _subcommands()
+        helps = {
+            command.dest: (command.help, [a.help for a in _flags(commands.choices[command.dest])])
+            for command in commands._choices_actions
+        }
+        assert helps == PARSER_HELP

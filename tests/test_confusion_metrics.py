@@ -105,7 +105,8 @@ class TestConstruction:
 class TestBaseMetrics:
     def test_tpr(self):
         assert tpr(ConfusionMatrix(268, 0, 0, 500)).value == 1.0
-        assert tpr(ConfusionMatrix(50, 50, 0, 0)).value == 0.5
+        half = tpr(ConfusionMatrix(50, 50, 0, 0))
+        assert half.value == float(half) == 0.5
         degenerate = tpr(ConfusionMatrix(0, 0, 3, 7))
         assert degenerate.value == 0.0 and not degenerate.defined
 

@@ -14,6 +14,7 @@ from oracles import grid_hypervolume, loop_hypervolume, monte_carlo_hypervolume
 from pareto_judge.indicators import (
     IndicatorResult,
     _exact_hv,
+    _staircase_areas,
     evaluate_indicator,
     euclidean_distance,
     generational_distance,
@@ -106,6 +107,11 @@ class TestHypervolumeExact:
 
     def test_front_dominated_by_reference(self):
         assert hypervolume(_front((0.2, 0.3), (0.1, 0.4)), _point(0.5, 0.5)) == 0.0
+
+    def test_staircase_of_an_empty_front_is_zero_per_reference(self):
+        refs = np.array([[0.0, 0.0], [0.5, 0.5]])
+        areas = _staircase_areas(np.zeros((0, 2)), np.zeros((2, 0), np.bool_), refs)
+        assert (areas.shape, areas.tolist()) == ((2,), [0.0, 0.0])
 
     def test_partially_clipped_points_contribute_nothing(self):
         # the two off-axis points have zero-extent boxes

@@ -14,6 +14,7 @@ from pareto_judge.ingest_report import (
     DatasetInfo,
     ExperimentRecord,
     ParseError,
+    RecordTable,
     emit_records,
     imbalance_ratio,
     parse_datasets,
@@ -170,6 +171,7 @@ class TestParseRecords:
         table = parse_records(path, "counts")
         records = list(table)
         assert len(table) == 3 and table == records
+        assert not table == 3 and table != 3 and not table == "zz"
         assert table[-1] == records[2]
         assert records[2] == ExperimentRecord("ds", "b", 1, 2, ConfusionMatrix(3, 1, 1, 1))
         assert table[1:] == records[1:]
@@ -398,6 +400,23 @@ class TestRoundTrip:
         emit_records([], str(tmp_path / "x.csv"), payload_kind="counts")
         assert parse_records(str(tmp_path / "x.csv"), "counts") == []
 
+    def test_emit_iterates_a_table_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        table = RecordTable.from_records(_random_records(rng, 20, "counts"))
+        passes = []
+        table_iter = RecordTable.__iter__
+
+        def counting_iter(self):
+            if self is table:
+                passes.append(1)
+            return table_iter(self)
+
+        monkeypatch.setattr(RecordTable, "__iter__", counting_iter)
+        path = tmp_path / "t.csv"
+        emit_records(table, str(path))
+        assert len(passes) == 1
+        assert parse_records(str(path), "counts") == table
+
     def test_emit_rejects_mixed_payloads(self, tmp_path):
         records = [
             ExperimentRecord("ds", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4)),
@@ -515,6 +534,11 @@ class TestDatasets:
     def test_minority_cannot_exceed_half(self):
         with pytest.raises(ValueError, match="half"):
             DatasetInfo("x", 3, 10, 6)
+
+    def test_name_must_be_an_identifier(self):
+        with pytest.raises(ValueError) as err:
+            DatasetInfo("a b", 1, 10, 2)
+        assert str(err.value) == "dataset name must match [A-Za-z0-9_-]+, got 'a b'"
 
     def test_parse_datasets(self, tmp_path):
         path = _write(

@@ -216,6 +216,14 @@ class TestAggregate:
         with pytest.raises(ValueError, match="unknown indicators"):
             aggregate(front, refs, ("IGD",))
 
+    def test_a_string_of_indicators_rejected(self):
+        front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
+        refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
+        text = "indicators takes a sequence of indicator names, not the string 'HV'"
+        with pytest.raises(ValueError) as err:
+            aggregate(front, refs, "HV")
+        assert str(err.value) == text
+
     def test_value_that_is_not_finite_names_its_cell(self):
         front = [
             _obj_record("ds1", "moo", 0, 0, (1e200, 0.5)),
