@@ -1,6 +1,8 @@
 """Evaluation toolkit for comparing single-solution classifiers against
 multi-objective solution fronts on imbalanced data."""
 
+import typing as _typing
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 # each export is named once, here, in the order of __all__
@@ -25,16 +27,31 @@ from .indicators import (
     ndr,
     evaluate_indicator,
 )
-from .fbeta_analysis import (
-    BetaGrid,
-    FbetaCurve,
-    default_beta_grid,
-    fbeta_curve,
-    fbeta_envelope,
-    render_fbeta_plot,
-    render_region_plot,
-    render_isocurves,
+
+# the figure exports load with their module on first use (see __getattr__),
+# so that a command without figures never compiles fbeta_analysis or _svg
+_FIGURE_EXPORTS = (
+    "BetaGrid",
+    "FbetaCurve",
+    "default_beta_grid",
+    "fbeta_curve",
+    "fbeta_envelope",
+    "render_fbeta_plot",
+    "render_region_plot",
+    "render_isocurves",
 )
+if _typing.TYPE_CHECKING:
+    from .fbeta_analysis import (
+        BetaGrid,
+        FbetaCurve,
+        default_beta_grid,
+        fbeta_curve,
+        fbeta_envelope,
+        render_fbeta_plot,
+        render_region_plot,
+        render_isocurves,
+    )
+
 from .ingest_report import (
     ExperimentRecord,
     RecordTable,
@@ -53,9 +70,30 @@ from .ingest_report import (
 
 __version__ = "0.1.0"
 
-# the imported names in import order; the submodules the imports bind are not exports
-__all__ = [
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["__version__"]
+
+def _exports(namespace: dict) -> list[str]:
+    """The imported names in import order, the figure exports in their place;
+    the submodules the imports bind are not exports."""
+    names = []
+    for name, value in namespace.items():
+        if name == "_FIGURE_EXPORTS":
+            names += value
+        elif not name.startswith("_") and not isinstance(value, _ModuleType):
+            names.append(name)
+    return names
+
+
+__all__ = _exports(dict(globals())) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name == "fbeta_analysis" or name in _FIGURE_EXPORTS:
+        # import_module, not `from . import`: that would look the name up here again
+        module = _import_module(".fbeta_analysis", __name__)
+        globals().update((export, getattr(module, export)) for export in _FIGURE_EXPORTS)
+        return getattr(module, name) if name in _FIGURE_EXPORTS else module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FIGURE_EXPORTS, "fbeta_analysis"})

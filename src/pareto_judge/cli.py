@@ -11,22 +11,17 @@ import argparse
 import contextlib
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from ._io import atomic_write_text
-from .confusion_metrics import metric_table
-from .fbeta_analysis import (
-    BetaGrid,
+from .confusion_metrics import (
+    DEFAULT_BETA_COUNT,
+    DEFAULT_BETA_MAX,
+    DEFAULT_BETA_MIN,
     ISOCURVE_METRICS,
-    REGION_MODES,
-    check_region_operands,
-    default_beta_grid,
-    fbeta_curves,
-    fbeta_envelope,
-    render_fbeta_plot,
-    render_isocurves,
-    render_region_plot,
+    metric_table,
 )
-from .indicators import INDICATOR_NAMES
+from .indicators import INDICATOR_NAMES, REGION_MODES
 from .ingest_report import (
     DEFAULT_INDICATORS,
     PAYLOAD_KINDS,
@@ -41,7 +36,46 @@ from .ingest_report import (
 )
 from .objective_space import front_rows
 
+if TYPE_CHECKING:
+    from .fbeta_analysis import (
+        BetaGrid,
+        check_region_operands,
+        fbeta_curves,
+        fbeta_envelope,
+        render_fbeta_plot,
+        render_isocurves,
+        render_region_plot,
+    )
+
 METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
+
+# The figure code (fbeta_analysis and _svg) loads only when a figure command
+# runs. These names are bound into this module then, and a name bound before
+# that, such as a wrapper set from outside, is kept and called.
+_FIGURE_NAMES = (
+    "BetaGrid",
+    "check_region_operands",
+    "fbeta_curves",
+    "fbeta_envelope",
+    "render_fbeta_plot",
+    "render_isocurves",
+    "render_region_plot",
+)
+
+
+def _load_figures() -> None:
+    from . import fbeta_analysis
+
+    # globals() is the running module's, also when it runs as __main__
+    for name in _FIGURE_NAMES:
+        globals().setdefault(name, getattr(fbeta_analysis, name))
+
+
+def __getattr__(name: str):
+    if name in _FIGURE_NAMES:
+        _load_figures()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_file(path: str, role: str) -> None:
@@ -132,6 +166,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
+    _load_figures()
     front, refs = _load_pair(args, "counts")
     grid = BetaGrid.log_spaced(args.beta_min, args.beta_max, args.beta_count)
     with _naming_both_files(args):
@@ -149,6 +184,7 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_plot(args: argparse.Namespace) -> int:
+    _load_figures()
     front, refs = _load_pair(args, args.payload, args.negate)
     front_points, ref_points = front.points(), refs.points()
     # checked before the output directory is made, so a failed run leaves none
@@ -188,6 +224,7 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_isocurves(args: argparse.Namespace) -> int:
+    _load_figures()
     render_isocurves(args.metric, _parse_level_list(args.levels), args.out)
     return 0
 
@@ -258,10 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fbeta-plot", help="preference-sweep figure per dataset")
     add_pair(p, "counts", payload=False)
     add_fold(p, required=True)
-    betas = default_beta_grid().betas
-    p.add_argument("--beta-min", type=float, default=betas[0])
-    p.add_argument("--beta-max", type=float, default=betas[-1])
-    p.add_argument("--beta-count", type=int, default=len(betas))
+    p.add_argument("--beta-min", type=float, default=DEFAULT_BETA_MIN)
+    p.add_argument("--beta-max", type=float, default=DEFAULT_BETA_MAX)
+    p.add_argument("--beta-count", type=int, default=DEFAULT_BETA_COUNT)
     p.add_argument("--out", required=True, help="output directory for <dataset>_fbeta.svg")
     p.set_defaults(handler=_cmd_fbeta_plot)
 

@@ -35,12 +35,21 @@ __all__ = [
     "check_counts",
     "counts_array",
     "metric_table",
+    "DEFAULT_BETA_MIN",
+    "DEFAULT_BETA_MAX",
+    "DEFAULT_BETA_COUNT",
+    "ISOCURVE_METRICS",
 ]
 
 # Largest total of one matrix's counts. Up to 2**53 every count and every sum
 # of counts is an exact float64, so each rate is the correctly rounded quotient.
 COUNTS_LIMIT = 2**53
 COUNT_NAMES = ("tp", "fn", "fp", "tn")
+
+# the default F-beta sweep: this many log-uniform betas from the min to the max
+DEFAULT_BETA_MIN, DEFAULT_BETA_MAX, DEFAULT_BETA_COUNT = 0.1, 10.0, 201
+# the aggregates of two rates whose level sets the isocurve figure draws
+ISOCURVE_METRICS = ("gmean", "f1")
 
 
 @dataclass(frozen=True)

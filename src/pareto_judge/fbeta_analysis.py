@@ -19,15 +19,20 @@ from . import _svg
 from ._io import atomic_write_text
 from ._kernels import _strictly_above
 from .confusion_metrics import (
+    DEFAULT_BETA_COUNT,
+    DEFAULT_BETA_MAX,
+    DEFAULT_BETA_MIN,
+    ISOCURVE_METRICS,
     ConfusionMatrix,
     _squared,
     check_counts,
     counts_array,
     metric_table,
 )
-from .indicators import _block_indicators
+from .indicators import REGION_MODES, _block_indicators
 
 __all__ = [
+    "BETA_COUNT_LIMIT",
     "BetaGrid",
     "FbetaCurve",
     "default_beta_grid",
@@ -50,13 +55,20 @@ DOMINATING_FILL = "#2ca02c"
 DOMINATED_FILL = "#d62728"
 NEUTRAL_FILL = "#7f7f7f"
 
-REGION_MODES = ("hypervolume", "dominance")
 # isocurve metric: (axis labels, legend name, smallest x with y <= 1 at a level)
-_ISOCURVES = {
-    "gmean": (("TPR", "TNR"), "G-mean", lambda level: level * level),
-    "f1": (("precision", "recall"), "F1", lambda level: level / (2.0 - level)),
-}
-ISOCURVE_METRICS = tuple(_ISOCURVES)
+_ISOCURVES = dict(
+    zip(
+        ISOCURVE_METRICS,
+        (
+            (("TPR", "TNR"), "G-mean", lambda level: level * level),
+            (("precision", "recall"), "F1", lambda level: level / (2.0 - level)),
+        ),
+    )
+)
+
+# the most betas a grid holds, about 50 times the default sweep: a count far
+# beyond it would ask numpy for gigabytes before any check could reject it
+BETA_COUNT_LIMIT = 10_000
 
 _ISOCURVE_SAMPLES = 257
 
@@ -79,10 +91,13 @@ class BetaGrid:
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, count: int) -> "BetaGrid":
-        """count points spaced uniformly in log(beta) between lo and hi, whose
-        log10 must differ by enough for count strictly increasing betas."""
+        """count points, 2 to ``BETA_COUNT_LIMIT``, spaced uniformly in log(beta)
+        between lo and hi, whose log10 must differ by enough for count strictly
+        increasing betas."""
         if count < 2:
             raise ValueError(f"grid needs at least 2 points, got {count}")
+        if count > BETA_COUNT_LIMIT:
+            raise ValueError(f"grid takes at most {BETA_COUNT_LIMIT} points, got {count}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"grid bounds must be finite, got lo={lo!r} hi={hi!r}")
         if not (0.0 < lo < hi):
@@ -106,7 +121,7 @@ class BetaGrid:
 
 def default_beta_grid() -> BetaGrid:
     """201 log-uniform betas on [0.1, 10], symmetric about beta = 1."""
-    return BetaGrid.log_spaced(0.1, 10.0, 201)
+    return BetaGrid.log_spaced(DEFAULT_BETA_MIN, DEFAULT_BETA_MAX, DEFAULT_BETA_COUNT)
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,9 @@ class FbetaCurve:
     def __post_init__(self) -> None:
         if not (len(self.betas) == len(self.values) == len(self.defined)):
             raise ValueError("curve fields must all match the grid length")
-        if any(not 0.0 <= v <= 1.0 for v in self.values):
+        values = np.array(self.values, dtype=np.float64)
+        # NaN fails both comparisons
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError("curve values must lie in [0, 1]")
 
     @property

@@ -18,6 +18,7 @@ from .objective_space import ObjectivePoint, SolutionSet
 
 __all__ = [
     "INDICATOR_NAMES",
+    "REGION_MODES",
     "IndicatorResult",
     "generational_distance",
     "euclidean_distance",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 INDICATOR_NAMES = ("ED", "GD", "HV", "SDR", "NDR")
+# what a region figure shades: the HV boxes, or the SDR and NDR regions
+REGION_MODES = ("hypervolume", "dominance")
 
 
 @dataclass(frozen=True)

@@ -618,6 +618,27 @@ class TestFigureSubcommands:
         )
         assert not (workdir / "plots").exists()
 
+    @pytest.mark.parametrize("count", [fbeta_analysis.BETA_COUNT_LIMIT + 1, 10**11])
+    def test_fbeta_plot_rejects_a_beta_count_above_the_limit(self, workdir, capsys, count):
+        args = [
+            "fbeta-plot",
+            "--front",
+            str(workdir / "front.csv"),
+            "--refs",
+            str(workdir / "refs.csv"),
+            "--fold",
+            "0",
+            "--beta-count",
+            str(count),
+            "--out",
+            str(workdir / "plots"),
+        ]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid takes at most {fbeta_analysis.BETA_COUNT_LIMIT} points, got {count}\n"
+        )
+        assert not (workdir / "plots").exists()
+
     def test_region_plot_hypervolume_evaluates_hv_once_to_check_and_once_to_draw(
         self, workdir, monkeypatch
     ):
@@ -855,6 +876,13 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert run(_compare_args(workdir)) == 0
         assert (workdir / "module.csv").read_bytes() == (workdir / "report.csv").read_bytes()
+
+    def test_runs_a_figure_command_like_run(self, workdir):
+        args = ["isocurves", "--metric", "f1", "--levels", "0.5", "--out"]
+        done = self._module(*args, str(workdir / "module.svg"))
+        assert done.returncode == 0, done.stderr
+        assert run([*args, str(workdir / "run.svg")]) == 0
+        assert (workdir / "module.svg").read_bytes() == (workdir / "run.svg").read_bytes()
 
     def test_no_arguments_is_a_usage_error(self):
         done = self._module()

@@ -8,6 +8,7 @@ import pytest
 
 from pareto_judge.confusion_metrics import ConfusionMatrix, fbeta, ppv, tpr
 from pareto_judge.fbeta_analysis import (
+    BETA_COUNT_LIMIT,
     BetaGrid,
     FbetaCurve,
     default_beta_grid,
@@ -45,6 +46,18 @@ class TestBetaGrid:
             BetaGrid.log_spaced(0.1, 10.0, 1)
         with pytest.raises(ValueError, match="lo < hi"):
             BetaGrid.log_spaced(2.0, 1.0, 10)
+
+    def test_a_grid_of_the_largest_count(self):
+        grid = BetaGrid.log_spaced(0.1, 10.0, BETA_COUNT_LIMIT)
+        assert len(grid) == BETA_COUNT_LIMIT
+        assert grid.betas[0] == 0.1 and grid.betas[-1] == 10.0
+
+    # 10**11 float64 betas would take 800 GB: refused before any is allocated
+    @pytest.mark.parametrize("count", [BETA_COUNT_LIMIT + 1, 10**11])
+    def test_a_count_above_the_limit_rejected(self, count):
+        with pytest.raises(ValueError) as err:
+            BetaGrid.log_spaced(0.1, 10.0, count)
+        assert str(err.value) == f"grid takes at most {BETA_COUNT_LIMIT} points, got {count}"
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_bounds_with_one_log10_rejected(self, count):
@@ -114,6 +127,14 @@ class TestFbetaCurve:
     def test_value_range_validation(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             FbetaCurve("x", (1.0,), (1.5,), (True,))
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan])
+    def test_a_negative_or_nan_value_rejected(self, value):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            FbetaCurve("x", (1.0, 2.0), (0.5, value), (True, True))
+
+    def test_values_on_the_bounds_pass(self):
+        assert FbetaCurve("x", (1.0, 2.0), (0.0, 1.0), (False, True)).values == (0.0, 1.0)
 
 
 class TestFbetaEnvelope:

@@ -95,6 +95,13 @@ class TestNamespace:
     def test_dir_lists_every_export(self):
         assert set(EXPORTS) | set(SUBMODULES) <= set(dir(pareto_judge))
 
+    def test_importing_the_package_loads_no_figure_code(self, tmp_path):
+        # the figure exports load with fbeta_analysis, and _svg with it, on first use
+        result = _run(["-c", "import sys, pareto_judge; print(*sys.modules)"], tmp_path)
+        loaded = set(result.stdout.split())
+        assert "pareto_judge.ingest_report" in loaded
+        assert not loaded & {"pareto_judge.fbeta_analysis", "pareto_judge._svg"}
+
     def test_unknown_name_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError) as err:
             pareto_judge.no_such_name
