@@ -5,8 +5,9 @@ of the axes; only its methods write elements. Every document is a fixed
 800x600 viewBox whose data area is the rectangle LEFT, TOP, FRAME_WIDTH,
 FRAME_HEIGHT (RIGHT and BOTTOM derived), with room for a legend on the right.
 Styles are fixed: curves are polylines of stroke width 2, markers circles of
-radius 4, and labels 12-unit sans-serif text. Coordinates are always
-formatted with two decimals, so identical inputs yield byte-identical markup.
+radius 4, and labels 12-unit sans-serif text. Element methods fill one
+%-template per element, every coordinate, width and opacity a ``%.2f``
+argument, so identical inputs yield byte-identical markup.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ PALETTE = (
     "#bcbd22",
     "#7f7f7f",
 )
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.2f}"
 
 
 def escape(text: str) -> str:
@@ -96,10 +93,10 @@ class SvgDoc:
         fill: str,
         opacity: float | None = None,
     ) -> None:
-        extra = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
+        extra = "" if opacity is None else ' fill-opacity="%.2f"' % opacity
         self._parts.append(
-            f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(width)}" '
-            f'height="{fmt(height)}" fill="{fill}"{extra}/>'
+            '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"%s/>'
+            % (x, y, width, height, fill, extra)
         )
 
     def line(
@@ -113,30 +110,29 @@ class SvgDoc:
         dashed: bool = False,
     ) -> None:
         self._parts.append(
-            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{fmt(width)}"{DASH if dashed else ""}/>'
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.2f"%s/>'
+            % (x1, y1, x2, y2, stroke, width, DASH if dashed else "")
         )
 
     def polyline(self, xy: np.ndarray, stroke: str, dashed: bool = False) -> None:
         """One polyline of width 2 through the rows of an (n, 2) float array."""
-        # one %-format call gives the bytes of fmt applied to each coordinate
         coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         self._parts.append(
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="2.00"'
-            f'{DASH if dashed else ""} points="{coords}"/>'
+            '<polyline fill="none" stroke="%s" stroke-width="2.00"%s points="%s"/>'
+            % (stroke, DASH if dashed else "", coords)
         )
 
     def circles(self, xy: np.ndarray, fills: Sequence[str]) -> None:
         """One circle of radius 4 at each row of an (n, 2) float array, with
-        the matching fill; formatted in one %-format call, like polyline."""
+        the matching fill."""
         circle = '<circle cx="%.2f" cy="%.2f" r="4.00" fill="%s"/>'
         values = [v for (x, y), fill in zip(xy.tolist(), fills) for v in (x, y, fill)]
         self._parts.append("\n".join([circle] * len(xy)) % tuple(values))
 
     def text(self, x: float, y: float, content: str, anchor: str = "start") -> None:
         self._parts.append(
-            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{FONT_SIZE}" '
-            f'font-family="{FONT_FAMILY}" text-anchor="{anchor}">{escape(content)}</text>'
+            '<text x="%.2f" y="%.2f" font-size="%s" font-family="%s" text-anchor="%s">%s</text>'
+            % (x, y, FONT_SIZE, FONT_FAMILY, anchor, escape(content))
         )
 
     def draw_frame(

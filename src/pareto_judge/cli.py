@@ -19,7 +19,6 @@ from .confusion_metrics import (
     DEFAULT_BETA_MAX,
     DEFAULT_BETA_MIN,
     ISOCURVE_METRICS,
-    metric_table,
 )
 from .indicators import INDICATOR_NAMES, REGION_MODES
 from .ingest_report import (
@@ -32,6 +31,7 @@ from .ingest_report import (
     parse_records,
     read_report_csv,
     render_dataset_table,
+    render_metrics_table,
     render_report,
 )
 from .objective_space import front_rows
@@ -46,8 +46,6 @@ if TYPE_CHECKING:
         render_isocurves,
         render_region_plot,
     )
-
-METRICS_HEADER = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
 
 # The figure code (fbeta_analysis and _svg) loads only when a figure command
 # runs. These names are bound into this module then, and a name bound before
@@ -136,17 +134,7 @@ def _naming_both_files(args: argparse.Namespace):
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     table = _load_records(args.input, "counts", "input", args.fold)
-    values, defined = metric_table(table.values, (1.0,))
-    degenerate = ~defined[:, :3].all(axis=1)  # TPR, TNR or PPV undefined
-    lines = [METRICS_HEADER]
-    columns = (table.dataset.tolist(), table.method.tolist(), table.fold.tolist())
-    for d, m, fold, solution_id, row, flag in zip(
-        *columns, table.solution_id.tolist(), values.tolist(), degenerate.tolist()
-    ):
-        cells = ",".join(map(repr, row))
-        dataset, method = table.dataset_names[d], table.method_names[m]
-        lines.append(f"{dataset},{method},{fold},{solution_id},{cells},{int(flag)}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, render_metrics_table(table))
     return 0
 
 

@@ -9,6 +9,7 @@ deterministic SVG 1.1 documents.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -347,11 +348,12 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
     if not levels:
         raise ValueError("no levels to draw")
     for level in levels:
-        if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
+        value = float(level) if isinstance(level, numbers.Real) else math.nan
+        if not 0.0 < value < 1.0:
             raise ValueError(f"levels must lie strictly inside (0, 1), got {level!r}")
         # gmean starts at x = level^2, and f1 starts level^2 / (2 - level) from
         # its pole: neither curve can be computed once level^2 is subnormal
-        if level * level < sys.float_info.min:
+        if value * value < sys.float_info.min:
             raise ValueError(f"level {level!r} is too small to draw: its square underflows")
     (x_label, y_label), label, domain_start = _ISOCURVES[metric]
     unit, ticks = _covering_axis(np.zeros(1))

@@ -66,6 +66,7 @@ __all__ = [
     "parse_datasets",
     "imbalance_ratio",
     "render_dataset_table",
+    "render_metrics_table",
     "PairedBlock",
     "pair_blocks",
     "aggregate",
@@ -75,6 +76,7 @@ __all__ = [
 
 COUNTS_HEADER = ("dataset", "method", "fold", "solution_id", "tp", "fn", "fp", "tn")
 DATASETS_HEADER = ("name", "n_features", "n_samples", "n_minority")
+METRICS_HEADER = (*COUNTS_HEADER[:4], "tpr", "tnr", "ppv", "bac", "gmean", "f1", "degenerate")
 REPORT_HEADER = ("indicator", "reference_method", "dataset", "mean", "std", "fold_count")
 
 DEFAULT_INDICATORS = ("ED", "HV", "SDR", "NDR")
@@ -701,6 +703,19 @@ def render_dataset_table(infos: Sequence[DatasetInfo], fmt: str) -> str:
         for d in infos
     ]
     return _table_text((*DATASETS_HEADER, "ir"), rows, fmt)
+
+
+def render_metrics_table(table: RecordTable) -> str:
+    """Each counts row's keys, metrics and degenerate flag (TPR, TNR or PPV undefined) as csv."""
+    if not table.is_counts:
+        raise ValueError("metrics need a counts table, got an objectives table")
+    values, defined = metric_table(table.values, (1.0,))
+    degenerate = 1 - defined[:, :3].all(axis=1)
+    keys = (table.dataset, table.method, table.fold, table.solution_id)
+    columns = zip(*(c.tolist() for c in (*keys, *values.T, degenerate)))
+    dataset_names, method_names = table.dataset_names, table.method_names
+    rows = [(dataset_names[d], method_names[m], *map(repr, rest)) for d, m, *rest in columns]
+    return _table_text(METRICS_HEADER, rows, "csv")
 
 
 @dataclass(frozen=True)

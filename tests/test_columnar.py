@@ -789,20 +789,48 @@ def _loop_metrics_line(dataset: str, fold: int, solution_id: int, m: ConfusionMa
     return f"{dataset},moo,{fold},{solution_id},{cells},{degenerate}"
 
 
+def _counts_file(directory: str, rows) -> str:
+    path = os.path.join(directory, "in.csv")
+    body = "".join(
+        f"{d},moo,{fold},{sid},{m.tp},{m.fn},{m.fp},{m.tn}\n" for d, fold, sid, m in rows
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(COUNTS_HEADER) + "\n" + body)
+    return path
+
+
+# small counts make every kind of zero denominator, alone or together
+_metrics_rows = st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=30).map(
+    lambda matrices: [(f"d{i % 3}", i % 2, i, m) for i, m in enumerate(matrices)]
+)
+
+
 class TestMetricsRows:
     @settings(deadline=None, max_examples=40)
-    @given(rows=st.lists(st.one_of(_matrix, _degenerate), min_size=1, max_size=30))
+    @given(rows=_metrics_rows)
     def test_rows_equal_loop_metrics(self, rows):
-        # small counts make every kind of zero denominator, alone or together
-        rows = [(f"d{i % 3}", i % 2, i, m) for i, m in enumerate(rows)]
-        body = "".join(
-            f"{d},moo,{fold},{sid},{m.tp},{m.fn},{m.fp},{m.tn}\n" for d, fold, sid, m in rows
-        )
         with tempfile.TemporaryDirectory() as directory:
-            path, out = os.path.join(directory, "in.csv"), os.path.join(directory, "out.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(",".join(COUNTS_HEADER) + "\n" + body)
+            path, out = _counts_file(directory, rows), os.path.join(directory, "out.csv")
             assert run(["metrics", "--in", path, "--out", out]) == 0
             with open(out, encoding="utf-8") as handle:
                 lines = handle.read().splitlines()[1:]
         assert lines == [_loop_metrics_line(*row) for row in rows]
+
+    @settings(deadline=None, max_examples=40)
+    @given(rows=_metrics_rows)
+    def test_library_table_equals_loop_metrics(self, rows):
+        with tempfile.TemporaryDirectory() as directory:
+            table = parse_records(_counts_file(directory, rows), "counts")
+        header = "dataset,method,fold,solution_id,tpr,tnr,ppv,bac,gmean,f1,degenerate"
+        expected = [header] + [_loop_metrics_line(*row) for row in rows]
+        assert ingest_report.render_metrics_table(table).splitlines() == expected
+        # one fold's rows, with the dataset names the fold does not hold compacted away
+        expected = [header] + [_loop_metrics_line(*row) for row in rows if row[1] == 1]
+        fold_one = ingest_report.render_metrics_table(table.take(table.fold == 1))
+        assert fold_one.splitlines() == expected
+
+    def test_library_table_rejects_objectives(self):
+        point = ObjectivePoint((0.5, 0.25))
+        table = RecordTable.from_records([ExperimentRecord("d", "moo", 0, 0, point)])
+        with pytest.raises(ValueError, match="counts table"):
+            ingest_report.render_metrics_table(table)

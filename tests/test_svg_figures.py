@@ -8,7 +8,7 @@ import pytest
 
 from oracles import loop_hypervolume
 from pareto_judge import fbeta_analysis
-from pareto_judge._svg import BOTTOM, FRAME_HEIGHT, FRAME_WIDTH, LEFT, RIGHT, TOP
+from pareto_judge._svg import BOTTOM, FRAME_HEIGHT, FRAME_WIDTH, LEFT, RIGHT, TOP, SvgDoc
 from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.fbeta_analysis import (
     DOMINATED_FILL,
@@ -249,6 +249,16 @@ class TestIsocurvePlot:
         with pytest.raises(ValueError, match="metric"):
             render_isocurves("bac", [0.5], str(tmp_path / "x.svg"))
 
+    def test_numpy_levels_are_checked_as_floats(self, tmp_path):
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        render_isocurves("gmean", [np.float32(0.5)], str(a))
+        render_isocurves("gmean", [0.5], str(b))
+        assert a.read_bytes() == b.read_bytes()
+        for level in (np.int64(0), True):
+            message = re.escape(f"levels must lie strictly inside (0, 1), got {level!r}")
+            with pytest.raises(ValueError, match=message):
+                render_isocurves("gmean", [level], str(tmp_path / "x.svg"))
+
     def test_draws_one_polyline_per_level(self, tmp_path):
         out = tmp_path / "iso.svg"
         render_isocurves("f1", [0.2, 0.4, 0.6, 0.8], str(out))
@@ -268,6 +278,50 @@ class TestIsocurvePlot:
         render_isocurves("gmean", [0.25, 0.5, 0.75], str(a))
         render_isocurves("gmean", [0.25, 0.5, 0.75], str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSvgElements:
+    """Element markup for the scalar types the renderers pass, byte for byte."""
+
+    def _markup(self, draw) -> list[str]:
+        doc = SvgDoc((0.0, 1.0), (0.0, 1.0), "x", "y")
+        draw(doc)
+        return doc.tostring().splitlines()[2:-1]
+
+    def test_rect(self):
+        def draw(doc):
+            doc.rect(np.float64(1.005), np.float32(0.125), np.int64(3), 7, "#1f77b4")
+            doc.rect(-0.0, np.float64(2.675), 0, np.float32(489.99999), "#d62728", np.float64(0.35))
+
+        assert self._markup(draw) == [
+            '<rect x="1.00" y="0.12" width="3.00" height="7.00" fill="#1f77b4"/>',
+            '<rect x="-0.00" y="2.67" width="0.00" height="490.00" fill="#d62728" '
+            'fill-opacity="0.35"/>',
+        ]
+
+    def test_line(self):
+        def draw(doc):
+            doc.line(np.float32(80.5), np.int64(530), 640, -0.0, "#000000", 1.5)
+            doc.line(656.0, 50, np.int64(680), np.float64(-1e-9), "#2ca02c", np.float32(2), True)
+
+        assert self._markup(draw) == [
+            '<line x1="80.50" y1="530.00" x2="640.00" y2="-0.00" stroke="#000000" '
+            'stroke-width="1.50"/>',
+            '<line x1="656.00" y1="50.00" x2="680.00" y2="-0.00" stroke="#2ca02c" '
+            'stroke-width="2.00" stroke-dasharray="7 4"/>',
+        ]
+
+    def test_text_keeps_percent_signs_and_escapes_markup(self):
+        def draw(doc):
+            doc.text(np.float64(360.0), np.int64(572), '50% recall & <b> "q"', anchor="middle")
+            doc.text(-0.0, np.float32(44.5), "%s %d %% %(x)s")
+
+        assert self._markup(draw) == [
+            '<text x="360.00" y="572.00" font-size="12" font-family="sans-serif" '
+            'text-anchor="middle">50% recall &amp; &lt;b&gt; &quot;q&quot;</text>',
+            '<text x="-0.00" y="44.50" font-size="12" font-family="sans-serif" '
+            'text-anchor="start">%s %d %% %(x)s</text>',
+        ]
 
 
 class TestRegionAxes:
