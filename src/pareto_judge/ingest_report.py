@@ -26,6 +26,9 @@ alone, so an error costs about one read and names its ``file:line``.
 ``parse_records`` negates the ``negate`` columns of the table read.
 ``emit_records`` checks its lines the same way before writing, and
 ``_table_text`` lays out every table written, as csv or markdown.
+Records and table columns convert in one place, ``_record_fields``, for
+``RecordTable.from_records``, iteration and equality, ``emit_records`` and
+the metrics table.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .confusion_metrics import (
     ConfusionMatrix,
     _bad_count_rows,
     _check_row,
-    counts_array,
     metric_table,
     objective_point_of,
 )
@@ -155,7 +157,7 @@ class RecordTable(Sequence):
     (tp, fn, fp, tn) rows for the counts payload and float64 objective rows,
     already negated, for the objectives payload. Indexing and iteration build
     ExperimentRecord values, so the table serves wherever a sequence of
-    records is expected; batch code reads the columns.
+    records is expected; equality and batch code read the columns.
     """
 
     dataset_names: tuple[str, ...]
@@ -168,24 +170,31 @@ class RecordTable(Sequence):
 
     @classmethod
     def from_records(cls, records: Sequence[ExperimentRecord]) -> RecordTable:
-        """The records as a table; a table is returned as it is."""
+        """The records as a table; a table is returned as it is.
+
+        Raises ValueError when the records mix confusion counts and objective
+        points or objective dimensionalities, when a fold or solution_id is not
+        an int in [0, 2**63), or when a (dataset, method, fold, solution_id)
+        key repeats.
+        """
         if isinstance(records, RecordTable):
             return records
-        if all(isinstance(rec.payload, ConfusionMatrix) for rec in records):
-            values = counts_array([rec.payload for rec in records])
-        else:
-            coords = [rec.point().coords for rec in records]
-            dims = sorted({len(c) for c in coords})
-            if len(dims) > 1:
-                raise ValueError(f"records mix dimensionalities: {dims}")
-            values = np.array(coords, dtype=np.float64)
-        return _table(
-            [rec.dataset for rec in records],
-            [rec.method for rec in records],
-            [rec.fold for rec in records],
-            [rec.solution_id for rec in records],
-            values,
-        )
+        kinds, datasets, methods, folds, solution_ids, values = _record_fields(records)
+        objectives = _payload_kind(kinds) == "objectives"
+        dims = sorted({len(row) for row in values}) or [4]  # no records make a counts table
+        if len(dims) > 1:
+            raise ValueError(f"records mix dimensionalities: {dims}")
+        for name, column in (("fold", folds), ("solution_id", solution_ids)):
+            for value in column:
+                if type(value) is not int or not 0 <= value < INT_LIMIT:
+                    raise ValueError(f"{name} must be an int in [0, 2**63), got {value!r}")
+        values = np.array(values, np.float64 if objectives else np.int64)
+        table = _table(datasets, methods, folds, solution_ids, values.reshape(-1, dims[0]))
+        row = _first_repeat([table.dataset, table.method, table.fold, table.solution_id])
+        if row < len(table):
+            key = (datasets[row], methods[row], folds[row], solution_ids[row])
+            raise ValueError(f"duplicate record key {key!r}")
+        return table
 
     @property
     def is_counts(self) -> bool:
@@ -218,17 +227,10 @@ class RecordTable(Sequence):
         return len(self.fold)
 
     def __iter__(self):
-        if self.is_counts:
-            payloads = (ConfusionMatrix(*row) for row in self.values.tolist())
-        else:
-            payloads = (ObjectivePoint(tuple(row)) for row in self.values.tolist())
-        columns = (self.dataset.tolist(), self.method.tolist(), self.fold.tolist())
-        for d, m, fold, solution_id, payload in zip(
-            *columns, self.solution_id.tolist(), payloads
-        ):
-            yield ExperimentRecord(
-                self.dataset_names[d], self.method_names[m], fold, solution_id, payload
-            )
+        counts = self.is_counts
+        _, *keys, values = _record_fields(self)
+        for *key, row in zip(*keys, values):
+            yield ExperimentRecord(*key, ConfusionMatrix(*row) if counts else ObjectivePoint(row))
 
     def __getitem__(self, index):
         rows = np.arange(len(self))[index]
@@ -237,9 +239,46 @@ class RecordTable(Sequence):
         return next(iter(self.take(rows[None])))
 
     def __eq__(self, other: object) -> bool:
+        """Whether other holds equal records in the same order, read from the columns."""
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        # a table holds records only, so only another sequence is scanned for a non-record
+        return (
+            len(self) == len(other)
+            and (isinstance(other, RecordTable) or all(type(r) is ExperimentRecord for r in other))
+            and _record_fields(self) == _record_fields(other)
+        )
+
+
+def _record_fields(records: Iterable[ExperimentRecord]) -> tuple:
+    """The payload classes present, then the dataset, method, fold,
+    solution_id and payload-value columns as lists; a payload's values are
+    its (tp, fn, fp, tn) or its coordinates, as a tuple. A table's are read
+    from its columns, other records in one pass over them."""
+    if isinstance(records, RecordTable):
+        return (
+            {ConfusionMatrix if records.is_counts else ObjectivePoint} if len(records) else set(),
+            [records.dataset_names[d] for d in records.dataset.tolist()],
+            [records.method_names[m] for m in records.method.tolist()],
+            records.fold.tolist(),
+            records.solution_id.tolist(),
+            list(map(tuple, records.values.tolist())),
+        )
+    rows = [
+        (type(m := rec.payload), rec.dataset, rec.method, rec.fold, rec.solution_id,
+         (m.tp, m.fn, m.fp, m.tn) if isinstance(m, ConfusionMatrix) else m.coords)
+        for rec in records
+    ]
+    kinds, *columns = (list(column) for column in zip(*rows)) if rows else [[] for _ in range(6)]
+    return (set(kinds), *columns)
+
+
+def _payload_kind(kinds: set[type]) -> str | None:
+    """'counts' or 'objectives' for the payload classes present, None for none."""
+    counts = {issubclass(kind, ConfusionMatrix) for kind in kinds}
+    if len(counts) > 1:
+        raise ValueError("cannot mix confusion counts and objective payloads in one file")
+    return ("counts" if counts.pop() else "objectives") if counts else None
 
 
 def _table(datasets, methods, folds, solution_ids, values: np.ndarray) -> RecordTable:
@@ -656,22 +695,16 @@ def emit_records(
     would reject raises its ParseError, naming path and line, and records it
     would not read back equal raise ValueError; either way no file is written.
     """
-    records = list(records)  # a RecordTable builds its records on each pass
-    if records:
-        payload_kind = "counts" if isinstance(records[0].payload, ConfusionMatrix) else "objectives"
-    elif payload_kind not in PAYLOAD_KINDS:
+    fields = kinds, *keys, values = _record_fields(records)
+    payload_kind = _payload_kind(kinds) or payload_kind
+    if payload_kind not in PAYLOAD_KINDS:
         raise ValueError("emitting an empty record list requires an explicit payload_kind")
     counts = payload_kind == "counts"
-    if any(isinstance(rec.payload, ConfusionMatrix) != counts for rec in records):
-        raise ValueError("cannot mix confusion counts and objective payloads in one file")
-    dim = 4 if counts else records[0].payload.dim if records else 1
-    rows = []
-    for rec in records:
-        m = rec.payload
-        values = (m.tp, m.fn, m.fp, m.tn) if counts else m.coords
-        rows.append((*map(str, rec.key), *map(repr, values)))
+    dim = 4 if counts else len(values[0]) if values else 1
+    rows = [(*map(str, key), *map(repr, row)) for *key, row in zip(*keys, values)]
     text = _table_text([name for name, _ in _record_columns(counts, dim)], rows, "csv")
-    if _body_table(text.partition("\n")[2].encode(), path, payload_kind, dim) != records:
+    back = _body_table(text.partition("\n")[2].encode(), path, payload_kind, dim)
+    if _record_fields(back) != fields:
         raise ValueError(f"{path}: records would read back changed: a field's type or a line break")
     atomic_write_text(path, text)
 
@@ -711,10 +744,9 @@ def render_metrics_table(table: RecordTable) -> str:
         raise ValueError("metrics need a counts table, got an objectives table")
     values, defined = metric_table(table.values, (1.0,))
     degenerate = 1 - defined[:, :3].all(axis=1)
-    keys = (table.dataset, table.method, table.fold, table.solution_id)
-    columns = zip(*(c.tolist() for c in (*keys, *values.T, degenerate)))
-    dataset_names, method_names = table.dataset_names, table.method_names
-    rows = [(dataset_names[d], method_names[m], *map(repr, rest)) for d, m, *rest in columns]
+    _, datasets, methods, *numbers, _ = _record_fields(table)
+    numbers += [c.tolist() for c in (*values.T, degenerate)]
+    rows = [(d, m, *map(repr, rest)) for d, m, *rest in zip(datasets, methods, *numbers)]
     return _table_text(METRICS_HEADER, rows, "csv")
 
 

@@ -834,3 +834,137 @@ class TestMetricsRows:
         table = RecordTable.from_records([ExperimentRecord("d", "moo", 0, 0, point)])
         with pytest.raises(ValueError, match="counts table"):
             ingest_report.render_metrics_table(table)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # 0.0 and -0.0 among them
+_POINT = ObjectivePoint((0.5,))
+_VARIANTS = ("equal", "key", "value", "swap", "names", "as-objectives", "empty", "non-record")
+
+
+@st.composite
+def _records_and_variant(draw):
+    """Records with distinct keys, counts or 1 to 3 objectives, and a variant of them
+    named by one of ``_VARIANTS``, which may hold a non-record."""
+    dim = draw(st.sampled_from([0, 1, 2, 3]))  # 0 for counts
+    payload = _matrix if dim == 0 else st.tuples(*[_FINITE] * dim).map(ObjectivePoint)
+    keys = draw(
+        st.lists(st.tuples(_ident, _ident, st.integers(0, 3), st.integers(0, 3)), unique=True)
+    )
+    records = [ExperimentRecord(*key, draw(payload)) for key in keys]
+    variant = draw(st.sampled_from(_VARIANTS))
+    other = list(records)
+    if variant == "key" and other:
+        i, field = draw(st.integers(0, len(other) - 1)), draw(st.integers(0, 3))
+        key = list(keys[i])
+        key[field] = draw(_ident) if field < 2 else draw(st.integers(0, 3))
+        other[i] = ExperimentRecord(*key, records[i].payload)
+    elif variant == "value" and other:
+        i = draw(st.integers(0, len(other) - 1))
+        values = list(_values(records[i].payload))
+        j = draw(st.integers(0, len(values) - 1))
+        values[j] = draw(_FINITE) if dim else values[j] + 1
+        payload = ObjectivePoint(tuple(values)) if dim else ConfusionMatrix(*values)
+        other[i] = ExperimentRecord(*keys[i], payload)
+    elif variant == "swap" and len(other) > 1:
+        i, j = draw(st.lists(st.integers(0, len(other) - 1), min_size=2, max_size=2, unique=True))
+        other[i], other[j] = other[j], other[i]
+    elif variant == "names":  # a dataset named apart, so the name sets and codes differ
+        old, new = keys[0][0] if keys else "", draw(_ident)
+        other = [
+            ExperimentRecord(new if r.dataset == old else r.dataset, *r.key[1:], r.payload)
+            for r in records
+        ]
+    elif variant == "as-objectives" and dim == 0:  # the same numbers as four objectives
+        other = [ExperimentRecord(*r.key, ObjectivePoint(_values(r.payload))) for r in records]
+    elif variant == "empty":
+        other = []
+    elif variant == "non-record" and other:
+        i = draw(st.integers(0, len(other) - 1))
+        other[i] = draw(st.sampled_from([records[i].key, records[i].payload, None]))
+    return records, other
+
+
+def _values(payload) -> tuple:
+    if isinstance(payload, ConfusionMatrix):
+        return (payload.tp, payload.fn, payload.fp, payload.tn)
+    return payload.coords
+
+
+def _as_table(records: list) -> RecordTable | None:
+    """The records' table, or None where they make none."""
+    try:
+        return RecordTable.from_records(records)
+    except (ValueError, AttributeError):
+        return None
+
+
+def _empty_tables() -> list[RecordTable]:
+    """Empty tables of the counts payload and of 1 to 4 objectives."""
+    counts = RecordTable.from_records([])
+    objectives = [
+        RecordTable((), (), *[np.zeros(0, np.int64)] * 4, np.zeros((0, dim)))
+        for dim in range(1, 5)
+    ]
+    return [counts, *objectives]
+
+
+class TestTableEquality:
+    """``table == other`` reads columns, and equals comparing record by record."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(pair=_records_and_variant())
+    def test_equals_record_by_record_equality(self, pair):
+        records, other = pair
+        table = RecordTable.from_records(records)
+        expected = records == other  # ExperimentRecord.__eq__ for each pair of rows
+        assert (table == other) is expected
+        assert (other == table) is expected
+        assert (table != other) is not expected
+        other_table = _as_table(other)
+        if other_table is not None:
+            assert (table == other_table) is expected
+            assert (other_table == table) is expected
+
+    @pytest.mark.parametrize("a", range(5))
+    @pytest.mark.parametrize("b", range(5))
+    def test_empty_tables_of_any_kind_are_equal(self, a, b):
+        tables = _empty_tables()
+        assert tables[a] == tables[b]
+        assert tables[a] == [] and tables[a] != [ExperimentRecord("d", "m", 0, 0, _POINT)]
+
+    def test_counts_differ_from_four_objectives_of_the_same_numbers(self):
+        record = ExperimentRecord("d", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4))
+        counts = RecordTable.from_records([record])
+        objectives = RecordTable(
+            counts.dataset_names, counts.method_names, counts.dataset, counts.method,
+            counts.fold, counts.solution_id, counts.values.astype(np.float64),
+        )
+        assert counts.values.tolist() == objectives.values.tolist()
+        assert counts != objectives and objectives != counts
+        assert counts != list(objectives) and list(counts) != objectives
+
+    def test_tables_compare_and_emit_without_building_records(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        records = [
+            ExperimentRecord(f"d{i % 7}", f"m{i % 3}", i % 5, i, ConfusionMatrix(*counts))
+            for i, counts in enumerate((rng.integers(0, 50, (300, 4)) + 1).tolist())
+        ]
+        table, same = RecordTable.from_records(records), RecordTable.from_records(records)
+        last = records[-1]
+        renamed = ExperimentRecord("d9", *last.key[1:], last.payload)
+        changed = RecordTable.from_records([*records[:-1], renamed])
+        built = []
+        record_init = ExperimentRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            record_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRecord, "__init__", counting_init)
+        assert table == same and same == table
+        assert table != changed and table == records and records == table
+        emit_path = str(tmp_path / "out.csv")
+        ingest_report.emit_records(table, emit_path)
+        assert parse_records(emit_path, "counts") == table
+        assert built == []
+        assert table[0] == records[0] and len(built) == 1  # indexing builds its record

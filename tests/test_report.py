@@ -210,6 +210,51 @@ class TestAggregate:
         with pytest.raises(ValueError, match=r"^records mix dimensionalities: \[2, 3\]$"):
             RecordTable.from_records(records)
 
+    def test_records_of_two_payload_kinds_make_no_table(self):
+        # the counts were once turned into (TPR, TNR) points and compared as such
+        front = [
+            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
+            ExperimentRecord("ds", "moo", 0, 1, ConfusionMatrix(1, 1, 1, 1)),
+        ]
+        refs = [_obj_record("ds", "ref", 0, 0, (0.25, 0.25))]
+        message = "^cannot mix confusion counts and objective payloads in one file$"
+        with pytest.raises(ValueError, match=message):
+            RecordTable.from_records(front)
+        with pytest.raises(ValueError, match=message):
+            aggregate(front, refs, ("HV",))
+
+    @pytest.mark.parametrize("field", ["fold", "solution_id"])
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1", True, -1, 2**63, 2**64, np.int64(1)])
+    def test_a_key_that_is_not_an_int_in_range_makes_no_table(self, field, value):
+        fields = {"dataset": "ds", "method": "moo", "fold": 0, "solution_id": 1, field: value}
+        records = [
+            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
+            ExperimentRecord(**fields, payload=ObjectivePoint((0.5, 0.5))),
+        ]
+        with pytest.raises(ValueError) as err:
+            RecordTable.from_records(records)
+        assert str(err.value) == f"{field} must be an int in [0, 2**63), got {value!r}"
+
+    def test_folds_are_never_truncated_together(self):
+        front = [_obj_record("ds", "moo", fold, 0, (0.5, 0.5)) for fold in (0.2, 0.7)]
+        refs = [_obj_record("ds", "ref", fold, 0, (0.25, 0.25)) for fold in (0.2, 0.7)]
+        with pytest.raises(ValueError, match=r"^fold must be an int in \[0, 2\*\*63\), got 0\.2$"):
+            aggregate(front, refs, ("ED",))
+
+    def test_a_repeated_key_makes_no_table(self):
+        front = [
+            _obj_record("ds", "moo", 0, 0, (0.9, 0.1)),
+            _obj_record("ds", "moo", 0, 1, (0.5, 0.5)),
+            _obj_record("ds", "moo", 0, 0, (0.1, 0.9)),
+        ]
+        refs = [_obj_record("ds", "ref", 0, 0, (0.25, 0.25))]
+        message = r"^duplicate record key \('ds', 'moo', 0, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            RecordTable.from_records(front)
+        with pytest.raises(ValueError, match=message):
+            aggregate(front, refs, ("HV",))
+        assert len(RecordTable.from_records(front[:2])) == 2
+
     def test_unknown_indicator_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
