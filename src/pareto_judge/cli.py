@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from ._io import atomic_write_text
 from .confusion_metrics import (
@@ -36,44 +35,27 @@ from .ingest_report import (
 )
 from .objective_space import front_rows
 
-if TYPE_CHECKING:
-    from .fbeta_analysis import (
-        BetaGrid,
-        check_region_operands,
-        fbeta_curves,
-        fbeta_envelope,
-        render_fbeta_plot,
-        render_isocurves,
-        render_region_plot,
-    )
 
-# The figure code (fbeta_analysis and _svg) loads only when a figure command
-# runs. These names are bound into this module then, and a name bound before
-# that, such as a wrapper set from outside, is kept and called.
-_FIGURE_NAMES = (
-    "BetaGrid",
-    "check_region_operands",
-    "fbeta_curves",
-    "fbeta_envelope",
-    "render_fbeta_plot",
-    "render_isocurves",
-    "render_region_plot",
-)
+# e2ebench/spans.py traces these three calls by wrapping these names on this
+# module, so they stay module functions that load the figure code when called.
+# They become imports in the command bodies once the benchmark reads a trace
+# that the program writes itself.
+def fbeta_envelope(front_matrices, grid, label):
+    from .fbeta_analysis import fbeta_envelope
+
+    return fbeta_envelope(front_matrices, grid, label)
 
 
-def _load_figures() -> None:
-    from . import fbeta_analysis
+def render_fbeta_plot(curves, out):
+    from .fbeta_analysis import render_fbeta_plot
 
-    # globals() is the running module's, also when it runs as __main__
-    for name in _FIGURE_NAMES:
-        globals().setdefault(name, getattr(fbeta_analysis, name))
+    render_fbeta_plot(curves, out)
 
 
-def __getattr__(name: str):
-    if name in _FIGURE_NAMES:
-        _load_figures()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def render_region_plot(front, ref, mode, out):
+    from .fbeta_analysis import render_region_plot
+
+    render_region_plot(front, ref, mode, out)
 
 
 def _require_file(path: str, role: str) -> None:
@@ -154,7 +136,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
-    _load_figures()
+    from .fbeta_analysis import BetaGrid, fbeta_curves
+
     front, refs = _load_pair(args, "counts")
     grid = BetaGrid.log_spaced(args.beta_min, args.beta_max, args.beta_count)
     with _naming_both_files(args):
@@ -172,7 +155,8 @@ def _cmd_fbeta_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_region_plot(args: argparse.Namespace) -> int:
-    _load_figures()
+    from .fbeta_analysis import check_region_operands
+
     front, refs = _load_pair(args, args.payload, args.negate)
     front_points, ref_points = front.points(), refs.points()
     # checked before the output directory is made, so a failed run leaves none
@@ -212,7 +196,8 @@ def _cmd_region_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_isocurves(args: argparse.Namespace) -> int:
-    _load_figures()
+    from .fbeta_analysis import render_isocurves
+
     render_isocurves(args.metric, _parse_level_list(args.levels), args.out)
     return 0
 

@@ -27,8 +27,9 @@ alone, so an error costs about one read and names its ``file:line``.
 ``emit_records`` checks its lines the same way before writing, and
 ``_table_text`` lays out every table written, as csv or markdown.
 Records and table columns convert in one place, ``_record_fields``, for
-``RecordTable.from_records``, iteration and equality, ``emit_records`` and
-the metrics table.
+``RecordTable.from_records``, iteration and equality and ``emit_records``;
+it decodes a table's keys through ``_key_columns``, which the metrics table
+reads alone.
 """
 
 from __future__ import annotations
@@ -258,10 +259,7 @@ def _record_fields(records: Iterable[ExperimentRecord]) -> tuple:
     if isinstance(records, RecordTable):
         return (
             {ConfusionMatrix if records.is_counts else ObjectivePoint} if len(records) else set(),
-            [records.dataset_names[d] for d in records.dataset.tolist()],
-            [records.method_names[m] for m in records.method.tolist()],
-            records.fold.tolist(),
-            records.solution_id.tolist(),
+            *_key_columns(records),
             list(map(tuple, records.values.tolist())),
         )
     rows = [
@@ -271,6 +269,16 @@ def _record_fields(records: Iterable[ExperimentRecord]) -> tuple:
     ]
     kinds, *columns = (list(column) for column in zip(*rows)) if rows else [[] for _ in range(6)]
     return (set(kinds), *columns)
+
+
+def _key_columns(table: RecordTable) -> list[list]:
+    """The table's dataset and method names, folds and solution_ids as lists."""
+    return [
+        [table.dataset_names[d] for d in table.dataset.tolist()],
+        [table.method_names[m] for m in table.method.tolist()],
+        table.fold.tolist(),
+        table.solution_id.tolist(),
+    ]
 
 
 def _payload_kind(kinds: set[type]) -> str | None:
@@ -744,7 +752,7 @@ def render_metrics_table(table: RecordTable) -> str:
         raise ValueError("metrics need a counts table, got an objectives table")
     values, defined = metric_table(table.values, (1.0,))
     degenerate = 1 - defined[:, :3].all(axis=1)
-    _, datasets, methods, *numbers, _ = _record_fields(table)
+    datasets, methods, *numbers = _key_columns(table)
     numbers += [c.tolist() for c in (*values.T, degenerate)]
     rows = [(d, m, *map(repr, rest)) for d, m, *rest in zip(datasets, methods, *numbers)]
     return _table_text(METRICS_HEADER, rows, "csv")

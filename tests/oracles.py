@@ -9,6 +9,7 @@ evidence.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -156,6 +157,73 @@ def loop_metrics(tp: int, fn: int, fp: int, tn: int, betas=()) -> list[tuple[flo
         den = b2 * p + t
         values.append((min((b2 + 1.0) * p * t / den, 1.0), True) if den else (0.0, False))
     return values
+
+
+def loop_compare(front_lines, ref_lines, indicators, filter_front: bool, negate=()) -> list[tuple]:
+    """The report rows of ``pareto-judge compare`` on two files given as lines.
+
+    Independent of the package's pipeline: the lines are read with ``csv``,
+    counts become (TPR, TNR) through ``loop_metrics``, each (dataset, fold)
+    front is grouped in a dict and, with filter_front, reduced by
+    ``brute_force_front``. HV and the pooled GD come from the loop oracles,
+    ED, SDR and NDR from plain loops, and the fold mean and population std
+    from ``math.fsum``. Rows are (indicator, reference, dataset, mean, std,
+    fold_count) in the report's order: indicator, then reference, then dataset.
+    """
+    order = ("ED", "GD", "HV", "SDR", "NDR")
+    wanted = [name for name in order if name in {n.upper() for n in indicators}]
+
+    def points(lines):
+        header, *rows = csv.reader(lines)
+        sign = [-1.0 if column in negate else 1.0 for column in header[4:]]
+        for dataset, method, fold, solution_id, *payload in rows:
+            if header[4:] == ["tp", "fn", "fp", "tn"]:
+                point = tuple(v for v, _ in loop_metrics(*map(int, payload))[:2])
+            else:
+                point = tuple(s * float(v) for s, v in zip(sign, payload))
+            yield (dataset, int(fold)), method, int(solution_id), point
+
+    fronts, refs = {}, {}
+    for key, _, solution_id, point in points(front_lines):
+        fronts.setdefault(key, {})[solution_id] = point
+    for key, method, _, point in points(ref_lines):
+        refs.setdefault(key, {})[method] = point
+
+    series = {}
+    for dataset, fold in sorted(fronts):
+        front = [fronts[dataset, fold][i] for i in sorted(fronts[dataset, fold])]
+        if filter_front:
+            front = brute_force_front(front)
+        methods = refs[dataset, fold]
+        n, array = len(front), np.array(front)
+        for name in wanted:
+            if name == "GD":
+                pooled = np.array([methods[m] for m in sorted(methods)])
+                values = {"pooled": loop_generational_distance(array, pooled)}
+            else:
+                values = {}
+                for method in sorted(methods):
+                    r = methods[method]
+                    if name == "ED":
+                        dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(p, r))) for p in front]
+                        values[method] = math.fsum(dists) / n
+                    elif name == "HV":
+                        values[method] = loop_hypervolume(array, np.array(r))
+                    elif name == "SDR":
+                        values[method] = sum(all(a > b for a, b in zip(p, r)) for p in front) / n
+                    else:
+                        dominated = sum(all(b > a for a, b in zip(p, r)) for p in front)
+                        values[method] = (n - dominated) / n
+            for label, value in values.items():
+                series.setdefault((name, label, dataset), []).append(value)
+
+    rows = []
+    for key in sorted(series, key=lambda key: (order.index(key[0]), *key[1:])):
+        values = series[key]
+        mean = math.fsum(values) / len(values)
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+        rows.append((*key, mean, std, len(values)))
+    return rows
 
 
 def parse_lines(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTable:

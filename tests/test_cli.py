@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import math
 import os
 import re
 import subprocess
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_judge import _io, cli, fbeta_analysis
+from oracles import loop_compare
+from pareto_judge import _io, cli, fbeta_analysis, ingest_report
 from pareto_judge.cli import run
 from pareto_judge.ingest_report import aggregate, parse_records, read_report_csv
 
@@ -353,6 +356,75 @@ class TestReportRoundTrip:
             assert run(["report", "--in", out, "--format", "csv", "--out", again]) == 0
             with open(out, "rb") as first, open(again, "rb") as second:
                 assert first.read() == second.read()
+
+
+_QUARTERS = st.sampled_from([i / 4 for i in range(-4, 5)])
+_INDICATOR_FLAGS = ("ed", "gd", "hv", "sdr", "ndr")
+
+
+@st.composite
+def _compare_case(draw):
+    """Front and reference lines of one compare run, then its indicators,
+    --filter-front and --negate columns. Counts or 2 to 3 objectives over 1
+    to 3 datasets of 1 to 3 folds; small counts, quarter coordinates and
+    copied points give ties and duplicates, and lines come in any order."""
+    counts = draw(st.booleans())
+    if counts:
+        columns = ["tp", "fn", "fp", "tn"]
+        payload = st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any)
+    else:
+        columns = [f"obj_{i + 1}" for i in range(draw(st.integers(2, 3)))]
+        coord = st.one_of(_QUARTERS, st.floats(-1, 1, allow_subnormal=False))
+        payload = st.lists(coord, min_size=len(columns), max_size=len(columns))
+    methods = st.lists(st.sampled_from(("base", "ref", "weak")), min_size=1, unique=True)
+    front, refs = [], []
+    for dataset in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        for fold in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)):
+            points = []
+            for _ in range(draw(st.integers(1, 5))):
+                copy = points and draw(st.booleans())
+                points.append(draw(st.sampled_from(points)) if copy else draw(payload))
+            ids = draw(st.permutations(range(len(points))))
+            front += [(dataset, "moo", fold, i, p) for i, p in zip(ids, points)]
+            refs += [(dataset, m, fold, 0, draw(payload)) for m in draw(methods)]
+    header = ",".join(["dataset", "method", "fold", "solution_id", *columns])
+
+    def lines(rows):
+        return [header, *(",".join([*map(str, key), *map(repr, p)]) for *key, p in rows)]
+
+    front, refs = (lines(draw(st.permutations(rows))) for rows in (front, refs))
+    indicators = draw(st.lists(st.sampled_from(_INDICATOR_FLAGS), min_size=1, unique=True))
+    negate = [] if counts else draw(st.lists(st.sampled_from(columns), unique=True))
+    return front, refs, indicators, draw(st.booleans()), negate
+
+
+class TestCompareAgainstLoops:
+    @settings(deadline=None, max_examples=80)
+    @given(case=_compare_case(), budget=st.integers(1, 30))
+    def test_report_equals_the_loop_oracle(self, case, budget):
+        front, refs, indicators, filter_front, negate = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # a small stack budget puts chunk edges inside the draws
+            patch.setattr(ingest_report, "_BATCH_ELEMENTS", budget)
+            paths = [os.path.join(tmp, name) for name in ("front.csv", "refs.csv", "report.csv")]
+            for path, lines in zip(paths, (front, refs)):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.writelines(line + "\n" for line in lines)
+            args = ["compare", "--front", paths[0], "--refs", paths[1], "--out", paths[2]]
+            args += ["--indicators", ",".join(indicators)]
+            if not front[0].endswith("tn"):
+                args += ["--payload", "objectives"]
+            if negate:
+                args += ["--negate", ",".join(negate)]
+            assert run([*args, "--filter-front"] if filter_front else args) == 0
+            with open(paths[2], encoding="utf-8", newline="") as handle:
+                _, *rows = csv.reader(handle)
+        expected = loop_compare(front, refs, indicators, filter_front, negate)
+        assert [(*row[:3], int(row[5])) for row in rows] == [(*e[:3], e[5]) for e in expected]
+        for row, (*key, mean, std, _) in zip(rows, expected):
+            assert math.isclose(float(row[3]), mean, rel_tol=1e-12), key
+            # the std of equal values is rounding, so it is compared on the mean's scale
+            assert math.isclose(float(row[4]), std, rel_tol=1e-12, abs_tol=1e-12 * mean), key
 
 
 class TestReportSubcommand:
@@ -865,6 +937,13 @@ class TestFigureSubcommands:
         assert tiny[0].endswith(",40.00")
 
 
+def _output_bytes(path):
+    """An output file's bytes, or the (name, bytes) of each file of an output directory."""
+    if path.is_dir():
+        return sorted((child.name, child.read_bytes()) for child in path.iterdir())
+    return path.read_bytes()
+
+
 class TestModuleEntryPoint:
     def _module(self, *args):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -877,12 +956,24 @@ class TestModuleEntryPoint:
         assert run(_compare_args(workdir)) == 0
         assert (workdir / "module.csv").read_bytes() == (workdir / "report.csv").read_bytes()
 
-    def test_runs_a_figure_command_like_run(self, workdir):
-        args = ["isocurves", "--metric", "f1", "--levels", "0.5", "--out"]
-        done = self._module(*args, str(workdir / "module.svg"))
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("isocurves", "--metric", "f1", "--levels", "0.5"),
+            ("fbeta-plot", "--fold", "0"),
+            ("region-plot", "--mode", "dominance", "--fold", "0", "--ref-method", "base"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_runs_a_figure_command_like_run(self, workdir, args):
+        # under -m the command and the figure functions it calls on cli run in __main__
+        if args[0] != "isocurves":
+            args += ("--front", str(workdir / "front.csv"), "--refs", str(workdir / "refs.csv"))
+        done = self._module(*args, "--out", str(workdir / "module"))
         assert done.returncode == 0, done.stderr
-        assert run([*args, str(workdir / "run.svg")]) == 0
-        assert (workdir / "module.svg").read_bytes() == (workdir / "run.svg").read_bytes()
+        assert run([*args, "--out", str(workdir / "run")]) == 0
+        written = _output_bytes(workdir / "module")
+        assert written and written == _output_bytes(workdir / "run")
 
     def test_no_arguments_is_a_usage_error(self):
         done = self._module()
