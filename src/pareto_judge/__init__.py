@@ -1,7 +1,6 @@
 """Evaluation toolkit for comparing single-solution classifiers against
 multi-objective solution fronts on imbalanced data."""
 
-import typing as _typing
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
@@ -40,17 +39,6 @@ _FIGURE_EXPORTS = (
     "render_region_plot",
     "render_isocurves",
 )
-if _typing.TYPE_CHECKING:
-    from .fbeta_analysis import (
-        BetaGrid,
-        FbetaCurve,
-        default_beta_grid,
-        fbeta_curve,
-        fbeta_envelope,
-        render_fbeta_plot,
-        render_region_plot,
-        render_isocurves,
-    )
 
 from .ingest_report import (
     ExperimentRecord,

@@ -98,6 +98,13 @@ _NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
 INT_LIMIT = 2**63  # integer fields must stay below it, so they fit int64
 
 
+def _check_names(what: str, names: Iterable) -> None:
+    """ValueError naming the first of the names that is no identifier string."""
+    for name in names:
+        if not (isinstance(name, str) and _IDENT_RE.match(name)):
+            raise ValueError(f"{what} must match [A-Za-z0-9_-]+, got {name!r}")
+
+
 class ParseError(ValueError):
     """A malformed input file, pointing at the offending path and line."""
 
@@ -175,8 +182,9 @@ class RecordTable(Sequence):
 
         Raises ValueError when the records mix confusion counts and objective
         points or objective dimensionalities, when a fold or solution_id is not
-        an int in [0, 2**63), or when a (dataset, method, fold, solution_id)
-        key repeats.
+        an int in [0, 2**63), when a dataset or method name does not match
+        ``[A-Za-z0-9_-]+``, or when a (dataset, method, fold, solution_id) key
+        repeats.
         """
         if isinstance(records, RecordTable):
             return records
@@ -190,6 +198,9 @@ class RecordTable(Sequence):
                 if type(value) is not int or not 0 <= value < INT_LIMIT:
                     raise ValueError(f"{name} must be an int in [0, 2**63), got {value!r}")
         values = np.array(values, np.float64 if objectives else np.int64)
+        # distinct names in record order: a name that is no str fails here, not in a sort
+        _check_names("dataset name", dict.fromkeys(datasets))
+        _check_names("method name", dict.fromkeys(methods))
         table = _table(datasets, methods, folds, solution_ids, values.reshape(-1, dims[0]))
         row = _first_repeat([table.dataset, table.method, table.fold, table.solution_id])
         if row < len(table):
@@ -313,8 +324,7 @@ class DatasetInfo:
     n_minority: int
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"dataset name must match [A-Za-z0-9_-]+, got {self.name!r}")
+        _check_names("dataset name", [self.name])
         if self.n_features < 1:
             raise ValueError(f"n_features must be positive, got {self.n_features}")
         if self.n_minority < 1:
@@ -780,16 +790,6 @@ class ComparisonReport:
     moo_method: str
     cells: dict[tuple[str, str, str], ReportCell] = field(default_factory=dict)
 
-    def indicators(self) -> list[str]:
-        present = {key[0] for key in self.cells}
-        return [name for name in INDICATOR_NAMES if name in present]
-
-    def reference_methods(self, indicator: str) -> list[str]:
-        return sorted({key[1] for key in self.cells if key[0] == indicator})
-
-    def datasets(self, indicator: str) -> list[str]:
-        return sorted({key[2] for key in self.cells if key[0] == indicator})
-
 
 def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
     if isinstance(indicators, str):
@@ -969,19 +969,20 @@ def _markdown_cell(key: tuple[str, str, str], cell: ReportCell, scale: float) ->
 
 
 def _markdown_blocks(report: ComparisonReport) -> str:
+    """One block per indicator present, in INDICATOR_NAMES order: reference
+    methods as rows and datasets as columns, both sorted, "-" where no cell is."""
+    groups: dict[str, list[tuple[tuple[str, str, str], ReportCell]]] = {}
+    for key, cell in report.cells.items():
+        groups.setdefault(key[0], []).append((key, cell))
     blocks: list[str] = []
-    for indicator in report.indicators():
+    for indicator in (name for name in INDICATOR_NAMES if name in groups):
         scale = 1000.0 if indicator == "HV" else 1.0
         title = "HV (×10³)" if indicator == "HV" else indicator
-        datasets = report.datasets(indicator)
-        text = {
-            key[1:]: _markdown_cell(key, cell, scale)
-            for key, cell in report.cells.items()
-            if key[0] == indicator
-        }
+        text = {key[1:]: _markdown_cell(key, cell, scale) for key, cell in groups[indicator]}
+        datasets = sorted({dataset for _, dataset in text})
         rows = [
             (method, *(text.get((method, dataset), "-") for dataset in datasets))
-            for method in report.reference_methods(indicator)
+            for method in sorted({method for method, _ in text})
         ]
         table = _table_text(("reference", *datasets), rows, "markdown")
         blocks.append(f"## {title}\n\n{table}")
@@ -1002,12 +1003,22 @@ def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
     The markdown format emits one block per indicator with reference methods
     as rows, datasets as columns, and 'mean (std)' cells rounded to two
     decimals; HV cells are presented scaled by 10^3, and a cell that the
-    scaling overflows raises ValueError before anything is written.
+    scaling overflows raises ValueError before anything is written. So does a
+    cell key that the report schema cannot hold: an indicator outside
+    INDICATOR_NAMES, or a reference method or dataset that does not match
+    ``[A-Za-z0-9_-]+``.
     """
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {REPORT_FORMATS}")
     if not report.cells:
         raise ValueError("cannot render an empty report")
+    # each distinct name is checked once, so the cost follows the names, not the cells
+    indicators, references, datasets = (dict.fromkeys(column) for column in zip(*report.cells))
+    for name in indicators:
+        if name not in INDICATOR_NAMES:
+            raise ValueError(f"indicator must be one of {INDICATOR_NAMES}, got {name!r}")
+    _check_names("reference method", references)
+    _check_names("dataset", datasets)
     text = _report_csv(report) if fmt == "csv" else _markdown_blocks(report)
     atomic_write_text(out, text)
 

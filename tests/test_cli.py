@@ -365,7 +365,7 @@ _INDICATOR_FLAGS = ("ed", "gd", "hv", "sdr", "ndr")
 @st.composite
 def _compare_case(draw):
     """Front and reference lines of one compare run, then its indicators,
-    --filter-front and --negate columns. Counts or 2 to 3 objectives over 1
+    --filter-front and --negate columns. Counts or 2 to 4 objectives over 1
     to 3 datasets of 1 to 3 folds; small counts, quarter coordinates and
     copied points give ties and duplicates, and lines come in any order."""
     counts = draw(st.booleans())
@@ -373,7 +373,7 @@ def _compare_case(draw):
         columns = ["tp", "fn", "fp", "tn"]
         payload = st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any)
     else:
-        columns = [f"obj_{i + 1}" for i in range(draw(st.integers(2, 3)))]
+        columns = [f"obj_{i + 1}" for i in range(draw(st.integers(2, 4)))]
         coord = st.one_of(_QUARTERS, st.floats(-1, 1, allow_subnormal=False))
         payload = st.lists(coord, min_size=len(columns), max_size=len(columns))
     methods = st.lists(st.sampled_from(("base", "ref", "weak")), min_size=1, unique=True)

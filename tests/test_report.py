@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_judge.confusion_metrics import ConfusionMatrix
-from pareto_judge.indicators import euclidean_distance, hypervolume, ndr, sdr
+from pareto_judge.indicators import INDICATOR_NAMES, euclidean_distance, hypervolume, ndr, sdr
 from pareto_judge.ingest_report import (
     ComparisonReport,
     ExperimentRecord,
@@ -255,6 +259,30 @@ class TestAggregate:
             aggregate(front, refs, ("HV",))
         assert len(RecordTable.from_records(front[:2])) == 2
 
+    @pytest.mark.parametrize("field", ["dataset", "method"])
+    @pytest.mark.parametrize("name", ["a,b", "a b", "", "é", 3])
+    def test_a_name_outside_the_identifier_rule_makes_no_table(self, field, name):
+        # "a,b" was once written as a report line of seven fields under a six-column header
+        fields = {"dataset": "ds", "method": "moo", field: name}
+        records = [
+            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
+            ExperimentRecord(**fields, fold=1, solution_id=0, payload=ObjectivePoint((0.5, 0.5))),
+        ]
+        message = f"{field} name must match [A-Za-z0-9_-]+, got {name!r}"
+        with pytest.raises(ValueError) as err:
+            RecordTable.from_records(records)
+        assert str(err.value) == message
+
+    def test_aggregate_names_the_first_bad_name(self):
+        front, refs = _fixture_records()
+        front = [ExperimentRecord("a,b", *r.key[1:], r.payload) for r in front]
+        refs = [ExperimentRecord("a,b", "b|ase", *r.key[2:], r.payload) for r in refs]
+        with pytest.raises(ValueError, match=r"^dataset name must match .*, got 'a,b'$"):
+            aggregate(front, refs, ("HV",))
+        refs = [ExperimentRecord("ds1", "b|ase", *r.key[2:], r.payload) for r in refs]
+        with pytest.raises(ValueError, match=r"^method name must match .*, got 'b\|ase'$"):
+            aggregate(_fixture_records()[0], refs, ("HV",))
+
     def test_unknown_indicator_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
@@ -337,6 +365,49 @@ class TestAggregate:
             assert cell.std == pytest.approx(float(np.std(values)), abs=0)
 
 
+_NAMES = st.tuples(*[st.sampled_from(["a", "b", "c-1", "Z_9"])] * 2)
+_CELL = st.builds(ReportCell, st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.integers(1, 10))
+
+
+@st.composite
+def _report_cells(draw) -> dict:
+    """Cells of 1 to 5 indicators over several references and datasets, some
+    (reference, dataset) pairs missing, in any insertion order."""
+    indicators = draw(st.lists(st.sampled_from(INDICATOR_NAMES), min_size=1, unique=True))
+    keys = []
+    for indicator in indicators:
+        keys += [(indicator, *pair) for pair in draw(st.lists(_NAMES, min_size=1, unique=True))]
+    keys = draw(st.permutations(keys))
+    return {key: draw(_CELL) for key in keys}
+
+
+def _loop_markdown(cells: dict) -> str:
+    """The markdown report laid out with loops: per indicator present, in
+    INDICATOR_NAMES order, sorted references as rows and sorted datasets as
+    columns, "-" for a missing cell and HV scaled by 10^3."""
+    blocks = []
+    for indicator in INDICATOR_NAMES:
+        keys = [key for key in cells if key[0] == indicator]
+        if not keys:
+            continue
+        scale = 1000.0 if indicator == "HV" else 1.0
+        datasets = sorted({key[2] for key in keys})
+        lines = ["| reference | " + " | ".join(datasets) + " |"]
+        lines.append("|" + " --- |" * (len(datasets) + 1))
+        for reference in sorted({key[1] for key in keys}):
+            row = [reference]
+            for dataset in datasets:
+                cell = cells.get((indicator, reference, dataset))
+                if cell is None:
+                    row.append("-")
+                else:
+                    row.append(f"{cell.mean * scale:.2f} ({cell.std * scale:.2f})")
+            lines.append("| " + " | ".join(row) + " |")
+        title = "HV (×10³)" if indicator == "HV" else indicator
+        blocks.append(f"## {title}\n\n" + "\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
 class TestRenderReport:
     def _single_cell_report(self) -> ComparisonReport:
         return ComparisonReport(
@@ -415,6 +486,50 @@ class TestRenderReport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             render_report(self._single_cell_report(), "html", str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (("XX", "base", "ds1"), f"indicator must be one of {INDICATOR_NAMES}, got 'XX'"),
+            (("hv", "base", "ds1"), f"indicator must be one of {INDICATOR_NAMES}, got 'hv'"),
+            (("HV", "r|x", "d,e"), "reference method must match [A-Za-z0-9_-]+, got 'r|x'"),
+            (("HV", "base", "d,e"), "dataset must match [A-Za-z0-9_-]+, got 'd,e'"),
+            (("HV", "base", ""), "dataset must match [A-Za-z0-9_-]+, got ''"),
+            (("HV", 7, "ds1"), "reference method must match [A-Za-z0-9_-]+, got 7"),
+        ],
+        ids=["unknown", "lower-case", "both-names", "dataset", "empty", "not-str"],
+    )
+    def test_a_key_the_report_schema_cannot_hold_is_refused(self, tmp_path, fmt, key, message):
+        # the csv once raised a bare KeyError on 'XX', the markdown dropped the cell, and
+        # ('HV', 'r|x', 'd,e') became a line of seven fields that read_report_csv rejects
+        cells = {("SDR", "base", "ds1"): ReportCell(0.75, 0.05, 10), key: ReportCell(0.5, 0.0, 1)}
+        out = tmp_path / "r.out"
+        with pytest.raises(ValueError) as err:
+            render_report(ComparisonReport("moo", cells), fmt, str(out))
+        assert str(err.value) == message
+        assert not out.exists()
+
+    def test_markdown_names_the_first_overflow_by_indicator_then_insertion(self, tmp_path):
+        cells = {
+            ("SDR", "a", "a"): ReportCell(float("inf"), 0.0, 1),
+            ("HV", "r", "b"): ReportCell(1e307, 0.0, 1),
+            ("HV", "q", "a"): ReportCell(1e307, 0.0, 1),
+        }
+        out = tmp_path / "r.md"
+        message = r"^indicator HV against reference 'r' on dataset 'b' is not finite"
+        with pytest.raises(ValueError, match=message):
+            render_report(ComparisonReport("moo", cells), "markdown", str(out))
+        assert not out.exists()
+
+    @settings(deadline=None, max_examples=100)
+    @given(cells=_report_cells())
+    def test_markdown_equals_a_loop_layout(self, cells):
+        with tempfile.TemporaryDirectory() as directory:
+            out = os.path.join(directory, "r.md")
+            render_report(ComparisonReport("moo", cells), "markdown", out)
+            with open(out, encoding="utf-8", newline="") as handle:
+                assert handle.read() == _loop_markdown(cells)
 
     def test_cell_invariants(self):
         with pytest.raises(ValueError, match="non-negative"):
