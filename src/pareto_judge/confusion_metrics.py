@@ -44,6 +44,7 @@ __all__ = [
 # Largest total of one matrix's counts. Up to 2**53 every count and every sum
 # of counts is an exact float64, so each rate is the correctly rounded quotient.
 COUNTS_LIMIT = 2**53
+INT_LIMIT = 2**63  # file integers stay below it, matrix counts within ±it: both fit int64
 COUNT_NAMES = ("tp", "fn", "fp", "tn")
 
 # the default F-beta sweep: this many log-uniform betas from the min to the max
@@ -68,7 +69,7 @@ class ConfusionMatrix:
                 if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                     raise ValueError(f"{name} must be an integer, got {count!r}")
                 object.__setattr__(self, name, int(count))
-            if not -(2**63) <= count < 2**63:
+            if not -INT_LIMIT <= count < INT_LIMIT:
                 raise ValueError(f"{name} must fit int64, got {count}")
         # Python ints: an int64 sum of numpy counts could wrap
         _check_row((self.tp, self.fn, self.fp, self.tn))

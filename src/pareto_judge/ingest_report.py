@@ -46,6 +46,8 @@ import numpy as np
 
 from ._io import atomic_write_text
 from .confusion_metrics import (
+    COUNT_NAMES,
+    INT_LIMIT,
     ConfusionMatrix,
     _bad_count_rows,
     _check_row,
@@ -77,7 +79,7 @@ __all__ = [
     "read_report_csv",
 ]
 
-COUNTS_HEADER = ("dataset", "method", "fold", "solution_id", "tp", "fn", "fp", "tn")
+COUNTS_HEADER = ("dataset", "method", "fold", "solution_id", *COUNT_NAMES)
 DATASETS_HEADER = ("name", "n_features", "n_samples", "n_minority")
 METRICS_HEADER = (*COUNTS_HEADER[:4], "tpr", "tnr", "ppv", "bac", "gmean", "f1", "degenerate")
 REPORT_HEADER = ("indicator", "reference_method", "dataset", "mean", "std", "fold_count")
@@ -94,8 +96,6 @@ _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\Z")
 # rejected forms that still get a specific message
 _NEGATIVE_RE = re.compile(r"-[0-9]+\Z")
 _NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
-
-INT_LIMIT = 2**63  # integer fields must stay below it, so they fit int64
 
 
 def _check_names(what: str, names: Iterable) -> None:
@@ -779,6 +779,9 @@ class ReportCell:
     def __post_init__(self) -> None:
         if self.std < 0.0:
             raise ValueError(f"standard deviation must be non-negative, got {self.std}")
+        for name, value in (("mean", self.mean), ("std", self.std)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fold_count < 1:
             raise ValueError(f"fold_count must be at least 1, got {self.fold_count}")
 

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,8 @@ from pareto_judge import _io, cli, fbeta_analysis, ingest_report
 from pareto_judge.cli import run
 from pareto_judge.ingest_report import aggregate, parse_records, read_report_csv
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 FRONT_CSV = """dataset,method,fold,solution_id,tp,fn,fp,tn
 ds1,moo,0,0,4,6,1,9
@@ -995,6 +997,107 @@ class TestNoPartialOutputs:
         with pytest.raises(KeyboardInterrupt):
             _io.atomic_write_text(str(tmp_path / "out.txt"), "text\n")
         assert os.listdir(tmp_path) == []
+
+
+def _write_every_output(workdir, out):
+    """Write each subcommand's outputs under out, then emit_records' and render_report's
+    from the library; metrics.csv replaces the file there, if any."""
+    front, refs, table = (f"{workdir}/{name}" for name in ("front.csv", "refs.csv", "table.csv"))
+    pair = ["--front", front, "--refs", refs, "--fold", "0"]
+    region = ["--mode", "dominance", "--ref-method", "base"]
+    for args in [
+        ["metrics", "--in", front, "--out", f"{out}/metrics.csv"],
+        ["compare", "--front", front, "--refs", refs, "--out", f"{out}/report.csv"],
+        ["report", "--in", f"{out}/report.csv", "--out", f"{out}/report.md"],
+        ["fbeta-plot", *pair, "--out", f"{out}/fbeta"],
+        ["region-plot", *pair, *region, "--out", f"{out}/region"],
+        ["isocurves", "--metric", "f1", "--levels", "0.5", "--out", f"{out}/iso.svg"],
+        ["datasets", "--in", table, "--out", f"{out}/datasets.md"],
+    ]:
+        assert run(args) == 0, args
+    front_records, ref_records = parse_records(front, "counts"), parse_records(refs, "counts")
+    ingest_report.emit_records(front_records, f"{out}/emitted.csv")
+    report = aggregate(front_records, ref_records, ["ED", "HV"])
+    ingest_report.render_report(report, "markdown", f"{out}/library.md")
+
+
+def _tree(root):
+    """(path relative to root, path) of everything under root, sorted."""
+    return sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*"))
+
+
+class TestCreationRule:
+    """Every output is created the way open() creates a file, 0o666 less the umask,
+    and each figure directory 0o777 less the umask. The umask is per process, so a
+    child process writes the outputs."""
+
+    DIRECTORIES = ("fbeta", "region")
+    OUTPUTS = (
+        "datasets.md", "emitted.csv", "fbeta", "fbeta/ds1_fbeta.svg", "iso.svg", "library.md",
+        "metrics.csv", "region", "region/ds1_region-dominance.svg", "report.csv", "report.md",
+    )
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_follow_the_umask(self, workdir, umask):
+        child = workdir / "child"
+        child.mkdir()
+        (child / "metrics.csv").write_text("replaced\n", encoding="utf-8")
+        os.chmod(child / "metrics.csv", 0o600)
+        script = (
+            f"import os, sys; os.umask({umask}); "
+            "import test_cli; test_cli._write_every_output(*sys.argv[1:])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
+        command = [sys.executable, "-c", script, str(workdir), str(child)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        modes = {name: oct(stat.S_IMODE(path.stat().st_mode)) for name, path in _tree(child)}
+        assert modes == {
+            name: oct((0o777 if name in self.DIRECTORIES else 0o666) & ~umask)
+            for name in self.OUTPUTS
+        }
+        # the child writes the bytes that this process writes
+        (workdir / "here").mkdir()
+        _write_every_output(workdir, workdir / "here")
+        child_files, here_files = (
+            [(name, path.read_bytes()) for name, path in _tree(root) if path.is_file()]
+            for root in (child, workdir / "here")
+        )
+        assert child_files == here_files
+
+    @pytest.mark.parametrize("where", ["missing", "front.csv"], ids=["missing", "not-a-directory"])
+    def test_a_temp_file_that_cannot_be_opened_is_named_by_out(self, workdir, capsys, where):
+        before = sorted(os.listdir(workdir))
+        out = workdir / where / "metrics.csv"
+        assert run(["metrics", "--in", str(workdir / "front.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: '{re.escape(str(out))}'\n", err)
+        assert sorted(os.listdir(workdir)) == before
+
+    def test_a_taken_temp_name_is_neither_written_nor_removed(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".tmp-{'00' * 8}~"
+        taken.write_text("another writer's\n", encoding="utf-8")
+        monkeypatch.setattr(_io.os, "urandom", lambda n: bytes(n))
+        out = tmp_path / "out.txt"
+        with pytest.raises(FileExistsError) as err:
+            _io.atomic_write_text(str(out), "text\n")
+        assert err.value.filename == str(out)
+        assert taken.read_text(encoding="utf-8") == "another writer's\n"
+        assert not out.exists()
+
+    def test_each_write_takes_a_fresh_random_temp_name(self, tmp_path, monkeypatch):
+        names = []
+
+        def replace(src, dst):
+            names.append(os.path.relpath(src, tmp_path))
+            os.rename(src, dst)
+
+        monkeypatch.setattr(_io.os, "replace", replace)
+        for _ in range(3):
+            _io.atomic_write_text(str(tmp_path / "out.txt"), "text\n")
+        assert all(re.fullmatch(r"\.tmp-[0-9a-f]{16}~", name) for name in names)
+        assert len(set(names)) == 3
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 # (option strings, dest, required, default, choices) of each subcommand's flags

@@ -511,8 +511,9 @@ class TestRenderReport:
         assert not out.exists()
 
     def test_markdown_names_the_first_overflow_by_indicator_then_insertion(self, tmp_path):
+        # only HV cells are scaled, so the SDR cell inserted first renders
         cells = {
-            ("SDR", "a", "a"): ReportCell(float("inf"), 0.0, 1),
+            ("SDR", "a", "a"): ReportCell(1e307, 0.0, 1),
             ("HV", "r", "b"): ReportCell(1e307, 0.0, 1),
             ("HV", "q", "a"): ReportCell(1e307, 0.0, 1),
         }
@@ -536,3 +537,19 @@ class TestRenderReport:
             ReportCell(0.5, -0.1, 2)
         with pytest.raises(ValueError, match="fold_count"):
             ReportCell(0.5, 0.1, 0)
+
+    @pytest.mark.parametrize(
+        "mean, std, message",
+        [
+            (float("nan"), 0.0, "mean must be finite, got nan"),
+            (float("inf"), float("nan"), "mean must be finite, got inf"),
+            (-float("inf"), 0.0, "mean must be finite, got -inf"),
+            (0.5, float("nan"), "std must be finite, got nan"),
+            (0.5, float("inf"), "std must be finite, got inf"),
+        ],
+    )
+    def test_a_cell_that_is_not_finite_is_refused(self, mean, std, message):
+        # render_report would write such a cell as 'nan', which read_report_csv rejects
+        with pytest.raises(ValueError) as err:
+            ReportCell(mean, std, 2)
+        assert str(err.value) == message
