@@ -7,7 +7,10 @@ FRAME_HEIGHT (RIGHT and BOTTOM derived), with room for a legend on the right.
 Styles are fixed: curves are polylines of stroke width 2, markers circles of
 radius 4, and labels 12-unit sans-serif text. Element methods fill one
 %-template per element, every coordinate, width and opacity a ``%.2f``
-argument, so identical inputs yield byte-identical markup.
+argument, so identical inputs yield byte-identical markup. A polyline's
+points come in two steps: ``x_template`` formats the x pixels once into a
+template with a ``%.2f`` slot for each y, which every curve over the same
+x grid shares, and ``polyline`` fills it with one curve's y pixels.
 """
 
 from __future__ import annotations
@@ -114,12 +117,17 @@ class SvgDoc:
             % (x1, y1, x2, y2, stroke, width, DASH if dashed else "")
         )
 
-    def polyline(self, xy: np.ndarray, stroke: str, dashed: bool = False) -> None:
-        """One polyline of width 2 through the rows of an (n, 2) float array."""
-        coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    @staticmethod
+    def x_template(x: np.ndarray) -> str:
+        """A polyline's points over the x pixels: each x formatted, each y a
+        ``%.2f`` slot, so curves over one x grid format their x once."""
+        return " ".join(["%.2f,%%.2f"] * len(x)) % tuple(x.tolist())
+
+    def polyline(self, x_template: str, y: np.ndarray, stroke: str, dashed: bool = False) -> None:
+        """One polyline of width 2 through the y pixels over an ``x_template``'s x."""
         self._parts.append(
             '<polyline fill="none" stroke="%s" stroke-width="2.00"%s points="%s"/>'
-            % (stroke, DASH if dashed else "", coords)
+            % (stroke, DASH if dashed else "", x_template % tuple(y.tolist()))
         )
 
     def circles(self, xy: np.ndarray, fills: Sequence[str]) -> None:

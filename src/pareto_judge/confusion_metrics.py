@@ -122,11 +122,27 @@ def _metrics(tp, fn, fp, tn, b2) -> tuple[list, list]:
     return [t, n, p, (t + n) / 2.0, sqrt(t * n), f], [*defined, both, both, f_den != 0.0]
 
 
+def _squares(betas: Sequence[float]) -> np.ndarray:
+    """The squares of the betas as one float64 array; raises ``_squared``'s
+    ValueError for the first beta that is not finite and positive, or whose
+    square overflows."""
+    try:
+        b = np.fromiter(map(float, betas), np.float64, len(betas))
+        with np.errstate(over="ignore"):
+            square = b * b
+        if ((b > 0.0) & (square < math.inf)).all():  # NaN fails both comparisons
+            return square
+    except (TypeError, ValueError, OverflowError):
+        pass  # float() refused a beta
+    # one beta at a time raises at the first bad beta
+    return np.array([_squared(float(b)) for b in betas], dtype=np.float64)
+
+
 def metric_table(counts: np.ndarray, betas: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Every metric of each (tp, fn, fp, tn) row, as (n, 5 + len(betas)) values and
     flags: TPR, TNR, PPV, BAC, G-mean, then F-beta at each beta, which must be
     finite and positive, with a finite square."""
-    b2 = np.array([_squared(float(b)) for b in betas], dtype=np.float64)[:, None]
+    b2 = _squares(betas)[:, None]
     # built one row per metric (F-beta one row per beta), returned transposed
     values, defined = _metrics(*counts.T, b2)
     return np.vstack(values).T, np.vstack(defined).T
@@ -191,11 +207,14 @@ def _check_row(row: Sequence[int]) -> None:
         raise ValueError(f"counts sum to {total}, above the limit 2**53")
 
 
-def _bad_count_rows(counts: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (n, 4) integer array that fail ``_check_row``."""
-    # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
-    bad = ((counts < 0) | (counts > COUNTS_LIMIT)).any(axis=1)
-    totals = counts.sum(axis=1)
+def _bad_count_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the rows of the four integer count columns that fail ``_check_row``."""
+    bad = np.zeros(len(columns[0]), np.bool_)
+    totals = np.zeros(len(columns[0]), np.int64)
+    for column in columns:
+        # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
+        bad |= (column < 0) | (column > COUNTS_LIMIT)
+        totals += column.astype(np.int64, copy=False)
     return bad | (totals > COUNTS_LIMIT) | (totals == 0)
 
 
@@ -204,7 +223,7 @@ def check_counts(counts: np.ndarray) -> None:
     each pass ``_check_row``; the message names the first bad row."""
     if counts.dtype.kind not in "iu" or counts.shape[1:] != (4,):
         raise ValueError(f"counts must be an (n, 4) int array, got {counts.dtype} {counts.shape}")
-    bad = _bad_count_rows(counts)
+    bad = _bad_count_rows(counts.T)
     if bad.any():
         _check_row(counts[bad.argmax()].tolist())
 

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import _svg
 from ._io import atomic_write_text
-from ._kernels import _strictly_above
+from ._kernels import _exceeded, _strictly_above
 from .confusion_metrics import (
     DEFAULT_BETA_COUNT,
     DEFAULT_BETA_MAX,
     DEFAULT_BETA_MIN,
     ISOCURVE_METRICS,
     ConfusionMatrix,
-    _squared,
+    _squares,
     check_counts,
     counts_array,
     metric_table,
@@ -73,6 +73,11 @@ BETA_COUNT_LIMIT = 10_000
 
 _ISOCURVE_SAMPLES = 257
 
+# a member of an F-beta envelope whose TPR and PPV another member's both
+# exceed by this relative margin never wins: rounding moves a score by a few
+# units in the last place, about 1e-16 relative
+_ENVELOPE_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class BetaGrid:
@@ -84,8 +89,7 @@ class BetaGrid:
         betas = tuple(float(b) for b in self.betas)
         if not betas:
             raise ValueError("beta grid must not be empty")
-        for b in betas:
-            _squared(b)  # finite and positive, with a finite square
+        _squares(betas)  # finite and positive, with a finite square
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta grid must be strictly increasing")
         object.__setattr__(self, "betas", betas)
@@ -177,13 +181,24 @@ def fbeta_envelope(
 
     Members are confusion matrices, or an (n, 4) array of (tp, fn, fp, tn)
     rows that passes ``check_counts``.
+
+    Only candidates are swept: a member is dropped when another member's
+    TPR and PPV both exceed its own times ``1 + _ENVELOPE_MARGIN``. F-beta
+    is homogeneous and increasing in (TPR, PPV), so the other member scores
+    higher at every beta by far more than rounding can move either score,
+    and a member with tp = 0 stays only when every member has tp = 0. Each
+    row is swept on its own, so the candidates' values are those of a full
+    sweep, and every member that ties for the best value is a candidate:
+    the lowest index still wins ties.
     """
     if not len(front_matrices):
         raise ValueError("envelope needs at least one member matrix")
     if not isinstance(front_matrices, np.ndarray):
         front_matrices = counts_array(front_matrices)
     check_counts(front_matrices)
-    values, defined = (a[:, 5:] for a in metric_table(front_matrices, grid.betas))
+    rates = metric_table(front_matrices)[0][:, [0, 2]]  # TPR, PPV
+    rows = np.flatnonzero(~_exceeded(rates, rates * (1.0 + _ENVELOPE_MARGIN)))
+    values, defined = (a[:, 5:] for a in metric_table(front_matrices[rows], grid.betas))
     winners = np.argmax(values, axis=0)  # first occurrence wins ties
     columns = np.arange(len(grid))
     return FbetaCurve(
@@ -191,7 +206,7 @@ def fbeta_envelope(
         betas=grid.betas,
         values=tuple(values[winners, columns].tolist()),
         defined=tuple(defined[winners, columns].tolist()),
-        argmax=tuple(winners.tolist()),
+        argmax=tuple(rows[winners].tolist()),
     )
 
 
@@ -242,12 +257,12 @@ def render_fbeta_plot(curves: list[FbetaCurve] | tuple[FbetaCurve, ...], out: st
     ]
     doc.draw_frame(decade_ticks, y_ticks)
     # math.log10 per beta: np.log10 may differ from it in the last bit
-    x = doc.x_px(np.array([math.log10(b) for b in betas]))
+    x = doc.x_template(doc.x_px(np.array([math.log10(b) for b in betas])))
     ys = doc.y_px(np.array([curve.values for curve in curves]))
     legend = []
     for i, (curve, y) in enumerate(zip(curves, ys)):
         color = _svg.PALETTE[i % len(_svg.PALETTE)]
-        doc.polyline(np.column_stack((x, y)), color, dashed=curve.is_envelope)
+        doc.polyline(x, y, color, dashed=curve.is_envelope)
         legend.append((curve.method_label, color, curve.is_envelope))
     doc.draw_legend(legend)
     atomic_write_text(out, doc.tostring())
@@ -367,7 +382,7 @@ def render_isocurves(metric: str, levels: list[float] | tuple[float, ...], out: 
         # y = 1 at the domain start by definition; f1 evaluated there cancels
         # in 2x - level, to zero for levels below the float epsilon
         ys = np.minimum(1.0, np.append(1.0, isocurve_y(metric, level, xs[1:])))
-        doc.polyline(np.column_stack((doc.x_px(xs), doc.y_px(ys))), color)
+        doc.polyline(doc.x_template(doc.x_px(xs)), doc.y_px(ys), color)
         legend.append((f"{label} = {level:g}", color, False))
     doc.draw_legend(legend)
     atomic_write_text(out, doc.tostring())

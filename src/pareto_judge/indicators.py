@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _strictly_above, nondominated_mask
-from .objective_space import ObjectivePoint, SolutionSet
+from .objective_space import ObjectivePoint, SolutionSet, _positive_int, _real
 
 __all__ = [
     "INDICATOR_NAMES",
@@ -45,10 +45,16 @@ class IndicatorResult:
     def __post_init__(self) -> None:
         if self.name not in INDICATOR_NAMES:
             raise ValueError(f"unknown indicator {self.name!r}")
-        if self.value < 0.0:
-            raise ValueError(f"indicator value must be non-negative, got {self.value}")
-        if self.name in ("SDR", "NDR") and self.value > 1.0:
-            raise ValueError(f"{self.name} must lie in [0, 1], got {self.value}")
+        value = _real("value", self.value)
+        if value < 0.0:
+            raise ValueError(f"indicator value must be non-negative, got {value}")
+        if self.name in ("SDR", "NDR") and value > 1.0:
+            raise ValueError(f"{self.name} must lie in [0, 1], got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"indicator value must be finite, got {value!r}")
+        object.__setattr__(self, "value", value)
+        for name in ("front_size", "reference_size"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
 
 
 def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:

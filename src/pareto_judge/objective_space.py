@@ -8,6 +8,7 @@ epsilon, so duplicate and tied coordinates never dominate each other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,6 +17,31 @@ import numpy as np
 from . import _kernels
 
 __all__ = ["ObjectivePoint", "SolutionSet", "strictly_dominates", "front_rows", "pareto_front"]
+
+
+def _real(name: str, value: object) -> float:
+    """The value as a float; ValueError naming the field unless it is a real
+    number that float holds, and no bool."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def _positive_int(name: str, value: object) -> int:
+    """The value as an int; ValueError naming the field unless it is an
+    integer of at least 1, and no bool."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

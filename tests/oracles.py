@@ -159,6 +159,24 @@ def loop_metrics(tp: int, fn: int, fp: int, tn: int, betas=()) -> list[tuple[flo
     return values
 
 
+def loop_envelope(rows, betas) -> list[tuple[float, bool, int]]:
+    """(value, defined, winner) of the F-beta envelope of the (tp, fn, fp, tn)
+    rows at each beta: a sweep of every member through ``loop_metrics``, the
+    lowest index winning ties.
+
+    Not independent of the package, as ``loop_metrics`` is not: this is the
+    full sweep that ``fbeta_envelope`` ran before it swept candidates only,
+    kept so that the candidate sweep can be checked against it with ``==``.
+    """
+    curves = [loop_metrics(*row, betas)[5:] for row in rows]
+    envelope = []
+    for j in range(len(betas)):
+        best = max(curve[j][0] for curve in curves)
+        winner = next(i for i, curve in enumerate(curves) if curve[j][0] == best)
+        envelope.append((best, curves[winner][j][1], winner))
+    return envelope
+
+
 def loop_compare(front_lines, ref_lines, indicators, filter_front: bool, negate=()) -> list[tuple]:
     """The report rows of ``pareto-judge compare`` on two files given as lines.
 

@@ -539,6 +539,34 @@ class TestRenderReport:
             ReportCell(0.5, 0.1, 0)
 
     @pytest.mark.parametrize(
+        "mean, std, fold_count, message",
+        [
+            (0.5, 0.1, 2.5, "fold_count must be an int, got 2.5"),
+            (0.5, 0.1, True, "fold_count must be an int, got True"),
+            (0.5, 0.1, "2", "fold_count must be an int, got '2'"),
+            (0.5, 0.1, -3, "fold_count must be at least 1, got -3"),
+            ("0.5", 0.1, 1, "mean must be a real number, got '0.5'"),
+            (0.5, None, 1, "std must be a real number, got None"),
+            (False, 0.1, 1, "mean must be a real number, got False"),
+            (0.5, 10**400, 1, f"std must be finite, got {10**400!r}"),
+        ],
+    )
+    def test_a_field_the_report_cannot_hold_is_refused(self, mean, std, fold_count, message):
+        # before, 2.5 and True were written as fold counts that read_report_csv
+        # rejects, and a str mean raised TypeError
+        with pytest.raises(ValueError) as err:
+            ReportCell(mean, std, fold_count)
+        assert str(err.value) == message
+
+    def test_numpy_numbers_are_held_as_python_numbers(self, tmp_path):
+        cell = ReportCell(np.float64(0.25), np.float32(0.5), np.int64(3))
+        assert (type(cell.mean), type(cell.std), type(cell.fold_count)) == (float, float, int)
+        assert cell == ReportCell(0.25, 0.5, 3)
+        out = str(tmp_path / "r.csv")
+        render_report(ComparisonReport("m", {("HV", "r", "d"): cell}), "csv", out)
+        assert read_report_csv(out).cells == {("HV", "r", "d"): cell}
+
+    @pytest.mark.parametrize(
         "mean, std, message",
         [
             (float("nan"), 0.0, "mean must be finite, got nan"),
