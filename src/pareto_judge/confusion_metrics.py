@@ -13,12 +13,12 @@ bit-equal to ``metric_table``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import COUNT_NAMES, COUNTS_LIMIT, bad_count_rows, count_row
 from .objective_space import ObjectivePoint
 
 __all__ = [
@@ -41,12 +41,6 @@ __all__ = [
     "ISOCURVE_METRICS",
 ]
 
-# Largest total of one matrix's counts. Up to 2**53 every count and every sum
-# of counts is an exact float64, so each rate is the correctly rounded quotient.
-COUNTS_LIMIT = 2**53
-INT_LIMIT = 2**63  # file integers stay below it, matrix counts within ±it: both fit int64
-COUNT_NAMES = ("tp", "fn", "fp", "tn")
-
 # the default F-beta sweep: this many log-uniform betas from the min to the max
 DEFAULT_BETA_MIN, DEFAULT_BETA_MAX, DEFAULT_BETA_COUNT = 0.1, 10.0, 201
 # the aggregates of two rates whose level sets the isocurve figure draws
@@ -63,16 +57,9 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self) -> None:
-        row = (self.tp, self.fn, self.fp, self.tn)
-        for name, count in zip(COUNT_NAMES, row):
-            if type(count) is not int:
-                if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {count!r}")
-                object.__setattr__(self, name, int(count))
-            if not -INT_LIMIT <= count < INT_LIMIT:
-                raise ValueError(f"{name} must fit int64, got {count}")
-        # Python ints: an int64 sum of numpy counts could wrap
-        _check_row((self.tp, self.fn, self.fp, self.tn))
+        # held as Python ints, so that a sum of numpy counts cannot wrap
+        for name, count in zip(COUNT_NAMES, count_row((self.tp, self.fn, self.fp, self.tn))):
+            object.__setattr__(self, name, count)
 
 
 @dataclass(frozen=True)
@@ -194,38 +181,14 @@ def objective_point_of(m: ConfusionMatrix) -> ObjectivePoint:
     return ObjectivePoint((values[0], values[1]))
 
 
-def _check_row(row: Sequence[int]) -> None:
-    """Raise ValueError unless the (tp, fn, fp, tn) counts are non-negative,
-    not all 0, and sum to at most 2**53."""
-    for name, count in zip(COUNT_NAMES, row):
-        if count < 0:
-            raise ValueError(f"{name} must be non-negative, got {count}")
-    total = sum(row)
-    if total == 0:
-        raise ValueError("confusion matrix must contain at least one outcome")
-    if total > COUNTS_LIMIT:
-        raise ValueError(f"counts sum to {total}, above the limit 2**53")
-
-
-def _bad_count_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Mask of the rows of the four integer count columns that fail ``_check_row``."""
-    bad = np.zeros(len(columns[0]), np.bool_)
-    totals = np.zeros(len(columns[0]), np.int64)
-    for column in columns:
-        # a count above the limit flags its row by itself, so an int64 sum that wraps cannot hide it
-        bad |= (column < 0) | (column > COUNTS_LIMIT)
-        totals += column.astype(np.int64, copy=False)
-    return bad | (totals > COUNTS_LIMIT) | (totals == 0)
-
-
 def check_counts(counts: np.ndarray) -> None:
     """Raise ValueError unless counts is an (n, 4) integer array whose rows
-    each pass ``_check_row``; the message names the first bad row."""
+    each pass ``count_row``; the message names the first bad row."""
     if counts.dtype.kind not in "iu" or counts.shape[1:] != (4,):
         raise ValueError(f"counts must be an (n, 4) int array, got {counts.dtype} {counts.shape}")
-    bad = _bad_count_rows(counts.T)
+    bad = bad_count_rows(counts.T)
     if bad.any():
-        _check_row(counts[bad.argmax()].tolist())
+        count_row(counts[bad.argmax()].tolist())
 
 
 def counts_array(matrices: Sequence[ConfusionMatrix]) -> np.ndarray:

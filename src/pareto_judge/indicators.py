@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _strictly_above, nondominated_mask
-from .objective_space import ObjectivePoint, SolutionSet, _positive_int, _real
+from ._fields import INDICATOR_NAMES, finite_real, indicator, unsigned
+from .objective_space import ObjectivePoint, SolutionSet
 
 __all__ = [
     "INDICATOR_NAMES",
@@ -28,7 +29,6 @@ __all__ = [
     "evaluate_indicator",
 ]
 
-INDICATOR_NAMES = ("ED", "GD", "HV", "SDR", "NDR")
 # what a region figure shades: the HV boxes, or the SDR and NDR regions
 REGION_MODES = ("hypervolume", "dominance")
 
@@ -43,18 +43,15 @@ class IndicatorResult:
     reference_size: int
 
     def __post_init__(self) -> None:
-        if self.name not in INDICATOR_NAMES:
-            raise ValueError(f"unknown indicator {self.name!r}")
-        value = _real("value", self.value)
+        indicator("name", self.name)
+        value = finite_real("value", self.value)
         if value < 0.0:
             raise ValueError(f"indicator value must be non-negative, got {value}")
         if self.name in ("SDR", "NDR") and value > 1.0:
             raise ValueError(f"{self.name} must lie in [0, 1], got {value}")
-        if not math.isfinite(value):
-            raise ValueError(f"indicator value must be finite, got {value!r}")
         object.__setattr__(self, "value", value)
         for name in ("front_size", "reference_size"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
+            object.__setattr__(self, name, unsigned(name, getattr(self, name), 1))
 
 
 def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:

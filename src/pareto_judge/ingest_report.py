@@ -15,8 +15,10 @@ four counts of a row sum to at most 2**53; number fields match
 Every file is read whole (``_read_file``), and one row reader
 (``_body_rows``) holds the line checks of all four schemas, each given as
 its (column name, check) pairs; ``_record_columns`` gives those of results
-files. It reads the datasets and report files line by line. Counts and
-objectives bodies are read once into numpy columns (``_body_table``): the
+files. Each check is a field rule of ``_fields`` after its column's text
+grammar; the constructors run the same rules. It reads the datasets and
+report files line by line into ``DatasetInfo`` and ``ReportCell`` rows.
+Counts and objectives bodies are read once into numpy columns (``_body_table``): the
 comma and LF positions give each line's field count and each field's bytes,
 and each column reader returns a mask of the fields that fail its grammar
 (identifier and integer bytes, and numbers through a byte automaton); then
@@ -29,7 +31,9 @@ alone, so an error costs about one read and names its ``file:line``.
 Records and table columns convert in one place, ``_record_fields``, for
 ``RecordTable.from_records``, iteration and equality and ``emit_records``;
 it decodes a table's keys through ``_key_columns``, which the metrics table
-reads alone.
+reads alone. Each record checked its own fields, so ``from_records`` checks
+only what spans records, and a table's records are made from its checked
+columns without running the rules again.
 """
 
 from __future__ import annotations
@@ -44,18 +48,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._io import atomic_write_text
-from .confusion_metrics import (
-    COUNT_NAMES,
-    INT_LIMIT,
-    ConfusionMatrix,
-    _bad_count_rows,
-    _check_row,
-    metric_table,
-    objective_point_of,
+from ._fields import (
+    COUNT_NAMES, IDENT_BYTES, INDICATOR_NAMES, INT_LIMIT, bad_count_rows, count_row,
+    finite_real, identifier, indicator, unsigned,
 )
-from .indicators import INDICATOR_NAMES, _block_indicators
-from .objective_space import ObjectivePoint, _positive_int, _real, front_rows
+from ._io import atomic_write_text
+from .confusion_metrics import ConfusionMatrix, metric_table, objective_point_of
+from .indicators import _block_indicators
+from .objective_space import ObjectivePoint, front_rows
 
 __all__ = [
     "ParseError",
@@ -90,19 +90,11 @@ POOLED_REFERENCE_LABEL = "pooled"
 PAYLOAD_KINDS = ("counts", "objectives")
 REPORT_FORMATS = ("csv", "markdown")
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
-_UINT_RE = re.compile(r"[0-9]+\Z")
+# the integer and number grammars, with the rejected forms that reach the
+# field rules for their messages: a negative integer, an infinity or a NaN
+_INT_RE = re.compile(r"[0-9]+\Z|-0*[1-9][0-9]*\Z")
 _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\Z")
-# rejected forms that still get a specific message
-_NEGATIVE_RE = re.compile(r"-[0-9]+\Z")
 _NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
-
-
-def _check_names(what: str, names: Iterable) -> None:
-    """ValueError naming the first of the names that is no identifier string."""
-    for name in names:
-        if not (isinstance(name, str) and _IDENT_RE.match(name)):
-            raise ValueError(f"{what} must match [A-Za-z0-9_-]+, got {name!r}")
 
 
 class ParseError(ValueError):
@@ -123,6 +115,16 @@ class ExperimentRecord:
     fold: int
     solution_id: int
     payload: ConfusionMatrix | ObjectivePoint
+
+    def __post_init__(self) -> None:
+        identifier("dataset", self.dataset)
+        identifier("method", self.method)
+        for name in ("fold", "solution_id"):
+            object.__setattr__(self, name, unsigned(name, getattr(self, name)))
+        if not isinstance(self.payload, (ConfusionMatrix, ObjectivePoint)):
+            raise ValueError(
+                f"payload must be a ConfusionMatrix or an ObjectivePoint, got {self.payload!r}"
+            )
 
     @property
     def key(self) -> tuple[str, str, int, int]:
@@ -181,10 +183,8 @@ class RecordTable(Sequence):
         """The records as a table; a table is returned as it is.
 
         Raises ValueError when the records mix confusion counts and objective
-        points or objective dimensionalities, when a fold or solution_id is not
-        an int in [0, 2**63), when a dataset or method name does not match
-        ``[A-Za-z0-9_-]+``, or when a (dataset, method, fold, solution_id) key
-        repeats.
+        points or objective dimensionalities, or when a (dataset, method,
+        fold, solution_id) key repeats; each record checked its own fields.
         """
         if isinstance(records, RecordTable):
             return records
@@ -193,14 +193,7 @@ class RecordTable(Sequence):
         dims = sorted({len(row) for row in values}) or [4]  # no records make a counts table
         if len(dims) > 1:
             raise ValueError(f"records mix dimensionalities: {dims}")
-        for name, column in (("fold", folds), ("solution_id", solution_ids)):
-            for value in column:
-                if type(value) is not int or not 0 <= value < INT_LIMIT:
-                    raise ValueError(f"{name} must be an int in [0, 2**63), got {value!r}")
         values = np.array(values, np.float64 if objectives else np.int64)
-        # distinct names in record order: a name that is no str fails here, not in a sort
-        _check_names("dataset name", dict.fromkeys(datasets))
-        _check_names("method name", dict.fromkeys(methods))
         table = _table(datasets, methods, folds, solution_ids, values.reshape(-1, dims[0]))
         row = _first_repeat([table.dataset, table.method, table.fold, table.solution_id])
         if row < len(table):
@@ -239,10 +232,13 @@ class RecordTable(Sequence):
         return len(self.fold)
 
     def __iter__(self):
+        # the columns were checked when the table was read or built, so the
+        # records are made from them without each field's rule running again
         counts = self.is_counts
         _, *keys, values = _record_fields(self)
         for *key, row in zip(*keys, values):
-            yield ExperimentRecord(*key, ConfusionMatrix(*row) if counts else ObjectivePoint(row))
+            payload = _held(ConfusionMatrix, *row) if counts else _held(ObjectivePoint, row)
+            yield _held(ExperimentRecord, *key, payload)
 
     def __getitem__(self, index):
         rows = np.arange(len(self))[index]
@@ -260,6 +256,13 @@ class RecordTable(Sequence):
             and (isinstance(other, RecordTable) or all(type(r) is ExperimentRecord for r in other))
             and _record_fields(self) == _record_fields(other)
         )
+
+
+def _held(cls: type, *values):
+    """The frozen dataclass cls holding the values, in field order, without its checks."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return instance
 
 
 def _record_fields(records: Iterable[ExperimentRecord]) -> tuple:
@@ -324,11 +327,9 @@ class DatasetInfo:
     n_minority: int
 
     def __post_init__(self) -> None:
-        _check_names("dataset name", [self.name])
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be positive, got {self.n_features}")
-        if self.n_minority < 1:
-            raise ValueError(f"n_minority must be positive, got {self.n_minority}")
+        identifier("name", self.name)
+        for name, low in (("n_features", 1), ("n_samples", 0), ("n_minority", 1)):
+            object.__setattr__(self, name, unsigned(name, getattr(self, name), low))
         if 2 * self.n_minority > self.n_samples:
             raise ValueError(
                 f"minority class of {self.name!r} exceeds half the samples "
@@ -341,33 +342,16 @@ def imbalance_ratio(d: DatasetInfo) -> float:
     return (d.n_samples - d.n_minority) / d.n_minority
 
 
-def _check_ident(value: str, path: str, line: int, column: str) -> str:
-    if not _IDENT_RE.match(value):
-        raise ParseError(path, line, f"column {column}: invalid identifier {value!r}")
-    return value
+def _check_int(name: str, text: str) -> int:
+    if not _INT_RE.match(text):
+        raise ValueError(f"{name} expected an integer, got {text!r}")
+    return unsigned(name, int(text))
 
 
-def _check_int(value: str, path: str, line: int, column: str) -> int:
-    if not _UINT_RE.match(value):
-        if _NEGATIVE_RE.match(value) and int(value) < 0:
-            raise ParseError(
-                path, line, f"column {column}: must be non-negative, got {int(value)}"
-            )
-        raise ParseError(path, line, f"column {column}: expected an integer, got {value!r}")
-    parsed = int(value)
-    if parsed >= INT_LIMIT:
-        raise ParseError(path, line, f"column {column}: must be below 2**63, got {parsed}")
-    return parsed
-
-
-def _check_float(value: str, path: str, line: int, column: str) -> float:
-    if _NUMBER_RE.match(value):
-        parsed = float(value)
-        if math.isfinite(parsed):
-            return parsed
-    elif not _NON_FINITE_RE.match(value):
-        raise ParseError(path, line, f"column {column}: expected a number, got {value!r}")
-    raise ParseError(path, line, f"column {column}: must be finite, got {value!r}")
+def _check_float(name: str, text: str) -> float:
+    if not (_NUMBER_RE.match(text) or _NON_FINITE_RE.match(text)):
+        raise ValueError(f"{name} expected a number, got {text!r}")
+    return finite_real(name, float(text), text)
 
 
 def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
@@ -401,16 +385,11 @@ def _read_file(path: str) -> tuple[tuple[str, ...], bytes]:
     return _split_line(first, path, 1), body
 
 
-def _check_indicator(value: str, path: str, line: int, column: str) -> str:
-    if value not in INDICATOR_NAMES:
-        raise ParseError(path, line, f"column {column}: unknown indicator {value!r}")
-    return value
-
-
-_COUNTS_COLUMNS = tuple(zip(COUNTS_HEADER, (_check_ident, _check_ident, *[_check_int] * 6)))
-_DATASET_COLUMNS = tuple(zip(DATASETS_HEADER, (_check_ident, *[_check_int] * 3)))
+# each column's check takes the name "column <name>:" and the field's text
+_COUNTS_COLUMNS = tuple(zip(COUNTS_HEADER, (identifier, identifier, *[_check_int] * 6)))
+_DATASET_COLUMNS = tuple(zip(DATASETS_HEADER, (identifier, *[_check_int] * 3)))
 _REPORT_COLUMNS = tuple(
-    zip(REPORT_HEADER, (_check_indicator, *[_check_ident] * 2, *[_check_float] * 2, _check_int))
+    zip(REPORT_HEADER, (indicator, *[identifier] * 2, *[_check_float] * 2, _check_int))
 )
 
 
@@ -424,7 +403,7 @@ def _body_rows(
 
     A line's first key_width columns are checked first, then its key against
     ``seen`` and the earlier lines (a repeat is a duplicate ``what``), then
-    its other columns. A ValueError from make_row is an error of that line.
+    its other columns, then make_row. A ValueError of any is an error of that line.
     """
     lines = body.split(b"\n")
     if lines[-1] == b"":
@@ -435,16 +414,15 @@ def _body_rows(
         fields = _split_line(raw, path, line)
         if len(fields) != len(columns):
             raise ParseError(path, line, f"expected {len(columns)} fields, got {len(fields)}")
-        checks = (check(text, path, line, name) for text, (name, check) in zip(fields, columns))
-        key = tuple(itertools.islice(checks, key_width))
-        if key in seen:
-            raise ParseError(path, line, f"duplicate {what} {key if key_width > 1 else key[0]!r}")
-        seen.add(key)
-        values = [*key, *checks]
+        checks = (check(f"column {name}:", text) for text, (name, check) in zip(fields, columns))
         try:
-            rows.append(make_row(values))
+            key = tuple(itertools.islice(checks, key_width))
+            if key in seen:
+                raise ValueError(f"duplicate {what} {key if key_width > 1 else key[0]!r}")
+            seen.add(key)
+            rows.append(make_row([*key, *checks]))
         except ValueError as exc:
-            raise ParseError(path, line, str(exc))
+            raise ParseError(path, line, str(exc)) from None
     return rows
 
 
@@ -456,14 +434,11 @@ def _record_columns(counts: bool, dim: int) -> tuple[tuple[str, Callable], ...]:
 
 
 def _counts_row(values: list) -> list:
-    _check_row(values[4:])
+    count_row(values[4:])
     return values
 
 
 _COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
-# the bytes of [A-Za-z0-9_-], as a lookup table over byte values
-_IDENT_BYTES = np.zeros(256, dtype=np.bool_)
-_IDENT_BYTES[list(b"-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")] = True
 _UINT_DIGITS = 19  # the most decimal digits that always fit uint64
 _ACCEPT, _REJECT = 8, 9  # the last states of the number automaton
 
@@ -516,7 +491,7 @@ def _ident_column(
         data = buf.data
         fields = [data[a:b].tobytes() for a, b in zip(starts.tolist(), ends.tolist())]
         names, codes = _factorize(fields)
-        bad_names = [not _IDENT_BYTES.take(np.frombuffer(name, np.uint8)).all() for name in names]
+        bad_names = [not IDENT_BYTES.take(np.frombuffer(name, np.uint8)).all() for name in names]
         bad = np.array(bad_names, np.bool_)[codes] | (widths < 1)
     else:
         window = np.zeros((len(widths), longest), np.uint8)
@@ -529,7 +504,7 @@ def _ident_column(
         # the zero padding is no identifier byte, so a field is one exactly
         # when its row holds its width of identifier bytes, and every field
         # is when the whole window holds the summed widths
-        ident = _IDENT_BYTES.take(window)
+        ident = IDENT_BYTES.take(window)
         whole = np.count_nonzero(ident) == widths.sum()
         held = widths if whole else np.count_nonzero(ident, axis=1)
         bad = (held != widths) | (widths < 1)
@@ -673,7 +648,7 @@ def _body_table(body: bytes, path: str, payload_kind: str, dim: int) -> RecordTa
     bad = bad | bad_method | bad_fold | bad_id
     if counts:
         columns, masks = zip(*(_uint_column(buf, *field) for field in fields))
-        first = _first(np.logical_or.reduce([bad, *masks, _bad_count_rows(columns)]))
+        first = _first(np.logical_or.reduce([bad, *masks, bad_count_rows(columns)]))
         values = np.stack(columns, axis=1)
     else:  # the number fields column after column, through one run of the automaton
         starts, ends = map(np.concatenate, zip(*fields))
@@ -809,15 +784,12 @@ class ReportCell:
     fold_count: int
 
     def __post_init__(self) -> None:
-        mean, std = _real("mean", self.mean), _real("std", self.std)
+        mean, std = finite_real("mean", self.mean), finite_real("std", self.std)
         if std < 0.0:
             raise ValueError(f"standard deviation must be non-negative, got {std}")
-        for name, value in (("mean", mean), ("std", std)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
-        object.__setattr__(self, "fold_count", _positive_int("fold_count", self.fold_count))
+        object.__setattr__(self, "fold_count", unsigned("fold_count", self.fold_count, 1))
 
 
 @dataclass
@@ -1049,12 +1021,11 @@ def render_report(report: ComparisonReport, fmt: str, out: str) -> None:
     if not report.cells:
         raise ValueError("cannot render an empty report")
     # each distinct name is checked once, so the cost follows the names, not the cells
-    indicators, references, datasets = (dict.fromkeys(column) for column in zip(*report.cells))
-    for name in indicators:
-        if name not in INDICATOR_NAMES:
-            raise ValueError(f"indicator must be one of {INDICATOR_NAMES}, got {name!r}")
-    _check_names("reference method", references)
-    _check_names("dataset", datasets)
+    for rule, name, values in zip(
+        (indicator, identifier, identifier), REPORT_HEADER, zip(*report.cells)
+    ):
+        for value in dict.fromkeys(values):
+            rule(name, value)
     text = _report_csv(report) if fmt == "csv" else _markdown_blocks(report)
     atomic_write_text(out, text)
 

@@ -7,41 +7,15 @@ epsilon, so duplicate and tied coordinates never dominate each other.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
+from ._fields import finite_real
 
 __all__ = ["ObjectivePoint", "SolutionSet", "strictly_dominates", "front_rows", "pareto_front"]
-
-
-def _real(name: str, value: object) -> float:
-    """The value as a float; ValueError naming the field unless it is a real
-    number that float holds, and no bool."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {value!r}") from None
-
-
-def _positive_int(name: str, value: object) -> int:
-    """The value as an int; ValueError naming the field unless it is an
-    integer of at least 1, and no bool."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -51,12 +25,9 @@ class ObjectivePoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(finite_real("coords", c) for c in self.coords)
         if len(coords) == 0:
             raise ValueError("objective point needs at least one coordinate")
-        for c in coords:
-            if not math.isfinite(c):
-                raise ValueError(f"objective coordinates must be finite, got {c!r}")
         object.__setattr__(self, "coords", coords)
 
     @property

@@ -440,6 +440,18 @@ class TestReportSubcommand:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    def test_a_fold_count_of_zero_exits_one(self, workdir, capsys):
+        # the report reader once worded this "must be at least 1", the datasets reader "must be positive"
+        bad = workdir / "bad.csv"
+        bad.write_text(
+            "indicator,reference_method,dataset,mean,std,fold_count\nHV,base,ds1,0.5,0.1,0\n",
+            encoding="utf-8",
+        )
+        out = workdir / "bad.md"
+        assert run(["report", "--in", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: fold_count must be positive, got 0\n"
+        assert not out.exists()
+
     def test_rerenders_saved_csv(self, workdir):
         assert run(_compare_args(workdir)) == 0
         out = workdir / "tables.md"

@@ -463,16 +463,16 @@ class TestEvaluateIndicator:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("HV", math.nan, 1, 1), "indicator value must be finite, got nan"),
-            (("HV", math.inf, 1, 1), "indicator value must be finite, got inf"),
+            (("HV", math.nan, 1, 1), "value must be finite, got nan"),
+            (("HV", math.inf, 1, 1), "value must be finite, got inf"),
             (("ED", "0.5", 1, 1), "value must be a real number, got '0.5'"),
-            (("HV", 0.5, -1, 1), "front_size must be at least 1, got -1"),
-            (("HV", 0.5, 0, 1), "front_size must be at least 1, got 0"),
-            (("HV", 0.5, 1.5, 1), "front_size must be an int, got 1.5"),
-            (("HV", 0.5, True, 1), "front_size must be an int, got True"),
-            (("GD", 0.5, 2, -1), "reference_size must be at least 1, got -1"),
-            (("GD", 0.5, 2, 1.5), "reference_size must be an int, got 1.5"),
-            (("GD", 0.5, 2, False), "reference_size must be an int, got False"),
+            (("HV", 0.5, -1, 1), "front_size must be positive, got -1"),
+            (("HV", 0.5, 0, 1), "front_size must be positive, got 0"),
+            (("HV", 0.5, 1.5, 1), "front_size must be an integer, got 1.5"),
+            (("HV", 0.5, True, 1), "front_size must be an integer, got True"),
+            (("GD", 0.5, 2, -1), "reference_size must be positive, got -1"),
+            (("GD", 0.5, 2, 1.5), "reference_size must be an integer, got 1.5"),
+            (("GD", 0.5, 2, False), "reference_size must be an integer, got False"),
         ],
     )
     def test_result_refuses_what_no_evaluation_gives(self, args, message):
@@ -481,10 +481,10 @@ class TestEvaluateIndicator:
         assert str(err.value) == message
 
     def test_result_keeps_the_messages_it_gave_before(self):
-        # non-finite values that an earlier check refused keep that check's message
-        with pytest.raises(ValueError, match=r"^SDR must lie in \[0, 1\], got inf$"):
+        # a non-finite value gets the finite-real rule's message before any range check
+        with pytest.raises(ValueError, match="^value must be finite, got inf$"):
             IndicatorResult("SDR", math.inf, 1, 1)
-        with pytest.raises(ValueError, match="^indicator value must be non-negative, got -inf$"):
+        with pytest.raises(ValueError, match="^value must be finite, got -inf$"):
             IndicatorResult("HV", -math.inf, 1, 1)
         result = IndicatorResult("HV", np.float64(0.25), np.int64(4), 1)
         assert (type(result.value), type(result.front_size)) == (float, int)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pareto_judge.confusion_metrics import ConfusionMatrix
 from pareto_judge.ingest_report import (
+    COUNTS_HEADER,
     DatasetInfo,
     ExperimentRecord,
     ParseError,
@@ -469,13 +470,24 @@ class TestRoundTrip:
         ],
     )
     def test_emit_raises_what_parse_would_and_writes_nothing(self, tmp_path, field, value, message):
-        first = ExperimentRecord("ds", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4))
+        # parse refuses the line of these fields with the message; a record
+        # refuses the same field when it is made, and emit a repeated key
         fields = {"dataset": "ds", "method": "m", "fold": 0, "solution_id": 1, field: value}
-        records = [first, ExperimentRecord(**fields, payload=ConfusionMatrix(5, 6, 7, 8))]
-        path = tmp_path / "out.csv"
+        lines = [",".join(COUNTS_HEADER), "ds,m,0,0,1,2,3,4", ",".join(map(str, fields.values()))]
+        source = _write(tmp_path / "in.csv", "\n".join(lines) + ",5,6,7,8\n")
         with pytest.raises(ParseError) as err:
-            emit_records(records, str(path))
-        assert str(err.value) == f"{path}:3: {message}"
+            parse_records(source, "counts")
+        assert str(err.value) == f"{source}:3: {message}"
+        path = tmp_path / "out.csv"
+        try:
+            record = ExperimentRecord(**fields, payload=ConfusionMatrix(5, 6, 7, 8))
+        except ValueError as refused:
+            assert str(refused).startswith(f"{field} ")
+        else:
+            first = ExperimentRecord("ds", "m", 0, 0, ConfusionMatrix(1, 2, 3, 4))
+            with pytest.raises(ParseError) as err:
+                emit_records([first, record], str(path))
+            assert str(err.value) == f"{path}:3: {message}"
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -483,11 +495,16 @@ class TestRoundTrip:
         [("dataset", "ds,m,0,9,1,1,1,1\nds"), ("method", 7), ("fold", "1"), ("solution_id", "01")],
     )
     def test_emit_refuses_lines_that_would_read_back_changed(self, tmp_path, field, value):
-        fields = {"dataset": "ds", "method": "m", "fold": 0, "solution_id": 1, field: value}
-        records = [ExperimentRecord(**fields, payload=ConfusionMatrix(5, 6, 7, 8))]
+        # no record holds such a field, but a table assembled from columns can
+        columns = {"dataset": "ds", "method": "m", "fold": 0, "solution_id": 1, field: value}
+        table = RecordTable(
+            (columns["dataset"],), (columns["method"],), *[np.zeros(1, np.int64)] * 2,
+            np.array([columns["fold"]], object), np.array([columns["solution_id"]], object),
+            np.array([[5, 6, 7, 8]], np.int64),
+        )
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="read back changed"):
-            emit_records(records, str(path))
+            emit_records(table, str(path))
         assert not path.exists()
 
 
@@ -510,8 +527,16 @@ def _records(draw, kind: str, name, ident) -> list[ExperimentRecord]:
         payload = _MATRIX
     else:
         payload = st.tuples(*[_FINITE] * draw(st.integers(1, 3))).map(ObjectivePoint)
-    record = st.builds(ExperimentRecord, name, name, ident, ident, payload)
-    return draw(st.lists(record, max_size=8))
+    record = st.builds(_made, name, name, ident, ident, payload)
+    return [rec for rec in draw(st.lists(record, max_size=8)) if rec is not None]
+
+
+def _made(*fields) -> ExperimentRecord | None:
+    """The record of the fields, or None where the record refuses one."""
+    try:
+        return ExperimentRecord(*fields)
+    except ValueError:
+        return None
 
 
 def _emit_and_read(records: list[ExperimentRecord], kind: str):
@@ -565,7 +590,7 @@ class TestDatasets:
     def test_name_must_be_an_identifier(self):
         with pytest.raises(ValueError) as err:
             DatasetInfo("a b", 1, 10, 2)
-        assert str(err.value) == "dataset name must match [A-Za-z0-9_-]+, got 'a b'"
+        assert str(err.value) == "name invalid identifier 'a b'"
 
     def test_parse_datasets(self, tmp_path):
         path = _write(

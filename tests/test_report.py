@@ -228,22 +228,35 @@ class TestAggregate:
             aggregate(front, refs, ("HV",))
 
     @pytest.mark.parametrize("field", ["fold", "solution_id"])
-    @pytest.mark.parametrize("value", [0.5, 1.0, "1", True, -1, 2**63, 2**64, np.int64(1)])
-    def test_a_key_that_is_not_an_int_in_range_makes_no_table(self, field, value):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (0.5, "must be an integer, got 0.5"),
+            (1.0, "must be an integer, got 1.0"),
+            ("1", "must be an integer, got '1'"),
+            (True, "must be an integer, got True"),
+            (-1, "must be non-negative, got -1"),
+            (2**63, f"must be below 2**63, got {2**63}"),
+            (2**64, f"must be below 2**63, got {2**64}"),
+        ],
+        ids=["0.5", "1.0", "1", "True", "-1", str(2**63), str(2**64)],
+    )
+    def test_a_key_that_is_not_an_int_in_range_makes_no_table(self, field, value, problem):
         fields = {"dataset": "ds", "method": "moo", "fold": 0, "solution_id": 1, field: value}
-        records = [
-            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
-            ExperimentRecord(**fields, payload=ObjectivePoint((0.5, 0.5))),
-        ]
         with pytest.raises(ValueError) as err:
-            RecordTable.from_records(records)
-        assert str(err.value) == f"{field} must be an int in [0, 2**63), got {value!r}"
+            ExperimentRecord(**fields, payload=ObjectivePoint((0.5, 0.5)))
+        assert str(err.value) == f"{field} {problem}"
+
+    @pytest.mark.parametrize("field", ["fold", "solution_id"])
+    def test_a_numpy_int_key_is_held_as_an_int(self, field):
+        fields = {"dataset": "ds", "method": "moo", "fold": 0, "solution_id": 1}
+        record = ExperimentRecord(**{**fields, field: np.int64(1)}, payload=ObjectivePoint((0.5,)))
+        assert type(getattr(record, field)) is int
+        assert record == ExperimentRecord(**{**fields, field: 1}, payload=ObjectivePoint((0.5,)))
 
     def test_folds_are_never_truncated_together(self):
-        front = [_obj_record("ds", "moo", fold, 0, (0.5, 0.5)) for fold in (0.2, 0.7)]
-        refs = [_obj_record("ds", "ref", fold, 0, (0.25, 0.25)) for fold in (0.2, 0.7)]
-        with pytest.raises(ValueError, match=r"^fold must be an int in \[0, 2\*\*63\), got 0\.2$"):
-            aggregate(front, refs, ("ED",))
+        with pytest.raises(ValueError, match=r"^fold must be an integer, got 0\.2$"):
+            [_obj_record("ds", "moo", fold, 0, (0.5, 0.5)) for fold in (0.2, 0.7)]
 
     def test_a_repeated_key_makes_no_table(self):
         front = [
@@ -264,24 +277,17 @@ class TestAggregate:
     def test_a_name_outside_the_identifier_rule_makes_no_table(self, field, name):
         # "a,b" was once written as a report line of seven fields under a six-column header
         fields = {"dataset": "ds", "method": "moo", field: name}
-        records = [
-            _obj_record("ds", "moo", 0, 0, (0.5, 0.5)),
-            ExperimentRecord(**fields, fold=1, solution_id=0, payload=ObjectivePoint((0.5, 0.5))),
-        ]
-        message = f"{field} name must match [A-Za-z0-9_-]+, got {name!r}"
         with pytest.raises(ValueError) as err:
-            RecordTable.from_records(records)
-        assert str(err.value) == message
+            ExperimentRecord(**fields, fold=1, solution_id=0, payload=ObjectivePoint((0.5, 0.5)))
+        assert str(err.value) == f"{field} invalid identifier {name!r}"
 
     def test_aggregate_names_the_first_bad_name(self):
-        front, refs = _fixture_records()
-        front = [ExperimentRecord("a,b", *r.key[1:], r.payload) for r in front]
-        refs = [ExperimentRecord("a,b", "b|ase", *r.key[2:], r.payload) for r in refs]
-        with pytest.raises(ValueError, match=r"^dataset name must match .*, got 'a,b'$"):
-            aggregate(front, refs, ("HV",))
-        refs = [ExperimentRecord("ds1", "b|ase", *r.key[2:], r.payload) for r in refs]
-        with pytest.raises(ValueError, match=r"^method name must match .*, got 'b\|ase'$"):
-            aggregate(_fixture_records()[0], refs, ("HV",))
+        # a record checks its fields in order, so no record with a bad name reaches aggregate
+        refs = _fixture_records()[1]
+        with pytest.raises(ValueError, match=r"^dataset invalid identifier 'a,b'$"):
+            [ExperimentRecord("a,b", "b|ase", *r.key[2:], r.payload) for r in refs]
+        with pytest.raises(ValueError, match=r"^method invalid identifier 'b\|ase'$"):
+            [ExperimentRecord("ds1", "b|ase", *r.key[2:], r.payload) for r in refs]
 
     def test_unknown_indicator_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
@@ -491,12 +497,12 @@ class TestRenderReport:
     @pytest.mark.parametrize(
         "key, message",
         [
-            (("XX", "base", "ds1"), f"indicator must be one of {INDICATOR_NAMES}, got 'XX'"),
-            (("hv", "base", "ds1"), f"indicator must be one of {INDICATOR_NAMES}, got 'hv'"),
-            (("HV", "r|x", "d,e"), "reference method must match [A-Za-z0-9_-]+, got 'r|x'"),
-            (("HV", "base", "d,e"), "dataset must match [A-Za-z0-9_-]+, got 'd,e'"),
-            (("HV", "base", ""), "dataset must match [A-Za-z0-9_-]+, got ''"),
-            (("HV", 7, "ds1"), "reference method must match [A-Za-z0-9_-]+, got 7"),
+            (("XX", "base", "ds1"), "indicator unknown indicator 'XX'"),
+            (("hv", "base", "ds1"), "indicator unknown indicator 'hv'"),
+            (("HV", "r|x", "d,e"), "reference_method invalid identifier 'r|x'"),
+            (("HV", "base", "d,e"), "dataset invalid identifier 'd,e'"),
+            (("HV", "base", ""), "dataset invalid identifier ''"),
+            (("HV", 7, "ds1"), "reference_method invalid identifier 7"),
         ],
         ids=["unknown", "lower-case", "both-names", "dataset", "empty", "not-str"],
     )
@@ -541,10 +547,10 @@ class TestRenderReport:
     @pytest.mark.parametrize(
         "mean, std, fold_count, message",
         [
-            (0.5, 0.1, 2.5, "fold_count must be an int, got 2.5"),
-            (0.5, 0.1, True, "fold_count must be an int, got True"),
-            (0.5, 0.1, "2", "fold_count must be an int, got '2'"),
-            (0.5, 0.1, -3, "fold_count must be at least 1, got -3"),
+            (0.5, 0.1, 2.5, "fold_count must be an integer, got 2.5"),
+            (0.5, 0.1, True, "fold_count must be an integer, got True"),
+            (0.5, 0.1, "2", "fold_count must be an integer, got '2'"),
+            (0.5, 0.1, -3, "fold_count must be positive, got -3"),
             ("0.5", 0.1, 1, "mean must be a real number, got '0.5'"),
             (0.5, None, 1, "std must be a real number, got None"),
             (False, 0.1, 1, "mean must be a real number, got False"),
