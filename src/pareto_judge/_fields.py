@@ -1,10 +1,12 @@
-"""The rule of each kind of field the files hold, stated once.
+"""The rule of each kind of field the files hold, and of a list of requested
+names, stated once.
 
-Constructors, readers and writers all call these rules, so a library object
-holds exactly what its file can hold. A rule takes the field's name and
-value and returns the value as held, numpy numbers as Python ones, or raises
-ValueError with a message that starts with the name. A reader checks the
-field's text grammar first and passes ``column <name>:`` as the name.
+Constructors, readers, writers and commands all call these rules, so a
+library object holds exactly what its file can hold. A rule takes the
+field's or argument's name and value and returns the value as held, numpy
+numbers as Python ones, or raises ValueError with a message that starts with
+the name. A reader checks the field's text grammar first and passes
+``column <name>:`` as the name, as a command passes ``--indicators:``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -48,9 +50,11 @@ def unsigned(name: str, value: object, low: int = 0) -> int:
     return value
 
 
-def finite_real(name: str, value: object, text: str | None = None) -> float:
-    """The value, a real number and no bool, as a finite float; a reader
-    passes the field's text, which the message then shows."""
+def finite_real(
+    name: str, value: object, low: float = -math.inf, high: float = math.inf, text: str = ""
+) -> float:
+    """The value, a real number and no bool, as a finite float from low to
+    high; a reader passes the field's text, which the message then shows."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -58,7 +62,10 @@ def finite_real(name: str, value: object, text: str | None = None) -> float:
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value if text is None else text!r}")
+        raise ValueError(f"{name} must be finite, got {text or value!r}")
+    if not low <= number <= high:
+        bounds = "be non-negative" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must {bounds}, got {number}")
     return number
 
 
@@ -86,6 +93,22 @@ def bad_count_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def indicator(name: str, value: object) -> str:
-    if value not in INDICATOR_NAMES:
+    if not (isinstance(value, str) and value in INDICATOR_NAMES):
         raise ValueError(f"{name} unknown indicator {value!r}")
     return value
+
+
+def requested(
+    name: str, values: Iterable[object], known: Sequence[str], upper: bool = False
+) -> list[str]:
+    """The known names that values requests, in the order of known and once
+    each; with upper a str matches upper-cased. A str or bytes as the list is
+    refused, and so is every item but a known str, listed in request order."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} takes a sequence of names, not the string {values!r}")
+    keys = [value.upper() if upper and isinstance(value, str) else value for value in values]
+    # each unknown item once, by its repr, so that none is hashed or compared
+    unknown = dict.fromkeys(repr(k) for k in keys if not (isinstance(k, str) and k in known))
+    if unknown:
+        raise ValueError(f"{name} unknown [{', '.join(unknown)}]; expected from {tuple(known)}")
+    return [key for key in known if key in keys]

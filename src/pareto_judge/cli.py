@@ -12,6 +12,7 @@ import contextlib
 import os
 import sys
 
+from ._fields import requested
 from ._io import atomic_write_text
 from .confusion_metrics import (
     DEFAULT_BETA_COUNT,
@@ -71,10 +72,7 @@ def _parse_indicator_list(raw: str) -> list[str]:
     names = _items(raw)
     if not names:
         raise ValueError(f"no indicators given in {raw!r}")
-    unknown = sorted({name.upper() for name in names} - set(INDICATOR_NAMES))
-    if unknown:
-        raise ValueError(f"--indicators: unknown {unknown}; expected from {INDICATOR_NAMES}")
-    return names
+    return requested("--indicators:", names, INDICATOR_NAMES, upper=True)
 
 
 def _parse_level_list(raw: str) -> list[float]:

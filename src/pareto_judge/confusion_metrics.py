@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import COUNT_NAMES, COUNTS_LIMIT, bad_count_rows, count_row
+from ._fields import COUNT_NAMES, COUNTS_LIMIT, bad_count_rows, count_row, finite_real
 from .objective_space import ObjectivePoint
 
 __all__ = [
@@ -71,8 +71,7 @@ class MetricValue:
     defined: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"metric value out of [0, 1]: {self.value!r}")
+        object.__setattr__(self, "value", finite_real("value", self.value, 0.0, 1.0))
 
     def __float__(self) -> float:
         return self.value

@@ -43,13 +43,8 @@ class IndicatorResult:
     reference_size: int
 
     def __post_init__(self) -> None:
-        indicator("name", self.name)
-        value = finite_real("value", self.value)
-        if value < 0.0:
-            raise ValueError(f"indicator value must be non-negative, got {value}")
-        if self.name in ("SDR", "NDR") and value > 1.0:
-            raise ValueError(f"{self.name} must lie in [0, 1], got {value}")
-        object.__setattr__(self, "value", value)
+        high = 1.0 if indicator("name", self.name) in ("SDR", "NDR") else math.inf
+        object.__setattr__(self, "value", finite_real("value", self.value, 0.0, high))
         for name in ("front_size", "reference_size"):
             object.__setattr__(self, name, unsigned(name, getattr(self, name), 1))
 
@@ -231,9 +226,7 @@ def evaluate_indicator(name: str, front: SolutionSet, refs: SolutionSet) -> Indi
     ED, HV, SDR, and NDR require a single-point reference set; GD accepts
     any number of reference points.
     """
-    key = name.upper()
-    if key not in INDICATOR_NAMES:
-        raise ValueError(f"unknown indicator {name!r}; expected one of {INDICATOR_NAMES}")
+    key = indicator("name", name.upper() if isinstance(name, str) else name)
     if key != "GD" and len(refs) != 1:
         raise ValueError(f"{key} needs exactly one reference point, got {len(refs)}")
     value = _value(key, front.as_array(), refs.as_array())

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._fields import (
     COUNT_NAMES, IDENT_BYTES, INDICATOR_NAMES, INT_LIMIT, bad_count_rows, count_row,
-    finite_real, identifier, indicator, unsigned,
+    finite_real, identifier, indicator, requested, unsigned,
 )
 from ._io import atomic_write_text
 from .confusion_metrics import ConfusionMatrix, metric_table, objective_point_of
@@ -95,6 +95,7 @@ REPORT_FORMATS = ("csv", "markdown")
 _INT_RE = re.compile(r"[0-9]+\Z|-0*[1-9][0-9]*\Z")
 _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\Z")
 _NON_FINITE_RE = re.compile(r"[-+]?(?:inf|infinity|nan)\Z", re.IGNORECASE)
+_UINT_DIGITS = 19  # the most decimal digits that always fit uint64
 
 
 class ParseError(ValueError):
@@ -345,13 +346,17 @@ def imbalance_ratio(d: DatasetInfo) -> float:
 def _check_int(name: str, text: str) -> int:
     if not _INT_RE.match(text):
         raise ValueError(f"{name} expected an integer, got {text!r}")
-    return unsigned(name, int(text))
+    sign, digits = text[: text.startswith("-")], text.lstrip("-0")
+    if len(digits) > _UINT_DIGITS:  # out of range, and int() may refuse so many digits
+        bound = "be non-negative" if sign else "be below 2**63"
+        raise ValueError(f"{name} must {bound}, got {sign}{digits}")
+    return unsigned(name, int(sign + digits or "0"))
 
 
 def _check_float(name: str, text: str) -> float:
     if not (_NUMBER_RE.match(text) or _NON_FINITE_RE.match(text)):
         raise ValueError(f"{name} expected a number, got {text!r}")
-    return finite_real(name, float(text), text)
+    return finite_real(name, float(text), text=text)
 
 
 def _split_line(raw: bytes, path: str, line: int) -> tuple[str, ...]:
@@ -439,7 +444,6 @@ def _counts_row(values: list) -> list:
 
 
 _COMMA, _LF, _ZERO = ord(","), ord("\n"), ord("0")
-_UINT_DIGITS = 19  # the most decimal digits that always fit uint64
 _ACCEPT, _REJECT = 8, 9  # the last states of the number automaton
 
 
@@ -690,8 +694,6 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
     """
     if payload_kind not in PAYLOAD_KINDS:
         raise ValueError(f"payload_kind must be one of {PAYLOAD_KINDS}, got {payload_kind!r}")
-    if isinstance(negate, str):
-        raise ValueError(f"negate takes a sequence of column names, not the string {negate!r}")
     counts = payload_kind == "counts"
     if negate and counts:
         raise ValueError("negate applies only to the objectives payload")
@@ -700,11 +702,8 @@ def parse_records(path: str, payload_kind: str, negate: Sequence[str] = ()) -> R
     columns = _record_columns(counts, dim)
     _check_header(header, columns, path)
     objectives = [name for name, _ in columns[4:]]
-    unknown = set(negate) - set(objectives)
-    if unknown:
-        raise ValueError(f"negate names unknown objective columns: {sorted(unknown)}")
+    flip = [objectives.index(name) for name in requested("negate", negate, objectives)]
     table = _body_table(body, path, payload_kind, dim)
-    flip = [i for i, name in enumerate(objectives) if name in negate]
     table.values[:, flip] = -table.values[:, flip]
     return table
 
@@ -784,11 +783,8 @@ class ReportCell:
     fold_count: int
 
     def __post_init__(self) -> None:
-        mean, std = finite_real("mean", self.mean), finite_real("std", self.std)
-        if std < 0.0:
-            raise ValueError(f"standard deviation must be non-negative, got {std}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "mean", finite_real("mean", self.mean))
+        object.__setattr__(self, "std", finite_real("std", self.std, 0.0))
         object.__setattr__(self, "fold_count", unsigned("fold_count", self.fold_count, 1))
 
 
@@ -798,20 +794,6 @@ class ComparisonReport:
 
     moo_method: str
     cells: dict[tuple[str, str, str], ReportCell] = field(default_factory=dict)
-
-
-def _normalize_indicators(indicators: Iterable[str]) -> list[str]:
-    if isinstance(indicators, str):
-        raise ValueError(
-            f"indicators takes a sequence of indicator names, not the string {indicators!r}"
-        )
-    requested = {name.upper() for name in indicators}
-    unknown = requested - set(INDICATOR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown indicators: {sorted(unknown)}; expected from {INDICATOR_NAMES}")
-    if not requested:
-        raise ValueError("at least one indicator must be requested")
-    return [name for name in INDICATOR_NAMES if name in requested]
 
 
 def _not_finite(key: tuple[str, str, str], what: str) -> ValueError:
@@ -927,7 +909,9 @@ def aggregate(
         raise ValueError("no front records to aggregate")
     if not reference_records:
         raise ValueError("no reference records to aggregate")
-    ordered = _normalize_indicators(indicators)
+    ordered = requested("indicators", indicators, INDICATOR_NAMES, upper=True)
+    if not ordered:
+        raise ValueError("at least one indicator must be requested")
     front = RecordTable.from_records(front_records)
     refs = RecordTable.from_records(reference_records)
     moo_method, blocks = pair_blocks(front, refs)

@@ -452,6 +452,16 @@ class TestReportSubcommand:
         assert capsys.readouterr().err == f"error: {bad}:2: fold_count must be positive, got 0\n"
         assert not out.exists()
 
+    def test_a_negative_std_exits_one_naming_the_field(self, workdir, capsys):
+        # once worded "standard deviation must be non-negative"
+        bad = workdir / "bad.csv"
+        bad.write_text(
+            "indicator,reference_method,dataset,mean,std,fold_count\nHV,base,ds1,0.5,-0.1,2\n",
+            encoding="utf-8",
+        )
+        assert run(["report", "--in", str(bad), "--out", str(workdir / "bad.md")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: std must be non-negative, got -0.1\n"
+
     def test_rerenders_saved_csv(self, workdir):
         assert run(_compare_args(workdir)) == 0
         out = workdir / "tables.md"

@@ -338,6 +338,30 @@ class TestCountsFieldEdges:
         assert err.value.line == 3
         assert str(err.value).endswith(f"column solution_id: must be below 2**63, got {int(wide)}")
 
+    @pytest.mark.parametrize("width", [20, 4300, 4301, 5000])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (lambda w: "1" * w, lambda w: "must be below 2**63, got " + "1" * w),
+            (lambda w: "0" * (w - 20) + "9" * 20, lambda w: "must be below 2**63, got " + "9" * 20),
+            (lambda w: "-" + "1" * w, lambda w: "must be non-negative, got -" + "1" * w),
+            (lambda w: "-" + "0" * (w - 1) + "7", lambda w: "must be non-negative, got -7"),
+            (lambda w: "0" * (w - 1) + "7", None),
+        ],
+        ids=["digits", "zero-padded", "negative", "negative-zero-padded", "zero-padded-valid"],
+    )
+    def test_a_field_of_many_digits_gets_its_rule_message(self, tmp_path, width, field, message):
+        # above 4300 digits int() once refused the field with its own message
+        body = f"d,m,0,0,1,0,0,0\nd,m,{field(width)},0,1,0,0,0\n"
+        _assert_same_reading(body.encode(), "counts", 4)
+        if message is None:
+            assert self._parse(tmp_path, body).fold.tolist() == [0, 7]
+            return
+        with pytest.raises(ParseError) as err:
+            self._parse(tmp_path, body)
+        assert err.value.line == 3
+        assert str(err.value).endswith(": column fold: " + message(width))
+
     def test_body_without_final_lf(self, tmp_path):
         body = "d,m,0,0,1,2,3,4\nd,m,0,1,5,6,7,8"
         _assert_same_table(self._parse(tmp_path, body), self._parse(tmp_path, body + "\n"))

@@ -4,7 +4,9 @@ Each property draws field values of every type a caller might pass: str,
 bool, numpy scalars, NaN, infinities, 2**63, 10**400 and names outside
 ``[A-Za-z0-9_-]+``. Either the constructor raises a ValueError whose message
 starts with the field it refuses, or the object is written and read back
-equal.
+equal. A bounded value is held as a Python float within its bounds, and a
+list of requested names is refused naming its argument or comes back as the
+known names it requests.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pareto_judge._fields import IDENT_ALPHABET, IDENT_BYTES, IDENT_RE
-from pareto_judge.confusion_metrics import ConfusionMatrix
+from pareto_judge._fields import IDENT_ALPHABET, IDENT_BYTES, IDENT_RE, requested
+from pareto_judge.confusion_metrics import ConfusionMatrix, MetricValue
+from pareto_judge.indicators import INDICATOR_NAMES, IndicatorResult, evaluate_indicator
 from pareto_judge.ingest_report import (
     DATASETS_HEADER,
     ComparisonReport,
@@ -32,7 +35,7 @@ from pareto_judge.ingest_report import (
     read_report_csv,
     render_report,
 )
-from pareto_judge.objective_space import ObjectivePoint
+from pareto_judge.objective_space import ObjectivePoint, SolutionSet
 
 _ODD = [None, True, False, np.bool_(True), "2", "0.5", b"2", math.nan, math.inf, -math.inf]
 _NAMES = st.one_of(
@@ -125,7 +128,7 @@ class TestReportCellClosure:
     def test_a_cell_is_refused_or_reads_back_equal(self, mean, std, fold_count):
         cell = _made(lambda: ReportCell(mean, std, fold_count))
         if isinstance(cell, ValueError):
-            assert _names_a_field(cell, "mean", "std", "fold_count", "standard deviation"), cell
+            assert _names_a_field(cell, "mean", "std", "fold_count"), cell
             return
         key = ("HV", "ref", "ds")
         with tempfile.TemporaryDirectory() as directory:
@@ -155,3 +158,130 @@ class TestDatasetInfoClosure:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(",".join(DATASETS_HEADER) + "\n" + line + "\n")
             assert parse_datasets(path) == [info]
+
+
+class TestBoundedValueClosure:
+    @settings(deadline=None, max_examples=150)
+    @given(value=_REALS)
+    @example(value=True)
+    @example(value="0.5")
+    @example(value=None)
+    @example(value=np.float64(0.25))
+    @example(value=1.5)
+    def test_a_metric_value_is_refused_or_a_float_in_the_unit_interval(self, value):
+        metric = _made(lambda: MetricValue(value))
+        if isinstance(metric, ValueError):
+            assert _names_a_field(metric, "value"), metric
+            return
+        assert type(metric.value) is float and 0.0 <= metric.value <= 1.0
+
+    @settings(deadline=None, max_examples=150)
+    @given(name=st.sampled_from(INDICATOR_NAMES), value=_REALS)
+    @example(name="ED", value=-0.1)
+    @example(name="SDR", value=1.5)
+    @example(name="HV", value=np.float32(2.5))
+    def test_an_indicator_value_is_refused_or_a_float_within_its_bounds(self, name, value):
+        result = _made(lambda: IndicatorResult(name, value, 1, 1))
+        if isinstance(result, ValueError):
+            assert _names_a_field(result, "value"), result
+            return
+        high = 1.0 if name in ("SDR", "NDR") else math.inf
+        assert type(result.value) is float and 0.0 <= result.value <= high
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: MetricValue(1.5), "value must lie in [0, 1], got 1.5"),
+            (lambda: MetricValue(True), "value must be a real number, got True"),
+            (lambda: MetricValue("0.5"), "value must be a real number, got '0.5'"),
+            (lambda: MetricValue(None), "value must be a real number, got None"),
+            (lambda: IndicatorResult("ED", -0.1, 3, 1), "value must be non-negative, got -0.1"),
+            (lambda: IndicatorResult("SDR", 1.5, 3, 1), "value must lie in [0, 1], got 1.5"),
+        ],
+        ids=["metric-1.5", "metric-True", "metric-str", "metric-None", "ED--0.1", "SDR-1.5"],
+    )
+    def test_the_message_names_the_field(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_a_numpy_metric_value_is_held_as_a_float(self):
+        assert type(MetricValue(np.float64(0.25)).value) is float
+
+
+_KNOWN_CASES = st.sampled_from(INDICATOR_NAMES).flatmap(
+    lambda name: st.sampled_from([name, name.lower(), name.capitalize()])
+)
+_REQUEST_ITEMS = st.one_of(
+    _KNOWN_CASES, st.text(max_size=3), st.binary(max_size=3), st.integers(-2, 2), st.none()
+)
+
+
+def _unknown_listed(keys: list, known: tuple) -> str:
+    """The reprs of the items that are not a known str, once each, in request order."""
+    listed: list[str] = []
+    for key in keys:
+        if not (isinstance(key, str) and key in known) and repr(key) not in listed:
+            listed.append(repr(key))
+    return ", ".join(listed)
+
+
+class TestRequested:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        values=st.one_of(
+            st.lists(_REQUEST_ITEMS, max_size=6), st.text(max_size=4), st.binary(max_size=4)
+        ),
+        upper=st.booleans(),
+        once=st.booleans(),
+    )
+    @example(values=["hv", 3], upper=True, once=False)
+    @example(values=[None], upper=True, once=False)
+    @example(values=["igd", b"xx"], upper=True, once=False)
+    @example(values=["HV", "hv", "Hv"], upper=False, once=True)
+    def test_a_request_is_refused_or_gives_the_known_names_in_order(self, values, upper, once):
+        request = iter(values) if once and isinstance(values, list) else values
+        names = _made(lambda: requested("indicators", request, INDICATOR_NAMES, upper))
+        if isinstance(values, (str, bytes)):
+            text = f"indicators takes a sequence of names, not the string {values!r}"
+            assert str(names) == text
+            return
+        keys = [value.upper() if upper and isinstance(value, str) else value for value in values]
+        unknown = _unknown_listed(keys, INDICATOR_NAMES)
+        if unknown:
+            assert str(names) == f"indicators unknown [{unknown}]; expected from {INDICATOR_NAMES}"
+        else:
+            assert names == [name for name in INDICATOR_NAMES if name in keys]
+
+    def _objectives(self, directory: str) -> str:
+        path = os.path.join(directory, "objectives.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("dataset,method,fold,solution_id,obj_1,obj_2\nd,m,0,0,0.5,0.25\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "negate, message",
+        [
+            ([3, "obj_9"], "negate unknown [3, 'obj_9']; expected from ('obj_1', 'obj_2')"),
+            (["OBJ_1"], "negate unknown ['OBJ_1']; expected from ('obj_1', 'obj_2')"),
+            (b"obj_1", "negate takes a sequence of names, not the string b'obj_1'"),
+        ],
+    )
+    def test_a_negate_list_is_refused_naming_the_argument(self, negate, message):
+        with tempfile.TemporaryDirectory() as directory:
+            with pytest.raises(ValueError) as err:
+                parse_records(self._objectives(directory), "objectives", negate)
+        assert str(err.value) == message
+
+    def test_negate_reads_an_iterator_once_and_ignores_repeats(self):
+        with tempfile.TemporaryDirectory() as directory:
+            table = parse_records(self._objectives(directory), "objectives", iter(["obj_2"] * 2))
+        assert table.values.tolist() == [[0.5, -0.25]]
+
+    @pytest.mark.parametrize("name", [3, None, b"HV", "igd"])
+    def test_evaluate_indicator_refuses_a_name_naming_the_argument(self, name):
+        points = SolutionSet.from_coords("s", [(0.5, 0.5)])
+        with pytest.raises(ValueError) as err:
+            evaluate_indicator(name, points, points)
+        shown = name.upper() if isinstance(name, str) else name
+        assert str(err.value) == f"name unknown indicator {shown!r}"

@@ -278,6 +278,17 @@ class TestDocumentedFormat:
         line, message = _format_error(tmp_path, schema, f"{header}\n{too_large}\n".encode())
         assert line == 2 and message.endswith(f"must be below 2**63, got {2**63}")
 
+    @pytest.mark.parametrize("width", [20, 4300, 4301, 5000])
+    def test_an_integer_of_many_digits_gets_the_rule_message(self, tmp_path, schema, width):
+        # above 4300 digits int() once refused the field with a message of its own
+        reader, header, row = SCHEMAS[schema]
+        padded = _with_field(row, INT_COLUMN[schema], "0" * (width - 2) + "10")
+        reader(_write(tmp_path / "ok.csv", f"{header}\n{padded}\n"))
+        for field, problem in (("7" * width, "be below 2**63"), ("-" + "7" * width, "be non-negative")):
+            wide = _with_field(row, INT_COLUMN[schema], field)
+            line, message = _format_error(tmp_path, schema, f"{header}\n{wide}\n".encode())
+            assert line == 2 and message.endswith(f": must {problem}, got {field}")
+
 
 @pytest.mark.parametrize("schema", sorted(NUMBER_COLUMN))
 @pytest.mark.parametrize("bad", ["1_0", "٣", "+2", " 5", ".5", "5.", "0x1p3", "1e", "--1"])

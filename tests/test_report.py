@@ -292,16 +292,50 @@ class TestAggregate:
     def test_unknown_indicator_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
-        with pytest.raises(ValueError, match="unknown indicators"):
+        text = "indicators unknown ['IGD']; expected from ('ED', 'GD', 'HV', 'SDR', 'NDR')"
+        with pytest.raises(ValueError) as err:
             aggregate(front, refs, ("IGD",))
+        assert str(err.value) == text
 
     def test_a_string_of_indicators_rejected(self):
         front = [_obj_record("ds", "moo", 0, 0, (0.5, 0.5))]
         refs = [_obj_record("ds", "ref", 0, 0, (0.5, 0.5))]
-        text = "indicators takes a sequence of indicator names, not the string 'HV'"
+        text = "indicators takes a sequence of names, not the string 'HV'"
         with pytest.raises(ValueError) as err:
             aggregate(front, refs, "HV")
         assert str(err.value) == text
+
+    @pytest.mark.parametrize(
+        "indicators, unknown",
+        [(["hv", 3], "[3]"), ([None], "[None]"), (["igd", b"xx"], "['IGD', b'xx']")],
+    )
+    def test_an_indicator_that_is_not_a_known_str_is_refused(self, indicators, unknown):
+        # these once raised AttributeError (no .upper()) or TypeError (sorting bytes with str)
+        front, refs = _fixture_records()
+        with pytest.raises(ValueError) as err:
+            aggregate(front, refs, indicators)
+        assert str(err.value) == f"indicators unknown {unknown}; expected from {INDICATOR_NAMES}"
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_case_order_and_repeats_of_one_indicator_set_change_nothing(self, data):
+        names = data.draw(st.sets(st.sampled_from(INDICATOR_NAMES), min_size=1))
+        cased = st.sampled_from(sorted(names)).flatmap(
+            lambda name: st.sampled_from([name, name.lower(), name.capitalize()])
+        )
+        request = data.draw(st.lists(cased, max_size=6))
+        request += [name.lower() for name in names]  # every name of the set at least once
+        request = data.draw(st.permutations(request))
+        front, refs = _fixture_records()
+        canonical = aggregate(front, refs, [name for name in INDICATOR_NAMES if name in names])
+        report = aggregate(front, refs, request)
+        assert list(report.cells.items()) == list(canonical.cells.items())
+        with tempfile.TemporaryDirectory() as directory:
+            paths = [os.path.join(directory, f"{i}.csv") for i in range(2)]
+            for path, each in zip(paths, (canonical, report)):
+                render_report(each, "csv", path)
+            with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+                assert first.read() == second.read()
 
     def test_value_that_is_not_finite_names_its_cell(self):
         front = [
@@ -555,6 +589,7 @@ class TestRenderReport:
             (0.5, None, 1, "std must be a real number, got None"),
             (False, 0.1, 1, "mean must be a real number, got False"),
             (0.5, 10**400, 1, f"std must be finite, got {10**400!r}"),
+            (0.5, -0.5, 1, "std must be non-negative, got -0.5"),
         ],
     )
     def test_a_field_the_report_cannot_hold_is_refused(self, mean, std, fold_count, message):
